@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -24,7 +25,7 @@ import sys
 import time
 
 from .codespec import CodeSpec, SpecValidationError, ValidatedSpec, validate_spec
-from .galois import DEFAULT_TABLE_LIMIT, TableLimitExceeded, build_field
+from .galois import DEFAULT_TABLE_LIMIT, TableLimitExceeded, build_field, is_prime
 from .moments import n_r
 from .oracle import (
     DEFAULT_BUDGET,
@@ -267,6 +268,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nr(args) -> int:
+    if not is_prime(args.p):
+        print(f"p must be prime, got {args.p}", file=sys.stderr)
+        return EXIT_INVALID
     q = args.p**args.m
     if args.e < 1 or (q + 1) % args.e:
         print(f"e = {args.e} does not divide q+1 = {q + 1}", file=sys.stderr)
@@ -310,71 +314,101 @@ def cmd_nr(args) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _parse_range(text: str) -> range:
-    lo, _, hi = text.partition(":")
-    if hi:
-        return range(int(lo), int(hi) + 1)
-    return range(int(lo), int(lo) + 1)
+def _parse_range(flag: str, text: str) -> range:
+    lo, sep, hi = text.partition(":")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise ValueError(f"{flag} must be A:B or a single integer, got {text!r}") from None
 
 
-def catalog_key(spec: CodeSpec) -> str:
-    return f"{spec.family}:{spec.p}:{spec.m}:{spec.h}:{spec.delta}:{spec.t}"
+def _read_catalog(path: str) -> tuple[set[str], bool]:
+    """Keys already in the catalog, and whether the file ends mid-line.
 
-
-def _load_catalog_keys(path: str) -> set[str]:
+    A line that does not parse is the fragment of a record whose write was
+    cut short.  It is skipped with a warning; it need not be the last line,
+    because later runs append their records after it."""
+    if not os.path.exists(path):
+        return set(), False
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     keys = set()
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    keys.add(json.loads(line)["key"])
-    return keys
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            keys.add(json.loads(line)["key"])
+        except (ValueError, KeyError, TypeError):
+            log.warning("catalog %s: skipping unreadable line %d", path, number)
+    return keys, bool(text) and not text.endswith("\n")
 
 
 def cmd_sweep(args) -> int:
     budget = _resolve_budget(args)
     try:
-        existing = _load_catalog_keys(args.out)
+        grid = itertools.product(_parse_range("--h-range", args.h_range),
+                                 _parse_range("--delta-range", args.delta_range),
+                                 _parse_range("--t-range", args.t_range))
+    except ValueError as exc:
+        print(f"invalid range: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        existing, torn = _read_catalog(args.out)
         out_fh = open(args.out, "a", encoding="utf-8")
     except OSError as exc:
         print(f"cannot open catalog {args.out}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     written = skipped = 0
+    code = EXIT_OK
+    ctx = None
     with out_fh:
-        for h in _parse_range(args.h_range):
-            for delta in _parse_range(args.delta_range):
-                for t in _parse_range(args.t_range):
-                    spec = CodeSpec(args.family, args.p, args.m, h, delta, t)
-                    key = catalog_key(spec)
-                    if key in existing:
-                        log.info("skip %s: already in catalog", key)
-                        continue
-                    try:
-                        vspec = validate_spec(spec)
-                    except SpecValidationError as exc:
-                        log.info("skip %s: %s (%s)", key, exc, exc.code)
-                        skipped += 1
-                        continue
-                    started = time.perf_counter()
-                    dist = weight_distribution(vspec)
-                    status = "formula-only"
-                    if args.verify_small is not None:
-                        cost = vspec.codeword_count * vspec.length
-                        if cost <= args.verify_small:
-                            brute = brute_distribution(vspec, budget=budget)
-                            status = "oracle-verified" if brute == dist else "mismatch"
-                    record = {
-                        "key": key,
-                        "status": status,
-                        "elapsed_s": round(time.perf_counter() - started, 6),
-                        "report": build_report(vspec, dist).to_json_dict(),
-                    }
-                    out_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                    existing.add(key)
-                    written += 1
+        if torn:
+            out_fh.write("\n")  # keep the next record off the fragment's line
+        try:
+            for h, delta, t in grid:
+                spec = CodeSpec(args.family, args.p, args.m, h, delta, t)
+                if spec.key in existing:
+                    log.info("skip %s: already in catalog", spec.key)
+                    continue
+                try:
+                    vspec = validate_spec(spec)
+                except SpecValidationError as exc:
+                    log.info("skip %s: %s (%s)", spec.key, exc, exc.code)
+                    skipped += 1
+                    continue
+                started = time.perf_counter()
+                dist = weight_distribution(vspec)
+                status = "formula-only"
+                if args.verify_small is not None:
+                    cost = vspec.codeword_count * vspec.length
+                    if cost <= args.verify_small:
+                        if ctx is None:
+                            ctx = build_field(vspec.p, 2 * vspec.m,
+                                              table_limit=_resolve_table_limit())
+                        brute = brute_distribution(vspec, ctx=ctx, budget=budget)
+                        status = "oracle-verified" if brute == dist else "mismatch"
+                record = {
+                    "key": spec.key,
+                    "status": status,
+                    "elapsed_s": round(time.perf_counter() - started, 6),
+                    "report": build_report(vspec, dist).to_json_dict(),
+                }
+                out_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                out_fh.flush()
+                existing.add(spec.key)
+                written += 1
+                if status == "mismatch":
+                    print(f"MISMATCH {spec.key}: brute {brute.entries} != solver {dist.entries}",
+                          file=sys.stderr)
+                    code = EXIT_MISMATCH
+        except BudgetExceeded as exc:
+            print(f"budget refusal: {exc}", file=sys.stderr)
+            code = EXIT_BUDGET
+        except TableLimitExceeded as exc:
+            print(f"table limit refusal: {exc}", file=sys.stderr)
+            code = EXIT_BUDGET
     print(f"catalog {args.out}: {written} written, {skipped} inadmissible skipped")
-    return EXIT_OK
+    return code
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -49,17 +49,16 @@ class CodeSpec:
     delta: int
     t: int
 
+    @property
+    def key(self) -> str:
+        """Unique key family:p:m:h:delta:t, as used by the sweep catalog."""
+        return f"{self.family}:{self.p}:{self.m}:{self.h}:{self.delta}:{self.t}"
+
 
 @dataclass(frozen=True)
-class ValidatedSpec:
+class ValidatedSpec(CodeSpec):
     """A CodeSpec together with everything derived from it."""
 
-    family: str
-    p: int
-    m: int
-    h: int
-    delta: int
-    t: int
     q: int
     e: int
     s_values: tuple[int, ...]
@@ -76,10 +75,6 @@ class ValidatedSpec:
     @property
     def codeword_count(self) -> int:
         return self.p**self.dimension
-
-    @property
-    def key(self) -> str:
-        return f"{self.family}:{self.p}:{self.m}:{self.h}:{self.delta}:{self.t}"
 
 
 def half_mod(x: int, modulus: int, p: int) -> int:

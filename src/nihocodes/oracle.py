@@ -1,12 +1,20 @@
 """Independent ground truth by direct enumeration.
 
-Two weight paths are kept deliberately separate:
+Two weight paths are kept deliberately separate at the scalar level:
 
   * the positionwise path evaluates the defining trace expression of a
     codeword symbol by symbol over all q^2-1 coordinates;
   * the root-counting path evaluates a degree <= 2t polynomial over the
     small subgroup W of the unit circle (order (q+1)/e) and converts the
     number of roots into a character-sum value and hence a weight.
+
+Full-space distribution sweeps run both paths through one engine.  Two
+independent table builders give, per coefficient slot, one value per entry
+and coefficient: _root_tables the slot's term at each W point (entries are
+W points, values GF(q^2) codes), _symbol_tables its trace symbol at each
+position (entries are positions, values GF(p) symbols).  The engine,
+_zero_count_histogram, sums a tuple's slots entrywise and histograms how
+many entries vanish; brute_distribution maps that count to a weight.
 
 Full-space sweeps (brute_distribution, power_moment_check) and the tuple
 counter n_r_brute run under an operation budget; an over-budget request is
@@ -23,6 +31,7 @@ exact addition, so results are identical for any shard count.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -34,8 +43,7 @@ from .moments import n_r
 from .solver import WeightDistribution, moment_nodes, theoretical_weights
 
 DEFAULT_BUDGET = 10**10
-_FAST_BLOCK_CAP = 1 << 18
-_SLOW_BLOCK_ROWS = 1 << 19
+_BLOCK_ENTRIES = 1 << 22
 
 
 class BudgetExceeded(RuntimeError):
@@ -185,7 +193,7 @@ def _weight_for_count(vspec: ValidatedSpec, roots: int) -> int:
     return (p - 1) * (q * q - (roots * e - 1) * q) // p
 
 
-# -- vectorized sweeps ----------------------------------------------------
+# -- the sweep engine -----------------------------------------------------
 
 def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
     if shards < 1:
@@ -200,18 +208,6 @@ def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _split_for_block(domains: list[list[int]], cap: int) -> int:
-    """Index of the first slot included in the trailing vectorized block."""
-    size = 1
-    split = len(domains)
-    while split > 0 and size * len(domains[split - 1]) <= cap:
-        size *= len(domains[split - 1])
-        split -= 1
-    if split == len(domains):
-        split -= 1  # always vectorize at least the last slot
-    return split
-
-
 def _decode_outer(flat: int, sizes: list[int]) -> list[int]:
     idx = [0] * len(sizes)
     for pos in range(len(sizes) - 1, -1, -1):
@@ -219,147 +215,112 @@ def _decode_outer(flat: int, sizes: list[int]) -> list[int]:
     return idx
 
 
-def _add_table(ctx: FieldContext) -> np.ndarray:
-    table = np.zeros((ctx.order, ctx.order), dtype=np.int64)
-    for x in range(ctx.order):
-        for y in range(x, ctx.order):
-            v = ctx.add(x, y)
-            table[x, y] = v
-            table[y, x] = v
-    return table
+def _group_ops(p: int, size: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Addition table and negation map of the packed base-p codes
+    0..size-1 (size a power of p), built digitwise in numpy because an
+    interpreted table over GF(q^2) would cost more than a small sweep;
+    (None, None) for p = 2, where addition is XOR and every element is its
+    own negative."""
+    if p == 2:
+        return None, None
+    codes = np.arange(size)
+    add = np.zeros((size, size), dtype=np.int64)
+    neg = np.zeros(size, dtype=np.int64)
+    place = 1
+    while place < size:
+        digit = codes // place % p
+        add += (digit[:, None] + digit[None, :]) % p * place
+        neg += (-digit) % p * place
+        place *= p
+    dtype = np.min_scalar_type(size - 1)
+    return add.astype(dtype), neg.astype(dtype)
 
 
-def _fast_root_histogram(vspec: ValidatedSpec, ctx: FieldContext, shards: int) -> list[int]:
-    """Histogram of W-root counts over all coefficient tuples (the zero
-    tuple removed)."""
-    q, e, p = vspec.q, vspec.e, vspec.p
-    w_points = unit_circle(ctx, q, e).w
-    k_count = len(w_points)
-    domains = coefficient_domains(vspec, ctx)
-    terms = _slot_terms(vspec)
-
-    contrib = []
-    for slot, domain in zip(terms, domains):
-        arr = np.zeros((k_count, len(domain)), dtype=np.int64)
+def _root_tables(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndarray]:
+    """Per coefficient slot, its term of the root-counting polynomial at
+    every W point, as element codes: shape (|W|, |domain|)."""
+    q = vspec.q
+    w_points = unit_circle(ctx, q, vspec.e).w
+    dtype = np.min_scalar_type(ctx.order - 1)
+    tables = []
+    for slot, domain in zip(_slot_terms(vspec), coefficient_domains(vspec, ctx)):
+        conj = [ctx.pow(z, q) for z in domain]
+        table = np.zeros((len(w_points), len(domain)), dtype=dtype)
         for ki, u in enumerate(w_points):
-            upows = {uexp: ctx.pow(u, uexp) for _, uexp in slot}
+            upows = [ctx.pow(u, uexp) for _, uexp in slot]
             for zi, z in enumerate(domain):
                 acc = 0
-                for conjugate, uexp in slot:
-                    c = ctx.pow(z, q) if conjugate else z
-                    acc = ctx.add(acc, ctx.mul(c, upows[uexp]))
-                arr[ki, zi] = acc
-        contrib.append(arr)
-
-    add_tab = _add_table(ctx) if p != 2 else None
-    split = _split_for_block(domains, _FAST_BLOCK_CAP)
-    blocks = []
-    for ki in range(k_count):
-        t = contrib[split][ki]
-        for s in range(split + 1, len(domains)):
-            nxt = contrib[s][ki]
-            if p == 2:
-                t = (t[:, None] ^ nxt[None, :]).ravel()
-            else:
-                t = add_tab[t[:, None], nxt[None, :]].ravel()
-        blocks.append(t)
-
-    outer_sizes = [len(d) for d in domains[:split]]
-    n_outer = 1
-    for s in outer_sizes:
-        n_outer *= s
-
-    hist = [0] * (k_count + 1)
-    for start, stop in _shard_bounds(n_outer, shards):
-        shard_hist = np.zeros(k_count + 1, dtype=np.int64)
-        counts = np.zeros(blocks[0].shape[0], dtype=np.uint16)  # root counts reach q+1
-        for flat in range(start, stop):
-            idx = _decode_outer(flat, outer_sizes)
-            counts[:] = 0
-            for ki in range(k_count):
-                partial = 0
-                for s, zi in enumerate(idx):
-                    partial = ctx.add(partial, int(contrib[s][ki, zi]))
-                counts += blocks[ki] == ctx.neg(partial)
-            shard_hist += np.bincount(counts, minlength=k_count + 1)
-            if flat == 0:
-                shard_hist[int(counts[0])] -= 1  # remove the all-zero tuple
-        for i in range(k_count + 1):
-            hist[i] += int(shard_hist[i])
-    return hist
+                for (conjugate, _), upow in zip(slot, upows):
+                    acc = ctx.add(acc, ctx.mul(conj[zi] if conjugate else z, upow))
+                table[ki, zi] = acc
+        tables.append(table)
+    return tables
 
 
-def _trace_code_arrays(vspec: ValidatedSpec, ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
-    """Trace lookups by element code: full-field trace and, for family f1,
-    the subfield trace (defined on GF(q) codes only)."""
-    tr_full = np.zeros(ctx.order, dtype=np.uint8)
-    for x in range(1, ctx.order):
-        tr_full[x] = ctx.trace_to_prime(x)
-    tr_sub = np.zeros(ctx.order, dtype=np.uint8)
-    if vspec.family == "f1":
-        for x in ctx.subfield_elements(vspec.m):
-            if x:
-                tr_sub[x] = ctx.trace_to_prime(x, vspec.m)
-    return tr_full, tr_sub
-
-
-def _slow_weight_histogram(vspec: ValidatedSpec, ctx: FieldContext, shards: int) -> Counter:
-    """Weight counts over all coefficient tuples by positionwise symbol
-    evaluation (the zero tuple removed)."""
+def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndarray]:
+    """Per coefficient slot, its trace symbol at every codeword position:
+    shape (q^2-1, |domain|).  Family f1 takes the leading slot's trace from
+    GF(q) only."""
     n = vspec.length
-    p = vspec.p
-    domains = coefficient_domains(vspec, ctx)
-    tr_full, tr_sub = _trace_code_arrays(vspec, ctx)
     exp_arr = np.array(ctx.exp_table, dtype=np.int64)
-    log_arr = np.array(ctx.log_table, dtype=np.int64)
+    dtype = np.min_scalar_type(vspec.p - 1)
+    tr_full = np.array([0] + [ctx.trace_to_prime(x) for x in range(1, ctx.order)], dtype=dtype)
+    tables = []
+    for s, (domain, d) in enumerate(zip(coefficient_domains(vspec, ctx), vspec.exponents)):
+        tr = tr_full
+        if vspec.family == "f1" and s == 0:
+            tr = np.zeros(ctx.order, dtype=dtype)
+            for x in domain[1:]:
+                tr[x] = ctx.trace_to_prime(x, vspec.m)
+        dlog = d * np.arange(n, dtype=np.int64) % n
+        table = np.zeros((n, len(domain)), dtype=dtype)
+        for zi, z in enumerate(domain[1:], 1):
+            table[:, zi] = tr[exp_arr[(ctx.log_table[z] + dlog) % n]]
+        tables.append(table)
+    return tables
 
-    rows = []
-    for s, (domain, d) in enumerate(zip(domains, vspec.exponents)):
-        tr = tr_sub if vspec.family == "f1" and s == 0 else tr_full
-        dlog = (d * np.arange(n, dtype=np.int64)) % n
-        table = np.zeros((len(domain), n), dtype=np.uint8)
-        for zi, z in enumerate(domain):
-            if z:
-                table[zi] = tr[exp_arr[(log_arr[z] + dlog) % n]]
-        rows.append(table)
 
-    split = _split_for_block(domains, _SLOW_BLOCK_ROWS)
-    block = rows[split]
-    for s in range(split + 1, len(domains)):
-        nxt = rows[s]
-        if p == 2:
-            block = (block[:, None, :] ^ nxt[None, :, :]).reshape(-1, n)
+def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
+                          neg: np.ndarray | None, shards: int) -> list[int]:
+    """How many coefficient tuples make exactly c of the L summed entries
+    zero, for c = 0..L, the all-zero tuple removed.
+
+    tables[s][k, i] is slot s's entry k when its coefficient is the i-th of
+    its domain; a tuple's entry k is the group sum over its slots, under
+    XOR when add is None and through the table add otherwise.  The
+    trailing slots are folded into one block of at most _BLOCK_ENTRIES
+    entries; the leading (outer) slots are walked in shards, and an outer
+    tuple's partial sum is matched against every block column at once.
+    """
+    n_entries = tables[0].shape[0]
+    split, cols = len(tables) - 1, tables[-1].shape[1]
+    while split > 0 and n_entries * cols * tables[split - 1].shape[1] <= _BLOCK_ENTRIES:
+        split -= 1
+        cols *= tables[split].shape[1]
+    block = tables[split]
+    for nxt in tables[split + 1:]:
+        if add is None:
+            block = block[:, :, None] ^ nxt[:, None, :]
         else:
-            block = ((block[:, None, :] + nxt[None, :, :]) % p).reshape(-1, n)
+            block = add[block[:, :, None], nxt[:, None, :]]
+        block = block.reshape(n_entries, -1)
 
-    outer_sizes = [len(d) for d in domains[:split]]
-    n_outer = 1
-    for s in outer_sizes:
-        n_outer *= s
-
-    whist: Counter = Counter()
-    for start, stop in _shard_bounds(n_outer, shards):
-        shard_hist = np.zeros(n + 1, dtype=np.int64)
+    outer_sizes = [t.shape[1] for t in tables[:split]]
+    count_dtype = np.min_scalar_type(n_entries)
+    hist = [0] * (n_entries + 1)
+    for start, stop in _shard_bounds(math.prod(outer_sizes), shards):
+        shard_hist = np.zeros(n_entries + 1, dtype=np.int64)
         for flat in range(start, stop):
-            idx = _decode_outer(flat, outer_sizes)
-            partial = np.zeros(n, dtype=np.uint8)
-            for s, zi in enumerate(idx):
-                if p == 2:
-                    partial ^= rows[s][zi]
-                else:
-                    partial = (partial + rows[s][zi]) % p
-            if p == 2:
-                arr = block ^ partial[None, :]
-                zeros = (arr == 0).sum(axis=1)
-            else:
-                arr = block + partial[None, :]
-                zeros = (arr == 0).sum(axis=1) + (arr == p).sum(axis=1)
-            shard_hist += np.bincount(n - zeros, minlength=n + 1)
+            partial = np.zeros(n_entries, dtype=block.dtype)
+            for table, zi in zip(tables, _decode_outer(flat, outer_sizes)):
+                partial = partial ^ table[:, zi] if add is None else add[partial, table[:, zi]]
+            target = partial if neg is None else neg[partial]
+            counts = (block == target[:, None]).sum(axis=0, dtype=count_dtype)
+            shard_hist += np.bincount(counts, minlength=n_entries + 1)
             if flat == 0:
-                shard_hist[0] -= 1  # remove the all-zero tuple
-        for w in np.nonzero(shard_hist)[0]:
-            whist[int(w)] += int(shard_hist[w])
-    return whist
+                shard_hist[counts[0]] -= 1  # remove the all-zero tuple
+        hist = [h + int(c) for h, c in zip(hist, shard_hist)]
+    return hist
 
 
 def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
@@ -375,30 +336,34 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     if required > budget:
         raise BudgetExceeded(required, budget)
     ctx = _context_for(vspec, ctx)
-    bound = vspec.moment_size - 1
-    weights = theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t)
-
     if path == "fast":
-        hist = _fast_root_histogram(vspec, ctx, shards)
-        counts_by_weight = Counter()
-        for roots, f in enumerate(hist):
-            if f:
-                counts_by_weight[_weight_for_count(vspec, roots)] += f
-        freq_by_j = tuple(hist[j] for j in range(bound + 1))
-        stray = any(hist[j] for j in range(bound + 1, len(hist)))
+        tables = _root_tables(vspec, ctx)
+        add, neg = _group_ops(vspec.p, ctx.order)
+
+        def weight_of(roots):
+            return _weight_for_count(vspec, roots)
     elif path == "slow":
-        counts_by_weight = _slow_weight_histogram(vspec, ctx, shards)
-        weight_to_j = {w: j for j, w in enumerate(weights)}
-        freq_by_j = tuple(counts_by_weight.get(w, 0) for w in weights)
-        stray = any(w not in weight_to_j for w in counts_by_weight)
+        tables = _symbol_tables(vspec, ctx)
+        add, neg = _group_ops(vspec.p, vspec.p)
+
+        def weight_of(zeros):
+            return vspec.length - zeros
     else:
         raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
+
+    counts_by_weight = Counter()
+    for count, f in enumerate(_zero_count_histogram(tables, add, neg, shards)):
+        if f:
+            counts_by_weight[weight_of(count)] += f
+    weights = theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t)
+    freq_by_j = tuple(counts_by_weight.get(w, 0) for w in weights)
+    stray = any(w not in weights for w in counts_by_weight)
 
     total = sum(counts_by_weight.values())
     expected = vspec.codeword_count - 1
     if total != expected:
         raise AssertionError(f"swept {total} tuples, expected {expected}")
-    entries = tuple(sorted((w, f) for w, f in counts_by_weight.items() if f))
+    entries = tuple(sorted(counts_by_weight.items()))
     return WeightDistribution(
         family=vspec.family, length=vspec.length, dimension=vspec.dimension,
         entries=entries, weights_by_j=weights,

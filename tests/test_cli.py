@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from nihocodes import cli
 from nihocodes.cli import AnalysisReport, build_report, main
 from nihocodes.codespec import CodeSpec, validate_spec
 from nihocodes.solver import weight_distribution
@@ -118,6 +120,13 @@ def test_nr_brute_column(capsys):
     assert last == ["2", "15", "15", "ok"]
 
 
+def test_nr_non_prime_p_exits_1(capsys):
+    assert main(["nr", "--p", "6", "--m", "1", "--e", "1", "--rmax", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "prime" in captured.err
+    assert captured.out == ""
+
+
 def test_nr_brute_needs_full_spec(capsys):
     assert main(["nr", "--p", "2", "--m", "2", "--e", "1", "--rmax", "2", "--brute"]) == 1
     assert "--brute needs" in capsys.readouterr().err
@@ -173,3 +182,88 @@ def test_sweep_unwritable_path():
     assert main(["sweep", "--family", "f1", "--p", "2", "--m", "2",
                  "--h-range", "1:1", "--delta-range", "1:1", "--t-range", "0:0",
                  "--out", "/nonexistent-dir/catalog.jsonl"]) == 1
+
+
+SWEEP_TINY = ["sweep", "--family", "f1", "--p", "2", "--m", "2",
+              "--h-range", "1:2", "--delta-range", "1:1", "--t-range", "0:1"]
+
+
+def test_sweep_builds_oracle_field_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build_field(*args, **kwargs):
+        calls.append(args)
+        return build_field(*args, **kwargs)
+
+    build_field = cli.build_field
+    monkeypatch.setattr(cli, "build_field", counting_build_field)
+    out = tmp_path / "catalog.jsonl"
+    assert main([*SWEEP_TINY, "--out", str(out), "--verify-small", "100000"]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 4
+    assert all(r["status"] == "oracle-verified" for r in records)
+    assert calls == [(2, 4)]
+
+
+def test_sweep_budget_refusal_exits_3(tmp_path, capsys):
+    out = tmp_path / "catalog.jsonl"
+    code = main([*SWEEP_TINY, "--out", str(out), "--verify-small", "1000000",
+                 "--budget", "10"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "budget refusal" in captured.err
+    assert captured.out.splitlines() == [f"catalog {out}: 0 written, 0 inadmissible skipped"]
+
+
+def test_sweep_table_limit_env_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NIHO_TABLE_LIMIT", "8")
+    out = tmp_path / "catalog.jsonl"
+    assert main([*SWEEP_TINY, "--out", str(out), "--verify-small", "100000"]) == 3
+    assert "table limit" in capsys.readouterr().err
+
+
+def test_sweep_mismatch_exits_2(tmp_path, capsys, monkeypatch):
+    def wrong_distribution(vspec, **kwargs):
+        return dataclasses.replace(weight_distribution(vspec), entries=())
+
+    monkeypatch.setattr(cli, "brute_distribution", wrong_distribution)
+    out = tmp_path / "catalog.jsonl"
+    assert main([*SWEEP_TINY, "--out", str(out), "--verify-small", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"catalog {out}: 4 written, 0 inadmissible skipped"]
+    assert captured.err.count("MISMATCH") == 4
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["status"] for r in records] == ["mismatch"] * 4
+
+
+@pytest.mark.parametrize("flag", ["--h-range", "--delta-range", "--t-range"])
+def test_sweep_malformed_range_exits_1(tmp_path, capsys, flag):
+    argv = [*SWEEP_TINY, "--out", str(tmp_path / "catalog.jsonl")]
+    argv[argv.index(flag) + 1] = "1:x"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "catalog.jsonl").exists()
+
+
+def test_sweep_recovers_from_truncated_catalog(tmp_path, caplog):
+    out = tmp_path / "catalog.jsonl"
+    args = [*SWEEP_TINY, "--out", str(out), "--verify-small", "100000"]
+    assert main(args) == 0
+    complete = out.read_text().splitlines()
+    # a crash in the middle of writing the last record
+    out.write_text("\n".join(complete[:-1]) + "\n" + complete[-1][:40])
+
+    assert main(args) == 0
+    assert "skipping unreadable line 4" in caplog.text
+    lines = out.read_text().splitlines()
+    assert lines[:3] == complete[:3]
+    assert lines[3] == complete[-1][:40]
+    rewritten = json.loads(lines[4])
+    assert rewritten["key"] == json.loads(complete[-1])["key"]
+    assert rewritten["status"] == "oracle-verified"
+
+    # the fragment now sits mid-file; later runs still read past it
+    assert main(args) == 0
+    assert out.read_text().splitlines() == lines

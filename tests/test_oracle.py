@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from nihocodes import oracle
 from nihocodes.codespec import CodeSpec, validate_spec
 from nihocodes.moments import n_r
 from nihocodes.oracle import (
@@ -131,6 +133,46 @@ def test_shard_count_invariance(shards):
     assert brute_distribution(vs, path="fast", shards=shards) == base_fast
     assert brute_distribution(vs, path="slow", shards=shards) == base_slow
     assert n_r_brute(vs, 3, shards=shards) == n_r_brute(vs, 3, shards=1)
+    # the q = 9 showcase is too large for one block on either path, so its
+    # leading slot is walked as an outer index through the addition table
+    odd = validate_spec(CodeSpec("f2", 3, 2, 3, 1, 3))
+    solver = weight_distribution(odd)
+    assert brute_distribution(odd, path="fast", shards=shards) == solver
+    assert brute_distribution(odd, path="slow", shards=shards) == solver
+
+
+@pytest.mark.parametrize("p, degree", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("block_entries", [1, 1 << 22])
+def test_zero_count_histogram_matches_enumeration(monkeypatch, p, degree, block_entries):
+    """The engine on random tables whose columns are not closed under
+    negation, against a loop over every tuple; block_entries = 1 walks all
+    but the last slot as outer index."""
+    monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", block_entries)
+    ctx = field(p, degree)
+    rng = np.random.default_rng(5)
+    tables = [rng.integers(0, ctx.order, size=(6, size), dtype=np.uint8)
+              for size in (3, 2, 4)]
+    for table in tables:
+        table[:, 0] = 0
+    expected = [0] * 7
+    for idx in itertools.product(*(range(t.shape[1]) for t in tables)):
+        if any(idx):
+            sums = [0] * 6
+            for table, i in zip(tables, idx):
+                sums = [ctx.add(s, int(v)) for s, v in zip(sums, table[:, i])]
+            expected[sums.count(0)] += 1
+    add, neg = oracle._group_ops(p, ctx.order)
+    for shards in (1, 2, 5):
+        assert oracle._zero_count_histogram(tables, add, neg, shards) == expected
+
+
+def test_brute_distribution_wide_entries_and_counts():
+    # q = 32: element codes reach 1023 and the slow path counts up to
+    # n = 1023 zero positions, both beyond one byte
+    vs = validate_spec(CodeSpec("f1", 2, 5, 1, 1, 0))
+    solver = weight_distribution(vs)
+    assert brute_distribution(vs, path="fast") == solver
+    assert brute_distribution(vs, path="slow") == solver
 
 
 def test_budget_refusal():
