@@ -20,7 +20,7 @@ from .galois import (
     TableLimitExceeded,
     build_field,
 )
-from .moments import PartitionVector, b_count, n_r, partitions_min2
+from .moments import b_count, n_r
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,

@@ -7,9 +7,10 @@ Subcommands:
   sweep    walk parameter ranges and append reports to a JSONL catalog
 
 Exit codes: 0 success / full agreement, 1 invalid parameters, 2 oracle
-mismatch, 3 budget refusal.  Big integers are serialized as decimal strings.
-Configuration precedence is flags, then the NIHO_BUDGET / NIHO_TABLE_LIMIT
-environment variables, then defaults.
+mismatch or a solution outside the frequency model, 3 budget refusal.  Big
+integers are serialized as decimal strings.  Configuration precedence is
+flags, then the NIHO_BUDGET / NIHO_TABLE_LIMIT environment variables, then
+defaults.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from .oracle import (
     power_moment_check,
     weight_from_char_sum,
 )
-from .solver import WeightDistribution, enumerator_string, theoretical_weights, weight_distribution
+from .solver import (
+    ModelViolationError,
+    WeightDistribution,
+    enumerator_string,
+    theoretical_weights,
+    weight_distribution,
+)
 
 log = logging.getLogger("nihocodes")
 
@@ -182,6 +189,9 @@ def cmd_analyze(args) -> int:
     except SpecValidationError as exc:
         print(f"invalid parameters [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ModelViolationError as exc:
+        print(f"model violation: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     report = build_report(vspec, dist)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
@@ -218,7 +228,11 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID
     budget = _resolve_budget(args)
     checks = list(CHECK_NAMES) if args.checks == "all" else [args.checks]
-    solver_dist = weight_distribution(vspec)
+    try:
+        solver_dist = weight_distribution(vspec)
+    except ModelViolationError as exc:
+        print(f"model violation: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     mismatches = []
     brute = None
     try:
@@ -270,6 +284,12 @@ def cmd_verify(args) -> int:
 def cmd_nr(args) -> int:
     if not is_prime(args.p):
         print(f"p must be prime, got {args.p}", file=sys.stderr)
+        return EXIT_INVALID
+    if args.m < 1:
+        print(f"m must be >= 1, got {args.m}", file=sys.stderr)
+        return EXIT_INVALID
+    if args.rmax < 0:
+        print(f"rmax must be >= 0, got {args.rmax}", file=sys.stderr)
         return EXIT_INVALID
     q = args.p**args.m
     if args.e < 1 or (q + 1) % args.e:
@@ -407,6 +427,9 @@ def cmd_sweep(args) -> int:
         except TableLimitExceeded as exc:
             print(f"table limit refusal: {exc}", file=sys.stderr)
             code = EXIT_BUDGET
+        except ModelViolationError as exc:
+            print(f"model violation: {exc}", file=sys.stderr)
+            code = EXIT_MISMATCH
     print(f"catalog {args.out}: {written} written, {skipped} inadmissible skipped")
     return code
 

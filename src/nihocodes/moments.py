@@ -1,45 +1,38 @@
 """Exact evaluation of the tuple counts N_r.
 
 N_r counts r-tuples of nonzero GF(q^2) elements whose defining power sums
-all vanish.  It is computed by summing over integer partitions of r with
-all parts >= 2 (size-1 blocks would force a zero coordinate):
+all vanish.  With k = (q+1)/e it is a power-series coefficient,
 
-    N_r = r! e^r * sum over partitions of
-          C((q+1)/e, D) * D! * prod_j (B_j / j!)^lam_j / lam_j!
+    N_r = e^r G_r,   G_r = r! [x^r] (1 + f(x))^k,
 
-where lam_j is the number of blocks of size j, D = sum lam_j, and B_j
-counts j-tuples of nonzero GF(q) elements summing to zero.  Intermediate
-values are exact rationals (B_j/j! is usually not an integer); the final
-value is asserted integral, never rounded.
+where 1 + f(x) = (e^{(q-1)x} + (q-1)e^{-x})/q is the exponential generating
+function of 1, 0, B_2, B_3, ...: B_j counts j-tuples of nonzero GF(q)
+elements summing to zero (there is no such 1-tuple).  J.C.P. Miller's rule
+for a power of a power series (Knuth, TAOCP vol. 2, 4.7), written for EGF
+coefficients, gives the G_n in exact integers:
+
+    G_0 = 1,   G_n = (1/n) sum_{j=2..n} ((k+1)j - n) C(n, j) B_j G_{n-j}.
+
+Every G_n is an integer, so the division by n must be exact; a remainder
+raises ArithmeticError instead of being rounded.  One table G_0..G_R per
+(q, e) is kept and extended on demand, so all N_r of one (q, e) cost
+O(R^2) integer operations in total.
+
+Expanding the power binomially gives the closed form
+
+    N_r = q^{-k} sum_{i=0..k} C(k, i) (q-1)^{k-i} (e(qi - k))^r,
+
+and e(qi - k) = eqi - (q+1) is the solver's moment node i, with node k
+equal to q^2 - 1.  N_r is thus the r-th moment of a binomial measure,
+Bin(k, 1/q), carried on the same nodes as the moment system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
-from typing import Iterator
+from math import comb
 
-
-@dataclass(frozen=True)
-class PartitionVector:
-    """A partition of r with all parts >= 2, stored as (part, multiplicity)
-    pairs with parts descending."""
-
-    parts: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_mapping(cls, lam: dict[int, int]) -> "PartitionVector":
-        return cls(tuple(sorted(((j, lam[j]) for j in lam if lam[j]), reverse=True)))
-
-    @property
-    def r(self) -> int:
-        return sum(j * lam for j, lam in self.parts)
-
-    @property
-    def blocks(self) -> int:
-        """D, the total number of blocks."""
-        return sum(lam for _, lam in self.parts)
+# (q, e) -> [G_0, G_1, ...], extended by n_r as larger r is asked for.
+_G_TABLES: dict[tuple[int, int], list[int]] = {}
 
 
 def b_count(j: int, q: int) -> int:
@@ -53,59 +46,28 @@ def b_count(j: int, q: int) -> int:
     return num // q
 
 
-def partitions_min2(r: int) -> Iterator[PartitionVector]:
-    """All partitions of r with parts >= 2, largest part first, each once.
-
-    r = 0 yields the empty partition; r = 1 yields nothing.
-    """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-
-    def rec(remaining: int, max_part: int) -> Iterator[dict[int, int]]:
-        if remaining == 0:
-            yield {}
-            return
-        for part in range(min(max_part, remaining), 1, -1):
-            rest = remaining - part
-            if rest == 1:
-                continue
-            for tail in rec(rest, part):
-                lam = dict(tail)
-                lam[part] = lam.get(part, 0) + 1
-                yield lam
-
-    for lam in rec(r, r):
-        yield PartitionVector.from_mapping(lam)
-
-
 def n_r(r: int, q: int, e: int) -> int:
-    """N_r for the given q and divisor e of q+1.  N_0 = 1 and N_1 = 0 by
-    definition; r >= 2 uses the partition sum."""
+    """N_r for the given q and divisor e of q+1, from Miller's recurrence.
+    N_0 = 1 and N_1 = 0."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if e < 1 or (q + 1) % e:
         raise ValueError(f"e = {e} does not divide q+1 = {q + 1}")
-    if r == 0:
-        return 1
-    if r == 1:
-        return 0
-    k = (q + 1) // e
-    total = Fraction(0)
-    for pv in partitions_min2(r):
-        d = pv.blocks
-        term = Fraction(comb(k, d) * factorial(d))
-        for j, lam in pv.parts:
-            term *= Fraction(b_count(j, q), factorial(j)) ** lam
-            term /= factorial(lam)
-        total += term
-    total *= factorial(r) * e**r
-    if total.denominator != 1:
-        raise ArithmeticError(f"N_{r}(q={q}, e={e}) is not integral: {total}")
-    return int(total)
+    g = _G_TABLES.setdefault((q, e), [1])
+    if r >= len(g):
+        k = (q + 1) // e
+        b = [0, 0] + [b_count(j, q) for j in range(2, r + 1)]
+        for n in range(len(g), r + 1):
+            total = sum(((k + 1) * j - n) * comb(n, j) * b[j] * g[n - j]
+                        for j in range(2, n + 1))
+            value, rem = divmod(total, n)
+            if rem:
+                raise ArithmeticError(f"G_{n}(q={q}, e={e}) is not integral: {total}/{n}")
+            g.append(value)
+    return e**r * g[r]
 
 
-# Known low-order evaluations, used as independent cross-checks of the
-# partition sum.
+# Known low-order evaluations, used as independent cross-checks of n_r.
 
 def n2_closed_form(q: int, e: int) -> int:
     return e * (q * q - 1)

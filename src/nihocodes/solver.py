@@ -2,7 +2,10 @@
 
 The weight frequencies mu_j solve M mu = b where M is the Vandermonde-type
 matrix with entries (j*e*q - q - 1)^i and b_i = scale * N_i - (q^2-1)^i,
-scale = q^(2t+1) for family f1 and q^(2t) for f2.  Two independent exact
+scale = q^(2t+1) for family f1 and q^(2t) for f2.  The nodes
+j*e*q - q - 1 = e(qj - k), k = (q+1)/e, are also the support of the
+binomial measure whose r-th moment is N_r (see `moments`); node k is
+q^2 - 1, the node of the (q^2-1)^i term.  Two independent exact
 solvers are run on every call: fraction-free Gaussian elimination and the
 Lagrange-coefficient closed form for transposed Vandermonde systems.  Their
 agreement, an exact residual check, and integrality of the result guard the
@@ -69,7 +72,10 @@ def moment_matrix(family: str, t: int, q: int, e: int) -> MomentMatrix:
     if size < 1:
         raise ValueError(f"empty moment system for family {family}, t = {t}")
     nodes = moment_nodes(size, q, e)
-    rows = tuple(tuple(x**i for x in nodes) for i in range(size))
+    # Rows are built from lists: CPython sizes a tuple built from a generator
+    # by resizing, and on release parks it on a free list that such tuples
+    # never draw from, so a long-running caller would grow with every call.
+    rows = tuple([tuple([x**i for x in nodes]) for i in range(size)])
     return MomentMatrix(rows=rows, family=family, t=t, q=q, e=e)
 
 

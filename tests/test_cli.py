@@ -2,11 +2,13 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nihocodes import cli
-from nihocodes.cli import AnalysisReport, build_report, main
+from nihocodes.cli import CHECK_NAMES, AnalysisReport, build_report, main
 from nihocodes.codespec import CodeSpec, validate_spec
-from nihocodes.solver import weight_distribution
+from nihocodes.solver import ModelViolationError, weight_distribution
 
 EXAMPLE1_FLAGS = ["--family", "f1", "--p", "2", "--m", "4", "--h", "2", "--delta", "1", "--t", "2"]
 EXAMPLE2_FLAGS = ["--family", "f2", "--p", "3", "--m", "2", "--h", "3", "--delta", "1", "--t", "3"]
@@ -125,6 +127,15 @@ def test_nr_non_prime_p_exits_1(capsys):
     captured = capsys.readouterr()
     assert "prime" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("m,rmax,flag", [("0", "2", "m"), ("-1", "2", "m"), ("4", "-3", "rmax")])
+def test_nr_bad_m_or_rmax_exits_1(capsys, m, rmax, flag):
+    assert main(["nr", "--p", "2", "--m", m, "--e", "1", "--rmax", rmax]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{flag} must be")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_nr_brute_needs_full_spec(capsys):
@@ -267,3 +278,70 @@ def test_sweep_recovers_from_truncated_catalog(tmp_path, caplog):
     # the fragment now sits mid-file; later runs still read past it
     assert main(args) == 0
     assert out.read_text().splitlines() == lines
+
+
+def _violating(after_calls=0):
+    """A weight_distribution stand-in that raises ModelViolationError once it
+    has answered `after_calls` times."""
+    answered = []
+
+    def fake(vspec):
+        if len(answered) == after_calls:
+            raise ModelViolationError(f"frequencies are not non-negative integers for {vspec.key}",
+                                      ())
+        answered.append(vspec.key)
+        return weight_distribution(vspec)
+
+    return fake
+
+
+@pytest.mark.parametrize("command", [["analyze", *TINY_FLAGS], ["verify", *TINY_FLAGS]])
+def test_model_violation_exits_2(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "weight_distribution", _violating())
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "model violation: frequencies are not non-negative integers for f1:2:2:1:1:1"]
+
+
+def test_sweep_model_violation_stops_and_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "weight_distribution", _violating(after_calls=1))
+    out = tmp_path / "catalog.jsonl"
+    assert main([*SWEEP_TINY, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"catalog {out}: 1 written, 0 inadmissible skipped"]
+    assert captured.err.splitlines() == [
+        "model violation: frequencies are not non-negative integers for f1:2:2:1:1:1"]
+    assert [json.loads(line)["key"] for line in out.read_text().splitlines()] == ["f1:2:2:1:1:0"]
+
+
+def _flags(**values):
+    return [item for name, value in values.items() for item in (f"--{name}", value)]
+
+
+SMALL_INT = st.integers(-2, 12).map(str)
+FUZZ_P = st.sampled_from(["0", "1", "2", "3", "4", "5"])
+FAMILY = st.sampled_from(["f1", "f2"])
+BUDGET = st.just("100000")
+SPEC_FLAGS = st.builds(_flags, family=FAMILY, p=FUZZ_P, m=SMALL_INT, h=SMALL_INT,
+                       delta=SMALL_INT, t=SMALL_INT)
+FUZZ_ARGV = st.one_of(
+    st.tuples(st.just(["analyze"]), SPEC_FLAGS, st.sampled_from([[], ["--json"]])),
+    st.tuples(st.just(["verify"]), SPEC_FLAGS,
+              st.builds(_flags, budget=BUDGET, checks=st.sampled_from(CHECK_NAMES + ("all",))),
+              st.sampled_from([[], ["--slow-path"]])),
+    st.tuples(st.just(["nr"]),
+              st.builds(_flags, p=FUZZ_P, m=SMALL_INT, e=SMALL_INT, rmax=SMALL_INT, budget=BUDGET),
+              st.just([]) | st.builds(_flags, family=FAMILY, h=SMALL_INT, delta=SMALL_INT,
+                                      t=SMALL_INT).map(lambda spec: ["--brute", *spec])),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=150, deadline=None)
+@given(FUZZ_ARGV)
+def test_no_argv_escapes_main(argv):
+    # fields above 2^12 elements are refused (exit 3) so each call stays fast
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("NIHO_TABLE_LIMIT", "4096")
+        assert main(argv) in (0, 1, 2, 3)

@@ -1,22 +1,23 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nihocodes import cli, moments
 from nihocodes.moments import (
-    PartitionVector,
     b_count,
     n2_closed_form,
     n3_closed_form,
     n4_closed_form,
     n5_closed_form,
     n_r,
-    partitions_min2,
 )
 
 from conftest import field
+from partition_sum import PartitionVector, n_r_partition_sum, partitions_min2
 
 
 def brute_zero_sum_tuples(ctx, j):
@@ -153,3 +154,76 @@ def test_exactness_no_floats():
 def test_fraction_internals_visible_in_b_count():
     # B_j / j! is non-integral mid-formula; make sure the pieces are exact
     assert Fraction(b_count(3, 9), 6) == Fraction(28, 3)
+
+
+def divisors_of_q_plus_1(q):
+    return [e for e in range(1, q + 2) if (q + 1) % e == 0]
+
+
+def binomial_n_r(q, e, rmax):
+    """N_0..N_rmax from N_r = e^r q^-k sum_i C(k,i) (q-1)^(k-i) (qi-k)^r,
+    k = (q+1)/e: the binomial expansion of (1 + f)^k, independent of the
+    recurrence."""
+    k = (q + 1) // e
+    weights = [comb(k, i) * (q - 1) ** (k - i) for i in range(k + 1)]
+    nodes = [e * (q * i - k) for i in range(k + 1)]
+    powers = [1] * (k + 1)
+    out = []
+    for _ in range(rmax + 1):
+        total = sum(w * x for w, x in zip(weights, powers))
+        assert total % q**k == 0
+        out.append(total // q**k)
+        powers = [x * node for x, node in zip(powers, nodes)]
+    return out
+
+
+PARTITION_SUM_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64]
+
+
+@pytest.mark.parametrize("q", PARTITION_SUM_QS)
+def test_recurrence_matches_partition_sum(q):
+    for e in divisors_of_q_plus_1(q):
+        for r in range(15):
+            assert n_r(r, q, e) == n_r_partition_sum(r, q, e), (r, q, e)
+
+
+@pytest.mark.parametrize("q,rmax", [(11, 15), (13, 15), (1024, 40)])
+def test_recurrence_matches_binomial_form(q, rmax):
+    for e in divisors_of_q_plus_1(q):
+        assert [n_r(r, q, e) for r in range(rmax + 1)] == binomial_n_r(q, e, rmax), e
+
+
+def test_table_fill_order_does_not_matter():
+    cases = [(1024, 1), (1024, 41), (729, 5)]
+    moments._G_TABLES.clear()
+    descending = {}
+    for q, e in cases:
+        for r in (36, 5, 4, 3, 2, 1, 0):
+            descending[q, e, r] = n_r(r, q, e)
+    moments._G_TABLES.clear()
+    for q, e in cases:
+        ascending = [n_r(r, q, e) for r in range(37)]
+        assert ascending == binomial_n_r(q, e, 36)
+        for r in (36, 5, 4, 3, 2, 1, 0):
+            assert descending[q, e, r] == ascending[r]
+
+
+def test_n_r_rejects_negative_r():
+    with pytest.raises(ValueError):
+        n_r(-1, 16, 1)
+
+
+def test_recurrence_refuses_inexact_division(monkeypatch):
+    # integral B_j always give integral G_n; a B_j that is not an integer
+    # must surface as an error, not be rounded away by the division by n
+    monkeypatch.setattr(moments, "_G_TABLES", {})
+    monkeypatch.setattr(moments, "b_count", lambda j, q: Fraction(1, 2))
+    with pytest.raises(ArithmeticError):
+        n_r(3, 16, 1)
+
+
+def test_nr_cli_prints_binomial_values_to_r60(capsys):
+    assert cli.main(["nr", "--p", "2", "--m", "10", "--e", "1", "--rmax", "60"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "r  N_r"
+    assert lines[1:] == [f"{r}  {v}" for r, v in enumerate(binomial_n_r(1024, 1, 60))]
