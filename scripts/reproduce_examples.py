@@ -13,7 +13,7 @@ from nihocodes.oracle import brute_distribution
 from nihocodes.solver import (
     b_vector,
     enumerator_string,
-    invert_exact,
+    invert_lagrange,
     moment_matrix,
     weight_distribution,
 )
@@ -33,7 +33,7 @@ def run(name: str, spec: CodeSpec, check_oracle: bool) -> None:
     mm = moment_matrix(vs.family, vs.t, vs.q, vs.e)
     print(f"moment matrix nodes: {mm.nodes}")
     print("inverse:")
-    for row in invert_exact(mm.rows):
+    for row in invert_lagrange(mm.nodes):
         print("  " + "  ".join(str(x) for x in row))
     print("b:", b_vector(vs.family, vs.t, vs.q, vs.e))
     dist = weight_distribution(vs)

@@ -41,7 +41,6 @@ from .solver import (
     WeightDistribution,
     b_vector,
     enumerator_string,
-    invert_exact,
     invert_lagrange,
     moment_matrix,
     parse_enumerator,

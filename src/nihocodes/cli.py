@@ -56,6 +56,7 @@ EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
 CHECK_NAMES = ("weights", "distribution", "nr", "moments")
+WEIGHT_SAMPLES = 48
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,14 +201,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _check_weights(vspec, ctx, dist, budget, samples=48):
+def _check_weights(vspec, ctx):
     """Spot-check path equivalence on a deterministic pseudo-random sample
     of coefficient tuples, and containment in the predicted weight set."""
     rng = random.Random(0)
     domains = coefficient_domains(vspec, ctx)
     predicted = set(theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t))
     failures = []
-    for _ in range(samples):
+    for _ in range(WEIGHT_SAMPLES):
         a = tuple(rng.choice(domain) for domain in domains)
         if all(c == 0 for c in a):
             continue
@@ -239,7 +240,7 @@ def cmd_verify(args) -> int:
         ctx = build_field(vspec.p, 2 * vspec.m, table_limit=_resolve_table_limit())
         for check in checks:
             if check == "weights":
-                mismatches += _check_weights(vspec, ctx, solver_dist, budget)
+                mismatches += _check_weights(vspec, ctx)
                 print(f"weights: path equivalence and containment "
                       f"{'ok' if not mismatches else 'FAILED'}")
             elif check == "distribution":

@@ -186,9 +186,6 @@ class FieldContext:
             mult *= p
         return out
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
@@ -214,19 +211,6 @@ class FieldContext:
             raise ZeroDivisionError("negative power of zero")
         n = self.order - 1
         return self.exp_table[(self.log_table[x] * k) % n]
-
-    def log_of(self, x: int) -> int:
-        self._check(x)
-        if x == 0:
-            raise ValueError("zero has no discrete log")
-        return self.log_table[x]
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        self._check(x)
-        return tuple(_digits(x, self.p, self.degree))
-
-    def elements(self) -> range:
-        return range(self.order)
 
     # -- Frobenius, traces, subfields ------------------------------------
 

@@ -24,9 +24,7 @@ p^dimension * (q^2-1) for a distribution sweep regardless of path, and
 
 Sweeps iterate the coefficient space in a fixed deterministic order
 (a_0 outermost for family f1, then a_1..a_t, each coefficient running
-through zero followed by ascending generator exponents).  The outer index
-range can be partitioned into shards whose partial histograms merge by
-exact addition, so results are identical for any shard count.
+through zero followed by ascending generator exponents).
 """
 
 from __future__ import annotations
@@ -195,19 +193,6 @@ def _weight_for_count(vspec: ValidatedSpec, roots: int) -> int:
 
 # -- the sweep engine -----------------------------------------------------
 
-def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    base, extra = divmod(total, shards)
-    bounds = []
-    start = 0
-    for i in range(shards):
-        stop = start + base + (1 if i < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
 def _decode_outer(flat: int, sizes: list[int]) -> list[int]:
     idx = [0] * len(sizes)
     for pos in range(len(sizes) - 1, -1, -1):
@@ -281,7 +266,7 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndarray]:
 
 
 def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
-                          neg: np.ndarray | None, shards: int) -> list[int]:
+                          neg: np.ndarray | None) -> list[int]:
     """How many coefficient tuples make exactly c of the L summed entries
     zero, for c = 0..L, the all-zero tuple removed.
 
@@ -289,8 +274,8 @@ def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
     its domain; a tuple's entry k is the group sum over its slots, under
     XOR when add is None and through the table add otherwise.  The
     trailing slots are folded into one block of at most _BLOCK_ENTRIES
-    entries; the leading (outer) slots are walked in shards, and an outer
-    tuple's partial sum is matched against every block column at once.
+    entries; the leading (outer) slots are walked as one flat index, and an
+    outer tuple's partial sum is matched against every block column at once.
     """
     n_entries = tables[0].shape[0]
     split, cols = len(tables) - 1, tables[-1].shape[1]
@@ -307,25 +292,21 @@ def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
 
     outer_sizes = [t.shape[1] for t in tables[:split]]
     count_dtype = np.min_scalar_type(n_entries)
-    hist = [0] * (n_entries + 1)
-    for start, stop in _shard_bounds(math.prod(outer_sizes), shards):
-        shard_hist = np.zeros(n_entries + 1, dtype=np.int64)
-        for flat in range(start, stop):
-            partial = np.zeros(n_entries, dtype=block.dtype)
-            for table, zi in zip(tables, _decode_outer(flat, outer_sizes)):
-                partial = partial ^ table[:, zi] if add is None else add[partial, table[:, zi]]
-            target = partial if neg is None else neg[partial]
-            counts = (block == target[:, None]).sum(axis=0, dtype=count_dtype)
-            shard_hist += np.bincount(counts, minlength=n_entries + 1)
-            if flat == 0:
-                shard_hist[counts[0]] -= 1  # remove the all-zero tuple
-        hist = [h + int(c) for h, c in zip(hist, shard_hist)]
-    return hist
+    hist = np.zeros(n_entries + 1, dtype=np.int64)
+    for flat in range(math.prod(outer_sizes)):
+        partial = np.zeros(n_entries, dtype=block.dtype)
+        for table, zi in zip(tables, _decode_outer(flat, outer_sizes)):
+            partial = partial ^ table[:, zi] if add is None else add[partial, table[:, zi]]
+        target = partial if neg is None else neg[partial]
+        counts = (block == target[:, None]).sum(axis=0, dtype=count_dtype)
+        hist += np.bincount(counts, minlength=n_entries + 1)
+        if flat == 0:
+            hist[counts[0]] -= 1  # remove the all-zero tuple
+    return [int(c) for c in hist]
 
 
 def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
-                       budget: int = DEFAULT_BUDGET, path: str = "fast",
-                       shards: int = 1) -> WeightDistribution:
+                       budget: int = DEFAULT_BUDGET, path: str = "fast") -> WeightDistribution:
     """Exact weight distribution over all nonzero coefficient tuples.
 
     path "fast" counts W-roots per tuple; path "slow" evaluates every
@@ -352,7 +333,7 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
 
     counts_by_weight = Counter()
-    for count, f in enumerate(_zero_count_histogram(tables, add, neg, shards)):
+    for count, f in enumerate(_zero_count_histogram(tables, add, neg)):
         if f:
             counts_by_weight[weight_of(count)] += f
     weights = theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t)
@@ -373,7 +354,7 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
 # -- tuple counting and power moments --------------------------------------
 
 def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
-              budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
+              budget: int = DEFAULT_BUDGET) -> int:
     """Number of r-tuples of nonzero GF(q^2) elements that satisfy every
     defining power-sum equation, by exhaustive iteration.
 
@@ -422,11 +403,7 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
             return sum(get(neg_sig(add_sig(partial, s)), 0) for s in sigs)
         return sum(count_below(add_sig(partial, s), depth - 1) for s in sigs)
 
-    total = 0
-    for start, stop in _shard_bounds(n, shards):
-        for i in range(start, stop):
-            total += count_below(sigs[i], r - 2)
-    return total
+    return sum(count_below(s, r - 2) for s in sigs)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,11 @@ matrix with entries (j*e*q - q - 1)^i and b_i = scale * N_i - (q^2-1)^i,
 scale = q^(2t+1) for family f1 and q^(2t) for f2.  The nodes
 j*e*q - q - 1 = e(qj - k), k = (q+1)/e, are also the support of the
 binomial measure whose r-th moment is N_r (see `moments`); node k is
-q^2 - 1, the node of the (q^2-1)^i term.  Two independent exact
-solvers are run on every call: fraction-free Gaussian elimination and the
-Lagrange-coefficient closed form for transposed Vandermonde systems.  Their
-agreement, an exact residual check, and integrality of the result guard the
-published tables against arithmetic bugs.
+q^2 - 1, the node of the (q^2-1)^i term.  The system is solved once, by
+the Lagrange-coefficient closed form for transposed Vandermonde systems.
+The nodes are distinct, so M is invertible, and an exact residual check
+M mu = b on every row certifies that mu is the unique solution; integrality
+and non-negativity of the result are checked after it.
 """
 
 from __future__ import annotations
@@ -87,7 +87,11 @@ def b_vector(family: str, t: int, q: int, e: int) -> tuple[int, ...]:
 
 def solve_bareiss(rows, rhs) -> tuple[Fraction, ...]:
     """Exact solve of a square integer system by fraction-free elimination
-    (Bareiss) followed by rational back-substitution."""
+    (Bareiss) followed by rational back-substitution.
+
+    The tests' independent cross-check of solve_lagrange; nothing in the
+    library calls it, and it stays here while the benchmark traces it.
+    """
     n = len(rows)
     aug = [list(map(int, rows[i])) + [int(rhs[i])] for i in range(n)]
     prev = 1
@@ -146,26 +150,6 @@ def solve_lagrange(nodes, rhs) -> tuple[Fraction, ...]:
     return tuple(sol)
 
 
-def invert_exact(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse by Gauss-Jordan on rationals."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def invert_lagrange(nodes) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of the matrix [node_j^i] from Lagrange basis coefficients."""
     n = len(nodes)
@@ -215,15 +199,13 @@ class WeightDistribution:
 def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
     """Solve the moment system exactly and return the distribution.
 
-    Runs both exact solvers, re-verifies M mu = b by multiplication, and
-    rejects any non-integral or negative frequency.
+    One Lagrange solve, certified by the exact residual M mu = b on every
+    row (the nodes are distinct, so the solution is unique); any
+    non-integral or negative frequency is then rejected.
     """
     mm = moment_matrix(vspec.family, vspec.t, vspec.q, vspec.e)
     b = b_vector(vspec.family, vspec.t, vspec.q, vspec.e)
-    mu = solve_bareiss(mm.rows, b)
-    mu_cross = solve_lagrange(mm.nodes, b)
-    if mu != mu_cross:
-        raise AssertionError("elimination and Lagrange solves disagree")
+    mu = solve_lagrange(mm.nodes, b)
     for i, row in enumerate(mm.rows):
         if sum(r * x for r, x in zip(row, mu)) != b[i]:
             raise AssertionError(f"residual nonzero in row {i}")

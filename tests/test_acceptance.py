@@ -36,13 +36,13 @@ from nihocodes.oracle import (
 from nihocodes.solver import (
     b_vector,
     enumerator_string,
-    invert_exact,
     invert_lagrange,
     moment_matrix,
     weight_distribution,
 )
 
 from conftest import field
+from exact_reference import invert_exact
 from test_solver import INVERSE_Q16_T2, INVERSE_Q9_T3
 
 EXAMPLE1_ENUM = "1+35700Y^104+30600Y^112+250920Y^120+377655Y^128+353700Y^136"

@@ -1,16 +1,17 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nihocodes import solver
 from nihocodes.codespec import CodeSpec, validate_spec
 from nihocodes.solver import (
     ModelViolationError,
     WeightDistribution,
     b_vector,
     enumerator_string,
-    invert_exact,
     invert_lagrange,
     moment_matrix,
     moment_nodes,
@@ -20,6 +21,8 @@ from nihocodes.solver import (
     theoretical_weights,
     weight_distribution,
 )
+
+from exact_reference import invert_exact
 
 F = Fraction
 
@@ -160,15 +163,43 @@ def test_solvers_verify_residual(example1_spec):
         assert sum(r * x for r, x in zip(row, mu)) == target
 
 
-def test_model_violation_carries_solution():
+def test_residual_certificate_rejects_a_wrong_solve(monkeypatch, example1_spec):
+    # the true example-1 frequencies with one codeword moved from weight 104
+    # to weight 136: row 0 (the total) still holds, row 1 does not
+    wrong = tuple(F(f) for f in (353701, 377655, 250920, 30600, 35699))
+    monkeypatch.setattr(solver, "solve_lagrange", lambda nodes, rhs: wrong)
+    with pytest.raises(AssertionError, match="residual nonzero"):
+        weight_distribution(example1_spec)
+
+
+def test_model_violation_carries_solution(monkeypatch):
     # a doctored right-hand side cannot produce integer frequencies
     vs = validate_spec(CodeSpec("f1", 2, 2, 1, 1, 1))
-    mm = moment_matrix("f1", 1, 4, 1)
     bad_b = (63, -15, 736)  # true value is 735
-    mu = solve_bareiss(mm.rows, bad_b)
-    assert any(f.denominator != 1 for f in mu)
-    with pytest.raises(ModelViolationError):
-        raise ModelViolationError("synthetic", mu)
+    monkeypatch.setattr(solver, "b_vector", lambda family, t, q, e: bad_b)
+    with pytest.raises(ModelViolationError) as exc:
+        weight_distribution(vs)
+    assert any(isinstance(f, Fraction) and f.denominator != 1 for f in exc.value.solution)
+
+
+def test_weight_distribution_large_parameters():
+    # f1, q = 1024, t = 40: an 81 x 81 system with entries of thousands of
+    # bits.  Rows 0..3 are recomputed from the binomial form
+    # N_r = e^r q^-k sum_i C(k,i) (q-1)^(k-i) (qi-k)^r, k = (q+1)/e.
+    vs = validate_spec(CodeSpec("f1", 2, 10, 1, 1, 40))
+    q, e, t = vs.q, vs.e, vs.t
+    dist = weight_distribution(vs)
+    assert len(dist.weights_by_j) == len(dist.freq_by_j) == 81
+    assert all(f >= 0 for f in dist.freq_by_j)
+    assert sum(dist.freq_by_j) == 2**810 - 1
+    k = (q + 1) // e
+    nodes = [j * e * q - q - 1 for j in range(81)]
+    for r in range(4):
+        total = sum(comb(k, i) * (q - 1) ** (k - i) * (q * i - k) ** r for i in range(k + 1))
+        n_r, rem = divmod(e**r * total, q**k)
+        assert rem == 0
+        lhs = sum(f * x**r for f, x in zip(dist.freq_by_j, nodes))
+        assert lhs == q ** (2 * t + 1) * n_r - (q * q - 1) ** r
 
 
 def test_row_one_moment_identity():
