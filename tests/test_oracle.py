@@ -125,6 +125,39 @@ def test_brute_distribution_zero_frequency_weight():
     assert fast.freq_by_j == (0, 15)
 
 
+@pytest.mark.parametrize("shards", [1, 2, 3, 7])
+def test_shard_count_invariance(monkeypatch, shards):
+    """Cutting the sweep into more outer steps leaves the histogram as it is:
+    with a block budget of about 1/shards of all entries, the leading slots
+    are walked in at least `shards` steps, against one block and a loop
+    over every tuple."""
+    for p in (2, 3):
+        ctx = field(p, 2)
+        rng = np.random.default_rng(17 + p)
+        tables = [rng.integers(0, ctx.order, size=(5, 2), dtype=np.uint8)
+                  for _ in range(8)]
+        for table in tables:
+            table[:, 0] = 0
+        add, neg = oracle._group_ops(p, ctx.order)
+        expected = [0] * 6
+        for idx in itertools.product(range(2), repeat=8):
+            if any(idx):
+                sums = [0] * 5
+                for table, i in zip(tables, idx):
+                    sums = [ctx.add(s, int(v)) for s, v in zip(sums, table[:, i])]
+                expected[sums.count(0)] += 1
+        assert oracle._zero_count_histogram(tables, add, neg) == expected
+
+        steps = []
+        decode = oracle._decode_outer
+        monkeypatch.setattr(oracle, "_decode_outer",
+                            lambda flat, sizes: steps.append(flat) or decode(flat, sizes))
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 5 * 2 ** 8 // shards)
+        assert oracle._zero_count_histogram(tables, add, neg) == expected
+        assert len(steps) >= shards
+        monkeypatch.undo()
+
+
 def test_outer_index_walk_matches_solver():
     # the q = 9 showcase is too large for one block on either path, so its
     # leading slot is walked as an outer index through the addition table
