@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -435,7 +436,10 @@ def cmd_sweep(args) -> int:
     return code
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The `niho` parser, built once per process: parse_args keeps no state
+    between calls, and a build costs more than a small analyze call."""
     parser = argparse.ArgumentParser(
         prog="niho",
         description="Closed-form weight distributions of generalized-Niho cyclic "

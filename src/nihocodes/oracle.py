@@ -16,20 +16,38 @@ position (entries are positions, values GF(p) symbols).  The engine,
 _zero_count_histogram, sums a tuple's slots entrywise and histograms how
 many entries vanish; brute_distribution maps that count to a weight.
 
+brute_distribution sweeps one representative per cyclic orbit of the first
+full-field slot j0 (slot 0 for f2, slot 1 for f1 with t >= 1).  A cyclic
+shift by s keeps every weight and maps a_j to a_j * gamma^(d_j s), so the
+nonzero values of a_j0 fall into g = gcd(d_j0, q^2-1) orbits of equal size
+(q^2-1)/g, one through each of gamma^0..gamma^(g-1).  The sweep builds the
+tables of that restricted domain, weights its histogram by (q^2-1)/g and
+adds the a_j0 = 0 slice unweighted.  The rule uses only the cyclicity of
+the code, none of the paper's formulas.  Family f1 with t = 0 has no
+full-field slot and is swept whole.
+
+n_r_brute counts by meet in the middle: the histogram of the q^2-1
+signatures (an element's exponent powers) is convolved with itself up to
+ceil(r/2) times, and N_r pairs the half-sums s and -s.
+
 Full-space sweeps (brute_distribution, power_moment_check) and the tuple
 counter n_r_brute run under an operation budget; an over-budget request is
 refused outright, never truncated.  The stated cost model charges
 p^dimension * (q^2-1) for a distribution sweep regardless of path, and
-(q^2-1)^r for counting r-tuples.
+(q^2-1)^r for counting r-tuples.  These are the costs of plain
+enumeration; the budget charges them even though the orbit reduction and
+the meet in the middle do less work.
 
-Sweeps iterate the coefficient space in a fixed deterministic order
-(a_0 outermost for family f1, then a_1..a_t, each coefficient running
-through zero followed by ascending generator exponents).
+Domains list their coefficients in a fixed order: zero first, then
+ascending generator exponents, with the f1 leading coefficient restricted
+to GF(q).  Results are exact counts and do not depend on the order in which
+the engine walks the tuples.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -221,14 +239,16 @@ def _group_ops(p: int, size: int) -> tuple[np.ndarray | None, np.ndarray | None]
     return add.astype(dtype), neg.astype(dtype)
 
 
-def _root_tables(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndarray]:
+def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
+                 domains: list[list[int]]) -> list[np.ndarray]:
     """Per coefficient slot, its term of the root-counting polynomial at
-    every W point, as element codes: shape (|W|, |domain|)."""
+    every W point for every coefficient of its domain, as element codes:
+    shape (|W|, |domain|)."""
     q = vspec.q
     w_points = unit_circle(ctx, q, vspec.e).w
     dtype = np.min_scalar_type(ctx.order - 1)
     tables = []
-    for slot, domain in zip(_slot_terms(vspec), coefficient_domains(vspec, ctx)):
+    for slot, domain in zip(_slot_terms(vspec), domains):
         conj = [ctx.pow(z, q) for z in domain]
         table = np.zeros((len(w_points), len(domain)), dtype=dtype)
         for ki, u in enumerate(w_points):
@@ -242,25 +262,27 @@ def _root_tables(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndarray]:
     return tables
 
 
-def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndarray]:
-    """Per coefficient slot, its trace symbol at every codeword position:
-    shape (q^2-1, |domain|).  Family f1 takes the leading slot's trace from
-    GF(q) only."""
+def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
+                   domains: list[list[int]]) -> list[np.ndarray]:
+    """Per coefficient slot, its trace symbol at every codeword position for
+    every coefficient of its domain: shape (q^2-1, |domain|).  Family f1
+    takes the leading slot's trace from GF(q) only."""
     n = vspec.length
     exp_arr = np.array(ctx.exp_table, dtype=np.int64)
     dtype = np.min_scalar_type(vspec.p - 1)
     tr_full = np.array([0] + [ctx.trace_to_prime(x) for x in range(1, ctx.order)], dtype=dtype)
     tables = []
-    for s, (domain, d) in enumerate(zip(coefficient_domains(vspec, ctx), vspec.exponents)):
+    for s, (domain, d) in enumerate(zip(domains, vspec.exponents)):
         tr = tr_full
         if vspec.family == "f1" and s == 0:
             tr = np.zeros(ctx.order, dtype=dtype)
-            for x in domain[1:]:
+            for x in domain:
                 tr[x] = ctx.trace_to_prime(x, vspec.m)
         dlog = d * np.arange(n, dtype=np.int64) % n
         table = np.zeros((n, len(domain)), dtype=dtype)
-        for zi, z in enumerate(domain[1:], 1):
-            table[:, zi] = tr[exp_arr[(ctx.log_table[z] + dlog) % n]]
+        for zi, z in enumerate(domain):
+            if z:
+                table[:, zi] = tr[exp_arr[(ctx.log_table[z] + dlog) % n]]
         tables.append(table)
     return tables
 
@@ -272,10 +294,13 @@ def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
 
     tables[s][k, i] is slot s's entry k when its coefficient is the i-th of
     its domain; a tuple's entry k is the group sum over its slots, under
-    XOR when add is None and through the table add otherwise.  The
-    trailing slots are folded into one block of at most _BLOCK_ENTRIES
-    entries; the leading (outer) slots are walked as one flat index, and an
-    outer tuple's partial sum is matched against every block column at once.
+    XOR when add is None and through the table add otherwise.  A domain
+    that holds the zero coefficient holds it first, as an all-zero column;
+    when every domain does, the all-zero tuple (count L) is swept and
+    removed.  The trailing slots are folded into one block of at most
+    _BLOCK_ENTRIES entries; the leading (outer) slots are walked as one
+    flat index, and an outer tuple's partial sum is matched against every
+    block column at once.
     """
     n_entries = tables[0].shape[0]
     split, cols = len(tables) - 1, tables[-1].shape[1]
@@ -300,8 +325,8 @@ def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
         target = partial if neg is None else neg[partial]
         counts = (block == target[:, None]).sum(axis=0, dtype=count_dtype)
         hist += np.bincount(counts, minlength=n_entries + 1)
-        if flat == 0:
-            hist[counts[0]] -= 1  # remove the all-zero tuple
+    if not any(table[:, 0].any() for table in tables):
+        hist[n_entries] -= 1
     return [int(c) for c in hist]
 
 
@@ -318,13 +343,13 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         raise BudgetExceeded(required, budget)
     ctx = _context_for(vspec, ctx)
     if path == "fast":
-        tables = _root_tables(vspec, ctx)
+        build = _root_tables
         add, neg = _group_ops(vspec.p, ctx.order)
 
         def weight_of(roots):
             return _weight_for_count(vspec, roots)
     elif path == "slow":
-        tables = _symbol_tables(vspec, ctx)
+        build = _symbol_tables
         add, neg = _group_ops(vspec.p, vspec.p)
 
         def weight_of(zeros):
@@ -332,8 +357,23 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     else:
         raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
 
+    domains = coefficient_domains(vspec, ctx)
+    j0 = 1 if vspec.family == "f1" else 0
+    if j0 < len(domains):
+        # one representative per cyclic orbit of a_j0 (see the module doc)
+        n = vspec.length
+        g = math.gcd(vspec.exponents[j0], n)
+        domains[j0] = list(ctx.exp_table[:g])
+        tables = build(vspec, ctx, domains)
+        rest = tables[:j0] + tables[j0 + 1:]
+        hist = [n // g * c for c in _zero_count_histogram([tables[j0]] + rest, add, neg)]
+        if rest:
+            hist = [a + b for a, b in zip(hist, _zero_count_histogram(rest, add, neg))]
+    else:
+        hist = _zero_count_histogram(build(vspec, ctx, domains), add, neg)
+
     counts_by_weight = Counter()
-    for count, f in enumerate(_zero_count_histogram(tables, add, neg)):
+    for count, f in enumerate(hist):
         if f:
             counts_by_weight[weight_of(count)] += f
     weights = theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t)
@@ -353,14 +393,47 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
 
 # -- tuple counting and power moments --------------------------------------
 
+def _row_ids(rows: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the rows of a (R, k) array of element codes below
+    `order`, equal rows sharing an id, and the index of each id's first row.
+
+    The columns are packed base `order` into one int64 key; when the next
+    column would not fit, the key packed so far is first replaced by its
+    rank, which is below R.
+    """
+    ids = np.zeros(len(rows), dtype=np.int64)
+    bound = 1
+    for col in rows.T:
+        if bound * order > 1 << 63:
+            _, ids = np.unique(ids, return_inverse=True)
+            bound = len(rows)
+        ids = ids * order + col
+        bound *= order
+    _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
+    return ids, first
+
+
+def _merge_rows(keys: np.ndarray, counts: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of keys, each with the sum of its rows' counts."""
+    ids, first = _row_ids(keys, order)
+    merged = np.zeros(len(first), dtype=counts.dtype)
+    np.add.at(merged, ids, counts)
+    return keys[first], merged
+
+
 def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
               budget: int = DEFAULT_BUDGET) -> int:
     """Number of r-tuples of nonzero GF(q^2) elements that satisfy every
-    defining power-sum equation, by exhaustive iteration.
+    defining power-sum equation, by meet in the middle.
 
-    Per-coordinate signature tables (the exponent powers of each element)
-    are precomputed; the last coordinate is resolved by an exact count of
-    matching signatures.  Charged (q^2-1)^r against the budget.
+    An element's signature is the vector of its exponent powers.  The
+    histogram of the n = q^2-1 signatures is convolved with itself
+    ceil(r/2) and floor(r/2) times, equal sums merged after each step, into
+    the histograms A and B of signature sums over ceil(r/2)- and
+    floor(r/2)-tuples; N_r = sum_s A[s] B[-s].  That is O(n^ceil(r/2))
+    work.  The counts of an h-fold sum add up to n^h, so they are int64
+    while n^ceil(r/2) fits and Python ints beyond; the final sum is taken
+    in Python ints.  Charged (q^2-1)^r against the budget.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -369,41 +442,37 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     if required > budget:
         raise BudgetExceeded(required, budget)
     ctx = _context_for(vspec, ctx)
-    p = vspec.p
+    add, neg = _group_ops(vspec.p, ctx.order)
 
-    exps = vspec.exponents
-    sigs = [tuple(ctx.exp_table[(d * i) % n] for d in exps) for i in range(n)]
-    sig_counts = Counter(sigs)
+    exp_arr = np.array(ctx.exp_table, dtype=np.min_scalar_type(ctx.order - 1))
+    powers = np.arange(n, dtype=np.int64)
+    sigs = np.stack([exp_arr[d * powers % n] for d in vspec.exponents], axis=1)
+    width = sigs.shape[1]
+    count_dtype = np.int64 if n ** ((r + 1) // 2) < 1 << 63 else object
+    one_keys, one_counts = _merge_rows(sigs, np.ones(n, dtype=count_dtype), ctx.order)
 
-    if p == 2:
-        def add_sig(u, v):
-            return tuple(a ^ b for a, b in zip(u, v))
+    def plus_one(keys, counts):
+        """The histogram of the sums with one more signature."""
+        if add is None:
+            sums = keys[:, None, :] ^ one_keys[None, :, :]
+        else:
+            sums = add[keys[:, None, :], one_keys[None, :, :]]
+        return _merge_rows(sums.reshape(-1, width), (counts[:, None] * one_counts).reshape(-1),
+                           ctx.order)
 
-        def neg_sig(u):
-            return u
-    else:
-        add_code = [[ctx.add(x, y) for y in range(ctx.order)] for x in range(ctx.order)]
-        neg_code = [ctx.neg(x) for x in range(ctx.order)]
-
-        def add_sig(u, v):
-            return tuple(add_code[a][b] for a, b in zip(u, v))
-
-        def neg_sig(u):
-            return tuple(neg_code[a] for a in u)
-
-    if r == 1:
-        return sig_counts.get((0,) * len(exps), 0)
-
-    get = sig_counts.get
-
-    def count_below(partial, depth):
-        if depth == 0:
-            return get(neg_sig(partial), 0)
-        if depth == 1:
-            return sum(get(neg_sig(add_sig(partial, s)), 0) for s in sigs)
-        return sum(count_below(add_sig(partial, s), depth - 1) for s in sigs)
-
-    return sum(count_below(s, r - 2) for s in sigs)
+    high = low = (np.zeros((1, width), dtype=sigs.dtype), np.ones(1, dtype=count_dtype))
+    for size in range(1, (r + 1) // 2 + 1):
+        high = plus_one(*high)
+        if size == r // 2:
+            low = high
+    keys_a, counts_a = high
+    keys_b, counts_b = low
+    if neg is not None:
+        keys_b = neg[keys_b]
+    ids, _ = _row_ids(np.concatenate([keys_a, keys_b]), ctx.order)
+    counts_by_id = np.zeros(len(ids), dtype=count_dtype)
+    counts_by_id[ids[len(keys_a):]] = counts_b
+    return sum(map(operator.mul, counts_a.tolist(), counts_by_id[ids[:len(keys_a)]].tolist()))
 
 
 @dataclass(frozen=True)

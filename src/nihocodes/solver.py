@@ -14,6 +14,8 @@ and non-negativity of the result are checked after it.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -206,8 +208,12 @@ def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
     mm = moment_matrix(vspec.family, vspec.t, vspec.q, vspec.e)
     b = b_vector(vspec.family, vspec.t, vspec.q, vspec.e)
     mu = solve_lagrange(mm.nodes, b)
+    # The residual in integers: sum_j M_ij (mu_j D) = b_i D, D the common
+    # denominator of mu.
+    den = math.lcm(*(f.denominator for f in mu))
+    scaled = [f.numerator * (den // f.denominator) for f in mu]
     for i, row in enumerate(mm.rows):
-        if sum(r * x for r, x in zip(row, mu)) != b[i]:
+        if sum(map(operator.mul, row, scaled)) != b[i] * den:
             raise AssertionError(f"residual nonzero in row {i}")
     if any(f.denominator != 1 or f < 0 for f in mu):
         raise ModelViolationError(

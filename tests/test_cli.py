@@ -53,8 +53,35 @@ def test_verify_all_checks_tiny(capsys):
 
 
 def test_verify_all_checks_example1(capsys):
-    # the q = 16 showcase: full oracle suite agrees (about 13s, N_4 dominates)
+    # the q = 16 showcase: full oracle suite agrees, N_4 (charged 255^4) included
     assert main(["verify", *EXAMPLE1_FLAGS, "--checks", "all"]) == 0
+
+
+def test_cached_parser_gives_what_a_fresh_parser_gives(capsys, monkeypatch):
+    """main parses with one parser per process; a parse that argparse
+    rejects (exit 2) leaves it as it was for the next call."""
+    assert cli.make_parser() is cli.make_parser()
+    argvs = [["analyze", *TINY_FLAGS, "--json"],
+             ["analyze", *TINY_FLAGS, "--t", "one"],
+             ["verify", *TINY_FLAGS, "--checks", "all"]]
+
+    def run_all():
+        results = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cached = run_all()
+    monkeypatch.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
+    fresh = run_all()
+    assert [code for code, _, _ in cached] == [0, 2, 0]
+    assert "invalid int value" in cached[1][2]
+    assert cached == fresh
 
 
 def test_verify_distribution_slow_path(capsys):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +24,12 @@ from nihocodes.oracle import (
 from nihocodes.solver import theoretical_weights, weight_distribution
 
 from conftest import field
+from exact_reference import n_r_recursive
+
+
+def spec_of(key):
+    family, *params = key.split(":")
+    return validate_spec(CodeSpec(family, *map(int, params)))
 
 
 def all_tuples(vspec, ctx):
@@ -125,6 +133,47 @@ def test_brute_distribution_zero_frequency_weight():
     assert fast.freq_by_j == (0, 15)
 
 
+def _unreduced_entries(vs, path):
+    """The weight distribution from the engine on full-domain tables,
+    without the orbit reduction."""
+    ctx = field(vs.p, 2 * vs.m)
+    domains = coefficient_domains(vs, ctx)
+    if path == "fast":
+        tables = oracle._root_tables(vs, ctx, domains)
+        add, neg = oracle._group_ops(vs.p, ctx.order)
+    else:
+        tables = oracle._symbol_tables(vs, ctx, domains)
+        add, neg = oracle._group_ops(vs.p, vs.p)
+    by_weight = Counter()
+    for count, f in enumerate(oracle._zero_count_histogram(tables, add, neg)):
+        weight = oracle._weight_for_count(vs, count) if path == "fast" else vs.length - count
+        by_weight[weight] += f
+    return tuple(sorted((w, f) for w, f in by_weight.items() if f))
+
+
+# (key, g = gcd(d_j0, q^2-1) of the reduced slot j0, or None for f1 t = 0)
+ORBIT_SPECS = [
+    ("f1:2:2:1:1:2", 1), ("f2:2:2:1:1:2", 1), ("f2:3:2:1:1:2", 1), ("f2:3:2:1:1:1", 1),
+    ("f1:2:3:3:1:1", 3), ("f2:2:3:3:1:1", 3), ("f2:3:2:5:1:1", 5),
+    ("f1:2:3:1:1:0", None), ("f1:2:3:3:1:0", None),
+]
+
+
+@pytest.mark.parametrize("path", ["fast", "slow"])
+@pytest.mark.parametrize("key, g", ORBIT_SPECS)
+def test_orbit_reduction_matches_unreduced_sweep(key, g, path):
+    vs = spec_of(key)
+    j0 = 1 if vs.family == "f1" else 0
+    if g is None:
+        assert j0 == len(vs.exponents)
+    else:
+        assert g == math.gcd(vs.exponents[j0], vs.length)
+    ctx = field(vs.p, 2 * vs.m)
+    expected = _unreduced_entries(vs, path)
+    assert brute_distribution(vs, ctx=ctx, path=path).entries == expected
+    assert expected == weight_distribution(vs).entries
+
+
 @pytest.mark.parametrize("shards", [1, 2, 3, 7])
 def test_shard_count_invariance(monkeypatch, shards):
     """Cutting the sweep into more outer steps leaves the histogram as it is:
@@ -213,6 +262,67 @@ def test_n_r_brute_golden(tiny_f1_spec, tiny_f2_spec):
     assert n_r_brute(tiny_f1_spec, 1) == 0
     assert n_r_brute(tiny_f1_spec, 2) == 15  # e (q^2 - 1)
     assert n_r_brute(tiny_f2_spec, 3) == n_r(3, 3, 1) == 8
+
+
+@pytest.mark.parametrize("key, rmax", [
+    ("f1:2:2:1:1:1", 5), ("f2:2:2:1:1:2", 5), ("f2:3:1:1:1:2", 5),
+    ("f1:2:3:1:1:2", 4), ("f1:2:3:3:1:1", 4), ("f2:2:3:1:1:1", 4),
+    ("f2:3:2:1:1:2", 4), ("f2:3:2:5:1:1", 4),
+    ("f1:2:4:1:1:8", 3),  # nine 8-bit columns: more than one int64 key holds
+])
+def test_n_r_brute_matches_recursive_counter(key, rmax):
+    """Meet in the middle against the tuple-by-tuple counter, r = 1..rmax:
+    odd r splits into unequal halves, r = 1 into one signature and none."""
+    vs = spec_of(key)
+    ctx = field(vs.p, 2 * vs.m)
+    for r in range(1, rmax + 1):
+        assert n_r_brute(vs, r, ctx=ctx) == n_r_recursive(vs, r, ctx), (key, r)
+
+
+@pytest.mark.parametrize("order", [4, 256, 1 << 20])
+def test_row_ids_match_row_equality(order):
+    # twelve columns: at order 256 or 2^20 the rows do not fit one int64
+    # key, and rows that differ only in their first column must not merge
+    rng = np.random.default_rng(order)
+    base = rng.integers(0, order, size=(40, 12))
+    changed = base.copy()
+    changed[:, 0] = (changed[:, 0] + rng.integers(1, order, size=40)) % order
+    rows = np.concatenate([base, changed, base[::-1]])
+    ids, first = oracle._row_ids(rows, order)
+    as_tuples = [tuple(row) for row in rows.tolist()]
+    for i in range(len(rows)):
+        assert as_tuples[first[ids[i]]] == as_tuples[i]
+        for j in range(len(rows)):
+            assert (ids[i] == ids[j]) == (as_tuples[i] == as_tuples[j])
+
+
+def test_n_r_brute_showcase_n4_under_default_budget(example1_spec, gf256):
+    # charged 255^4 (about 4.2e9 operations), inside the default budget
+    assert example1_spec.length ** 4 <= oracle.DEFAULT_BUDGET
+    assert n_r_brute(example1_spec, 4, ctx=gf256) == n_r(4, 16, 1) == 237405
+
+
+def test_n_r_brute_counts_beyond_int64(tiny_f1_spec, gf16):
+    """Once n^ceil(r/2) passes 2^63 the counts are Python ints.  Reference:
+    the character-sum count N_r = |G|^-1 sum_b S_b^r over the characters
+    b of G = GF(16)^2, S_b = sum_i (-1)^Tr(b . sig(gamma^i))."""
+    n, exps = tiny_f1_spec.length, tiny_f1_spec.exponents
+    sigs = [[gf16.exp_table[d * i % n] for d in exps] for i in range(n)]
+    sums = []
+    for b in itertools.product(range(gf16.order), repeat=len(exps)):
+        s = 0
+        for sig in sigs:
+            acc = 0
+            for bj, x in zip(b, sig):
+                acc = gf16.add(acc, gf16.mul(bj, x))
+            s += (-1) ** gf16.trace_to_prime(acc)
+        sums.append(s)
+    for r in (16, 33, 40, 41):
+        expected, rem = divmod(sum(s**r for s in sums), gf16.order ** len(exps))
+        assert rem == 0
+        got = n_r_brute(tiny_f1_spec, r, ctx=gf16, budget=n**r)
+        assert got == expected, r
+    assert n ** 20 >= 1 << 63 and expected >= 1 << 63
 
 
 def test_n_r_brute_rejects_r0(tiny_f1_spec):

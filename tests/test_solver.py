@@ -165,11 +165,14 @@ def test_solvers_verify_residual(example1_spec):
 
 def test_residual_certificate_rejects_a_wrong_solve(monkeypatch, example1_spec):
     # the true example-1 frequencies with one codeword moved from weight 104
-    # to weight 136: row 0 (the total) still holds, row 1 does not
-    wrong = tuple(F(f) for f in (353701, 377655, 250920, 30600, 35699))
-    monkeypatch.setattr(solver, "solve_lagrange", lambda nodes, rhs: wrong)
-    with pytest.raises(AssertionError, match="residual nonzero"):
-        weight_distribution(example1_spec)
+    # to weight 136, and with half a codeword moved from weight 128 to
+    # weight 136 (common denominator 2): row 0 (the total) still holds in
+    # both, row 1 does not
+    for wrong in [tuple(F(f) for f in (353701, 377655, 250920, 30600, 35699)),
+                  (F(707401, 2), F(755309, 2), F(250920), F(30600), F(35700))]:
+        monkeypatch.setattr(solver, "solve_lagrange", lambda nodes, rhs, mu=wrong: mu)
+        with pytest.raises(AssertionError, match="residual nonzero in row 1"):
+            weight_distribution(example1_spec)
 
 
 def test_model_violation_carries_solution(monkeypatch):
