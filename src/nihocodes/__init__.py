@@ -28,7 +28,6 @@ from .oracle import (
     UnitCircle,
     brute_distribution,
     char_sum,
-    char_sum_direct,
     codeword_weight,
     n_r_brute,
     power_moment_check,

@@ -11,11 +11,21 @@ reproducible: two calls of build_field(p, k) return identical tables.
 The subfield GF(p^d) for d | k is never built separately; it is the fixed
 field of the d-th Frobenius power, reachable through is_subfield_element
 and subfield_elements.
+
+The scalar methods check their arguments and serve single lookups and the
+tests.  Array code reads the read-only numpy views exp, log and trace, each
+built once per context on first use: exp and log mirror exp_table and
+log_table (log[0] = -1), and trace holds Tr(x) down to GF(p) for every code
+x.  The trace is GF(p)-linear, so it is the digit vector of x times the
+traces Tr(p^i) of the basis elements, mod p: k scalar traces build it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 DEFAULT_TABLE_LIMIT = 1 << 24
 
@@ -175,17 +185,6 @@ class FieldContext:
             mult *= p
         return out
 
-    def neg(self, x: int) -> int:
-        self._check(x)
-        if self.p == 2:
-            return x
-        p, out, mult = self.p, 0, 1
-        while x:
-            x, dx = divmod(x, p)
-            out += ((-dx) % p) * mult
-            mult *= p
-        return out
-
     def mul(self, x: int, y: int) -> int:
         self._check(x)
         self._check(y)
@@ -193,13 +192,6 @@ class FieldContext:
             return 0
         n = self.order - 1
         return self.exp_table[(self.log_table[x] + self.log_table[y]) % n]
-
-    def inv(self, x: int) -> int:
-        self._check(x)
-        if x == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        n = self.order - 1
-        return self.exp_table[(-self.log_table[x]) % n]
 
     def pow(self, x: int, k: int) -> int:
         self._check(x)
@@ -212,10 +204,7 @@ class FieldContext:
         n = self.order - 1
         return self.exp_table[(self.log_table[x] * k) % n]
 
-    # -- Frobenius, traces, subfields ------------------------------------
-
-    def frobenius(self, x: int, i: int = 1) -> int:
-        return self.pow(x, self.p**i)
+    # -- traces, subfields ------------------------------------------------
 
     def is_subfield_element(self, x: int, sub_degree: int) -> bool:
         if self.degree % sub_degree:
@@ -250,10 +239,40 @@ class FieldContext:
         y = x
         for _ in range(from_degree):
             acc = self.add(acc, y)
-            y = self.frobenius(y)
+            y = self.pow(y, self.p)
         if acc >= self.p:
             raise AssertionError("trace left the prime field")
         return acc
+
+    # -- read-only array views -------------------------------------------
+
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """exp_table in the smallest unsigned dtype that holds a code."""
+        return _read_only(np.array(self.exp_table, dtype=np.min_scalar_type(self.order - 1)))
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """log_table as int64, log[0] = -1."""
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[self.exp] = np.arange(self.order - 1)
+        return _read_only(log)
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        """Tr(x) down to GF(p) for every code x, by GF(p)-linearity."""
+        codes = np.arange(self.order)
+        acc = np.zeros(self.order, dtype=np.int64)
+        place = 1
+        for _ in range(self.degree):
+            acc += codes // place % self.p * self.trace_to_prime(place)
+            place *= self.p
+        return _read_only((acc % self.p).astype(np.min_scalar_type(self.p - 1)))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> FieldContext:

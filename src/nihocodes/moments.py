@@ -66,21 +66,3 @@ def n_r(r: int, q: int, e: int) -> int:
             g.append(value)
     return e**r * g[r]
 
-
-# Known low-order evaluations, used as independent cross-checks of n_r.
-
-def n2_closed_form(q: int, e: int) -> int:
-    return e * (q * q - 1)
-
-
-def n3_closed_form(q: int, e: int) -> int:
-    return e * e * (q - 2) * (q * q - 1)
-
-
-def n4_closed_form(q: int, e: int) -> int:
-    return e * e * (q * q - 1) * ((e + 3) * q * q - 6 * e * q + 6 * e - 3)
-
-
-def n5_closed_form(q: int, e: int) -> int:
-    return (e**4 * (q * q - 1) * (q * q - 2 * q + 2) * (q - 2)
-            + 10 * e**3 * (q * q - 1) * (q - 1) * (q - 2) * (q + 1 - e))

@@ -1,20 +1,26 @@
 """Independent ground truth by direct enumeration.
 
-Two weight paths are kept deliberately separate at the scalar level:
+Two weight paths are kept separate by method, and each is implemented
+once, as a table builder over the field's exp/log/trace arrays:
 
-  * the positionwise path evaluates the defining trace expression of a
-    codeword symbol by symbol over all q^2-1 coordinates;
-  * the root-counting path evaluates a degree <= 2t polynomial over the
-    small subgroup W of the unit circle (order (q+1)/e) and converts the
-    number of roots into a character-sum value and hence a weight.
+  * the positionwise path, _symbol_tables, evaluates the defining trace
+    expression of a codeword symbol by symbol over all q^2-1 coordinates;
+  * the root-counting path, _root_tables, evaluates a degree <= 2t
+    polynomial over the small subgroup W of the unit circle (order
+    (q+1)/e) and converts the number of roots into a character-sum value
+    and hence a weight.
 
-Full-space distribution sweeps run both paths through one engine.  Two
-independent table builders give, per coefficient slot, one value per entry
-and coefficient: _root_tables the slot's term at each W point (entries are
-W points, values GF(q^2) codes), _symbol_tables its trace symbol at each
-position (entries are positions, values GF(p) symbols).  The engine,
-_zero_count_histogram, sums a tuple's slots entrywise and histograms how
-many entries vanish; brute_distribution maps that count to a weight.
+Per coefficient slot, a builder gives one value per entry and coefficient
+of the slot's domain: _root_tables the slot's term at each W point
+(entries are W points, values GF(q^2) codes), _symbol_tables its trace
+symbol at each position (entries are positions, values GF(p) symbols).  A
+tuple's entry is the sum of its slots.  codeword_weight and char_sum build
+the tables of one tuple (singleton domains) and count the nonzero symbols
+or the roots.  Full-space sweeps hand the tables of whole domains to one
+engine, _zero_count_histogram, which histograms how many entries vanish;
+brute_distribution maps that count to a weight.  The scalar references
+both paths are tested against, written with the FieldContext methods, live
+in the tests.
 
 brute_distribution sweeps one representative per cyclic orbit of the first
 full-field slot j0 (slot 0 for f2, slot 1 for f1 with t >= 1).  A cyclic
@@ -36,7 +42,10 @@ refused outright, never truncated.  The stated cost model charges
 p^dimension * (q^2-1) for a distribution sweep regardless of path, and
 (q^2-1)^r for counting r-tuples.  These are the costs of plain
 enumeration; the budget charges them even though the orbit reduction and
-the meet in the middle do less work.
+the meet in the middle do less work.  For odd p both also read a dense
+addition table of the GF(q^2) codes, which is refused with
+TableLimitExceeded before it is allocated when it would pass
+_ADD_TABLE_ENTRIES entries.
 
 Domains list their coefficients in a fixed order: zero first, then
 ascending generator exponents, with the f1 leading coefficient restricted
@@ -46,6 +55,7 @@ the engine walks the tuples.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -54,12 +64,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codespec import ValidatedSpec
-from .galois import FieldContext, build_field
+from .galois import FieldContext, TableLimitExceeded, build_field
 from .moments import n_r
 from .solver import WeightDistribution, moment_nodes, theoretical_weights
 
 DEFAULT_BUDGET = 10**10
 _BLOCK_ENTRIES = 1 << 22
+# Largest odd-p addition table: GF(3^8) (6561^2 entries) fits, GF(3^10) and
+# GF(5^6) are refused.
+_ADD_TABLE_ENTRIES = 1 << 26
 
 
 class BudgetExceeded(RuntimeError):
@@ -120,39 +133,21 @@ def validate_tuple(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) 
     if len(a) != len(vspec.exponents):
         raise ValueError(
             f"coefficient tuple has length {len(a)}, expected {len(vspec.exponents)}")
+    for c in a:
+        if not 0 <= c < ctx.order:
+            raise ValueError(f"element code {c!r} outside GF({ctx.order})")
     if vspec.family == "f1" and not ctx.is_subfield_element(a[0], vspec.m):
         raise ValueError(f"leading coefficient {a[0]} is not in GF({vspec.q})")
 
 
-# -- scalar paths ---------------------------------------------------------
+# -- per-tuple paths --------------------------------------------------------
 
 def codeword_weight(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
     """Hamming weight by direct positionwise evaluation of the defining
     trace expression; independent of the root-counting shortcut."""
     validate_tuple(vspec, a, ctx)
-    n = vspec.length
-    weight = 0
-    for i in range(n):
-        if _symbol_at(vspec, a, ctx, i):
-            weight += 1
-    return weight
-
-
-def _symbol_at(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext, i: int) -> int:
-    n = vspec.length
-    if vspec.family == "f1":
-        head = ctx.mul(a[0], ctx.exp_table[(vspec.exponents[0] * i) % n])
-        sym = ctx.trace_to_prime(head, vspec.m)
-        rest_exps = vspec.exponents[1:]
-        rest = a[1:]
-    else:
-        sym = 0
-        rest_exps = vspec.exponents
-        rest = a
-    acc = 0
-    for coeff, d in zip(rest, rest_exps):
-        acc = ctx.add(acc, ctx.mul(coeff, ctx.exp_table[(d * i) % n]))
-    return (sym + ctx.trace_to_prime(acc)) % vspec.p
+    symbols = np.sum(_symbol_tables(vspec, ctx, [[c] for c in a]), axis=0) % vspec.p
+    return int(np.count_nonzero(symbols))
 
 
 def char_sum(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
@@ -164,34 +159,11 @@ def char_sum(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int
     polynomial vanish identically, which yields q^2 resp. (p-1)q^2.
     """
     validate_tuple(vspec, a, ctx)
-    q, e = vspec.q, vspec.e
-    w_points = unit_circle(ctx, q, e).w
-    terms = _slot_terms(vspec)
-    roots = 0
-    for u in w_points:
-        acc = 0
-        for coeff, slot in zip(a, terms):
-            for conjugate, uexp in slot:
-                c = ctx.pow(coeff, q) if conjugate else coeff
-                acc = ctx.add(acc, ctx.mul(c, ctx.pow(u, uexp)))
-        if acc == 0:
-            roots += 1
-    n_sol = e * roots
+    values = _sum_codes(_root_tables(vspec, ctx, [[c] for c in a]), vspec.p, ctx.order)
+    n_sol = vspec.e * int(np.count_nonzero(values == 0))
     if vspec.family == "f1":
-        return q * (n_sol - 1)
-    return (vspec.p - 1) * q * (n_sol - 1)
-
-
-def char_sum_direct(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """Character sum by positionwise summation over all of GF(q^2): counts
-    zero symbols Z (the origin included) and returns p*Z - q^2.  Slow; used
-    to spot-check char_sum."""
-    validate_tuple(vspec, a, ctx)
-    zeros = 1  # the x = 0 term
-    for i in range(vspec.length):
-        if _symbol_at(vspec, a, ctx, i) == 0:
-            zeros += 1
-    return vspec.p * zeros - vspec.q * vspec.q
+        return vspec.q * (n_sol - 1)
+    return (vspec.p - 1) * vspec.q * (n_sol - 1)
 
 
 def weight_from_char_sum(vspec: ValidatedSpec, s: int) -> int:
@@ -218,72 +190,82 @@ def _decode_outer(flat: int, sizes: list[int]) -> list[int]:
     return idx
 
 
+def _sum_codes(terms: list, p: int, size: int) -> np.ndarray:
+    """Elementwise field sum of broadcastable arrays of packed base-p codes
+    below size (a power of p): XOR for p = 2, else digit by digit in the
+    smallest unsigned dtype that holds size - 1."""
+    if p == 2:
+        return functools.reduce(np.bitwise_xor, terms)
+    # room for a digit sum of up to len(terms) * (p-1) as well as for a code
+    dtype = np.min_scalar_type(max(size - 1, len(terms) * (p - 1)))
+    rest = [np.asarray(t, dtype=dtype) for t in terms]
+    out, place = 0, 1
+    while place < size:
+        digits = 0
+        for i, t in enumerate(rest):
+            rest[i], digit = np.divmod(t, p)
+            digits = digits + digit
+        digits %= p
+        digits *= place
+        out += digits
+        place *= p
+    return out.astype(np.min_scalar_type(size - 1), copy=False)
+
+
 def _group_ops(p: int, size: int) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Addition table and negation map of the packed base-p codes
-    0..size-1 (size a power of p), built digitwise in numpy because an
-    interpreted table over GF(q^2) would cost more than a small sweep;
-    (None, None) for p = 2, where addition is XOR and every element is its
-    own negative."""
+    0..size-1 (size a power of p); (None, None) for p = 2, where addition
+    is XOR and every element is its own negative.  A table of more than
+    _ADD_TABLE_ENTRIES entries is refused before it is allocated."""
     if p == 2:
         return None, None
+    if size * size > _ADD_TABLE_ENTRIES:
+        raise TableLimitExceeded(
+            f"addition table of {size}^2 entries exceeds limit {_ADD_TABLE_ENTRIES}")
     codes = np.arange(size)
-    add = np.zeros((size, size), dtype=np.int64)
-    neg = np.zeros(size, dtype=np.int64)
-    place = 1
-    while place < size:
-        digit = codes // place % p
-        add += (digit[:, None] + digit[None, :]) % p * place
-        neg += (-digit) % p * place
-        place *= p
-    dtype = np.min_scalar_type(size - 1)
-    return add.astype(dtype), neg.astype(dtype)
+    add = _sum_codes([codes[:, None], codes[None, :]], p, size)
+    # each row holds its one zero, the minimum, at the row's negative
+    return add, add.argmin(axis=1).astype(add.dtype)
 
 
 def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
                  domains: list[list[int]]) -> list[np.ndarray]:
     """Per coefficient slot, its term of the root-counting polynomial at
     every W point for every coefficient of its domain, as element codes:
-    shape (|W|, |domain|)."""
-    q = vspec.q
-    w_points = unit_circle(ctx, q, vspec.e).w
-    dtype = np.min_scalar_type(ctx.order - 1)
+    shape (|W|, |domain|).  A term z * u^k is exp[(log z + k log u) mod n]
+    and its conjugate z^q * u^k is exp[(q log z + k log u) mod n], both
+    masked to 0 where z = 0."""
+    q, n = vspec.q, ctx.order - 1
+    wlog = np.arange(0, n, (q - 1) * vspec.e)[:, None]  # W = <gamma^((q-1)e)>
     tables = []
     for slot, domain in zip(_slot_terms(vspec), domains):
-        conj = [ctx.pow(z, q) for z in domain]
-        table = np.zeros((len(w_points), len(domain)), dtype=dtype)
-        for ki, u in enumerate(w_points):
-            upows = [ctx.pow(u, uexp) for _, uexp in slot]
-            for zi, z in enumerate(domain):
-                acc = 0
-                for (conjugate, _), upow in zip(slot, upows):
-                    acc = ctx.add(acc, ctx.mul(conj[zi] if conjugate else z, upow))
-                table[ki, zi] = acc
-        tables.append(table)
+        z = np.asarray(domain)[None, :]
+        zlog, nonzero = ctx.log[z], z != 0
+        terms = [ctx.exp[((q if conjugate else 1) * zlog + uexp * wlog) % n] * nonzero
+                 for conjugate, uexp in slot]
+        tables.append(_sum_codes(terms, vspec.p, ctx.order))
     return tables
 
 
 def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
                    domains: list[list[int]]) -> list[np.ndarray]:
     """Per coefficient slot, its trace symbol at every codeword position for
-    every coefficient of its domain: shape (q^2-1, |domain|).  Family f1
-    takes the leading slot's trace from GF(q) only."""
+    every coefficient of its domain: shape (q^2-1, |domain|).
+
+    Family f1 takes the leading slot's trace from GF(q) only.  For x in
+    GF(q) that trace is Tr(theta x) down from GF(q^2), where theta =
+    gamma / (gamma + gamma^q) has theta + theta^q = 1 (gamma + gamma^q is
+    nonzero and lies in GF(q)), so every slot reads the one trace view."""
     n = vspec.length
-    exp_arr = np.array(ctx.exp_table, dtype=np.int64)
-    dtype = np.min_scalar_type(vspec.p - 1)
-    tr_full = np.array([0] + [ctx.trace_to_prime(x) for x in range(1, ctx.order)], dtype=dtype)
+    positions = np.arange(n)[:, None]
     tables = []
     for s, (domain, d) in enumerate(zip(domains, vspec.exponents)):
-        tr = tr_full
+        z = np.asarray(domain)[None, :]
+        zlog = ctx.log[z]
         if vspec.family == "f1" and s == 0:
-            tr = np.zeros(ctx.order, dtype=dtype)
-            for x in domain:
-                tr[x] = ctx.trace_to_prime(x, vspec.m)
-        dlog = d * np.arange(n, dtype=np.int64) % n
-        table = np.zeros((n, len(domain)), dtype=dtype)
-        for zi, z in enumerate(domain):
-            if z:
-                table[:, zi] = tr[exp_arr[(ctx.log_table[z] + dlog) % n]]
-        tables.append(table)
+            relative = _sum_codes([ctx.exp[1], ctx.exp[vspec.q]], vspec.p, ctx.order)
+            zlog = zlog + 1 - ctx.log[relative]
+        tables.append(ctx.trace[ctx.exp[(zlog + d * positions) % n]] * (z != 0))
     return tables
 
 
@@ -444,9 +426,8 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     ctx = _context_for(vspec, ctx)
     add, neg = _group_ops(vspec.p, ctx.order)
 
-    exp_arr = np.array(ctx.exp_table, dtype=np.min_scalar_type(ctx.order - 1))
     powers = np.arange(n, dtype=np.int64)
-    sigs = np.stack([exp_arr[d * powers % n] for d in vspec.exponents], axis=1)
+    sigs = np.stack([ctx.exp[d * powers % n] for d in vspec.exponents], axis=1)
     width = sigs.shape[1]
     count_dtype = np.int64 if n ** ((r + 1) // 2) < 1 << 63 else object
     one_keys, one_counts = _merge_rows(sigs, np.ones(n, dtype=count_dtype), ctx.order)

@@ -1,4 +1,4 @@
-"""Independent references for two library computations.
+"""Independent references for library computations.
 
 `invert_exact` is Gauss-Jordan inversion on rationals, the reference for
 the Lagrange-coefficient inverse in `nihocodes.solver`.  It treats the
@@ -11,6 +11,17 @@ reference for the meet-in-the-middle `nihocodes.oracle.n_r_brute`.  It walks
 the first r-1 coordinates in plain Python, with no histograms and no numpy,
 so agreement checks the halving, the convolutions and the matching of the
 library's counter.
+
+`symbol_at` evaluates one codeword symbol with the scalar `FieldContext`
+methods, taking the f1 leading term's trace from GF(q) directly, and
+`char_sum_direct` sums it over all of GF(q^2).  They are the scalar
+reference for the array paths of `nihocodes.oracle`, whose positionwise
+builder reads the field's trace view and whose root counter reads its
+exp/log views.
+
+`neg`, `inv` and `frobenius` are scalar field operations only the tests
+use, and `n2_closed_form`..`n5_closed_form` are known low-order
+evaluations of N_r, independent cross-checks of `nihocodes.moments.n_r`.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ def n_r_recursive(vspec, r: int, ctx) -> int:
             return u
     else:
         add_code = [[ctx.add(x, y) for y in range(ctx.order)] for x in range(ctx.order)]
-        neg_code = [ctx.neg(x) for x in range(ctx.order)]
+        neg_code = [neg(ctx, x) for x in range(ctx.order)]
 
         def add_sig(u, v):
             return tuple(add_code[a][b] for a, b in zip(u, v))
@@ -82,3 +93,72 @@ def n_r_recursive(vspec, r: int, ctx) -> int:
         return sum(count_below(add_sig(partial, s), depth - 1) for s in sigs)
 
     return sum(count_below(s, r - 2) for s in sigs)
+
+
+def neg(ctx, x: int) -> int:
+    """-x, digit by digit."""
+    ctx._check(x)
+    if ctx.p == 2:
+        return x
+    p, out, mult = ctx.p, 0, 1
+    while x:
+        x, dx = divmod(x, p)
+        out += ((-dx) % p) * mult
+        mult *= p
+    return out
+
+
+def inv(ctx, x: int) -> int:
+    ctx._check(x)
+    if x == 0:
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    return ctx.exp_table[(-ctx.log_table[x]) % (ctx.order - 1)]
+
+
+def frobenius(ctx, x: int, i: int = 1) -> int:
+    return ctx.pow(x, ctx.p**i)
+
+
+def symbol_at(vspec, a, ctx, i: int) -> int:
+    """Symbol i of the codeword of coefficient tuple a."""
+    n = vspec.length
+    if vspec.family == "f1":
+        head = ctx.mul(a[0], ctx.exp_table[(vspec.exponents[0] * i) % n])
+        sym = ctx.trace_to_prime(head, vspec.m)
+        rest_exps = vspec.exponents[1:]
+        rest = a[1:]
+    else:
+        sym = 0
+        rest_exps = vspec.exponents
+        rest = a
+    acc = 0
+    for coeff, d in zip(rest, rest_exps):
+        acc = ctx.add(acc, ctx.mul(coeff, ctx.exp_table[(d * i) % n]))
+    return (sym + ctx.trace_to_prime(acc)) % vspec.p
+
+
+def char_sum_direct(vspec, a, ctx) -> int:
+    """Character sum by positionwise summation over all of GF(q^2): counts
+    zero symbols Z (the origin included) and returns p*Z - q^2."""
+    zeros = 1  # the x = 0 term
+    for i in range(vspec.length):
+        if symbol_at(vspec, a, ctx, i) == 0:
+            zeros += 1
+    return vspec.p * zeros - vspec.q * vspec.q
+
+
+def n2_closed_form(q: int, e: int) -> int:
+    return e * (q * q - 1)
+
+
+def n3_closed_form(q: int, e: int) -> int:
+    return e * e * (q - 2) * (q * q - 1)
+
+
+def n4_closed_form(q: int, e: int) -> int:
+    return e * e * (q * q - 1) * ((e + 3) * q * q - 6 * e * q + 6 * e - 3)
+
+
+def n5_closed_form(q: int, e: int) -> int:
+    return (e**4 * (q * q - 1) * (q * q - 2 * q + 2) * (q - 2)
+            + 10 * e**3 * (q * q - 1) * (q - 1) * (q - 2) * (q + 1 - e))

@@ -19,13 +19,7 @@ from nihocodes.codespec import (
     validate_spec,
 )
 from nihocodes.galois import build_field
-from nihocodes.moments import (
-    n2_closed_form,
-    n3_closed_form,
-    n4_closed_form,
-    n5_closed_form,
-    n_r,
-)
+from nihocodes.moments import n_r
 from nihocodes.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -42,7 +36,13 @@ from nihocodes.solver import (
 )
 
 from conftest import field
-from exact_reference import invert_exact
+from exact_reference import (
+    invert_exact,
+    n2_closed_form,
+    n3_closed_form,
+    n4_closed_form,
+    n5_closed_form,
+)
 from test_solver import INVERSE_Q16_T2, INVERSE_Q9_T3
 
 EXAMPLE1_ENUM = "1+35700Y^104+30600Y^112+250920Y^120+377655Y^128+353700Y^136"

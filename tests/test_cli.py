@@ -117,6 +117,16 @@ def test_verify_table_limit_env(capsys, monkeypatch):
     assert "table limit" in capsys.readouterr().err
 
 
+def test_verify_addition_table_refusal_exits_3(capsys):
+    # admissible and inside the default budget (N_1 is charged 59048), but
+    # the GF(3^10) addition table would hold 59049^2 entries
+    code = main(["verify", "--family", "f2", "--p", "3", "--m", "5", "--h", "1",
+                 "--delta", "1", "--t", "1", "--checks", "nr"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("table limit refusal: ")
+
+
 def test_nr_table(capsys):
     assert main(["nr", "--p", "2", "--m", "4", "--e", "1", "--rmax", "4"]) == 0
     out = capsys.readouterr().out

@@ -7,16 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nihocodes import cli, moments
-from nihocodes.moments import (
-    b_count,
-    n2_closed_form,
-    n3_closed_form,
-    n4_closed_form,
-    n5_closed_form,
-    n_r,
-)
+from nihocodes.moments import b_count, n_r
 
 from conftest import field
+from exact_reference import n2_closed_form, n3_closed_form, n4_closed_form, n5_closed_form
 from partition_sum import PartitionVector, n_r_partition_sum, partitions_min2
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 
 from nihocodes import oracle
 from nihocodes.codespec import CodeSpec, validate_spec
+from nihocodes.galois import FieldContext, TableLimitExceeded
 from nihocodes.moments import n_r
 from nihocodes.oracle import (
     BudgetExceeded,
     brute_distribution,
     char_sum,
-    char_sum_direct,
     codeword_weight,
     coefficient_domains,
     n_r_brute,
@@ -24,7 +25,7 @@ from nihocodes.oracle import (
 from nihocodes.solver import theoretical_weights, weight_distribution
 
 from conftest import field
-from exact_reference import n_r_recursive
+from exact_reference import char_sum_direct, n_r_recursive
 
 
 def spec_of(key):
@@ -60,29 +61,40 @@ def test_tuple_validation(tiny_f1_spec, gf16):
         codeword_weight(tiny_f1_spec, (0,), gf16)
     with pytest.raises(ValueError):
         codeword_weight(tiny_f1_spec, (gf16.generator, 0), gf16)  # gamma not in GF(4)
+    # a numpy gather would wrap -1 to the last entry instead of failing
+    for fn in (codeword_weight, char_sum):
+        for code in (-1, gf16.order):
+            with pytest.raises(ValueError):
+                fn(tiny_f1_spec, (1, code), gf16)
 
 
-def test_paths_agree_everywhere_tiny_f1(tiny_f1_spec, gf16):
+def test_paths_agree_everywhere_tiny_f1(tiny_f1_spec):
     """Positionwise weights, direct character sums and W-root character sums
-    must agree tuple by tuple on the full 63-codeword space."""
-    q = 4
-    for a in all_tuples(tiny_f1_spec, gf16):
-        s_fast = char_sum(tiny_f1_spec, a, gf16)
-        s_slow = char_sum_direct(tiny_f1_spec, a, gf16)
-        assert s_fast == s_slow
-        w = codeword_weight(tiny_f1_spec, a, gf16)
-        assert w == weight_from_char_sum(tiny_f1_spec, s_fast)
-        assert w == (q * q) // 2 - s_fast // 2
+    must agree tuple by tuple on the full 63-codeword space, and on the 511
+    codewords of an e = 3 spec."""
+    for vs in (tiny_f1_spec, spec_of("f1:2:3:3:1:1")):
+        ctx = field(vs.p, 2 * vs.m)
+        q = vs.q
+        for a in all_tuples(vs, ctx):
+            s_fast = char_sum(vs, a, ctx)
+            s_slow = char_sum_direct(vs, a, ctx)
+            assert s_fast == s_slow
+            w = codeword_weight(vs, a, ctx)
+            assert w == weight_from_char_sum(vs, s_fast)
+            assert w == (q * q) // 2 - s_fast // 2
 
 
-def test_paths_agree_everywhere_tiny_f2(tiny_f2_spec, gf9):
-    p, q = 3, 3
-    for a in all_tuples(tiny_f2_spec, gf9):
-        s_fast = char_sum(tiny_f2_spec, a, gf9)
-        assert s_fast == char_sum_direct(tiny_f2_spec, a, gf9)
-        w = codeword_weight(tiny_f2_spec, a, gf9)
-        assert w == weight_from_char_sum(tiny_f2_spec, s_fast)
-        assert w * p == q * q * (p - 1) - s_fast * 1
+def test_paths_agree_everywhere_tiny_f2(tiny_f2_spec):
+    # the second spec has p = 3 and e = 5
+    for vs in (tiny_f2_spec, spec_of("f2:3:2:5:1:1")):
+        ctx = field(vs.p, 2 * vs.m)
+        p, q = vs.p, vs.q
+        for a in all_tuples(vs, ctx):
+            s_fast = char_sum(vs, a, ctx)
+            assert s_fast == char_sum_direct(vs, a, ctx)
+            w = codeword_weight(vs, a, ctx)
+            assert w == weight_from_char_sum(vs, s_fast)
+            assert w * p == q * q * (p - 1) - s_fast * 1
 
 
 def test_paths_agree_on_samples_example1(example1_spec, gf256):
@@ -238,6 +250,51 @@ def test_zero_count_histogram_matches_enumeration(monkeypatch, p, degree, block_
             expected[sums.count(0)] += 1
     add, neg = oracle._group_ops(p, ctx.order)
     assert oracle._zero_count_histogram(tables, add, neg) == expected
+
+
+def test_oracle_hot_paths_are_table_driven(monkeypatch, example1_spec, example2_spec):
+    """Once a context's views are built, the per-tuple paths, both sweep
+    paths and the tuple counter make no scalar field call."""
+    cases = [(vs, field(vs.p, 2 * vs.m)) for vs in (example1_spec, example2_spec)]
+    for _, ctx in cases:
+        ctx.exp, ctx.log, ctx.trace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar field arithmetic on an oracle hot path")
+
+    for name in ("add", "mul", "pow", "trace_to_prime"):
+        monkeypatch.setattr(FieldContext, name, refuse)
+    for vs, ctx in cases:
+        rng = random.Random(11)
+        domains = coefficient_domains(vs, ctx)
+        for _ in range(8):
+            a = tuple(rng.choice(d) for d in domains)
+            assert codeword_weight(vs, a, ctx) == weight_from_char_sum(vs, char_sum(vs, a, ctx))
+        solver = weight_distribution(vs)
+        for path in ("fast", "slow"):
+            assert brute_distribution(vs, ctx=ctx, path=path) == solver
+        for r in (1, 2, 3):
+            assert n_r_brute(vs, r, ctx=ctx) == n_r(r, vs.q, vs.e)
+
+
+def test_addition_table_refused_before_allocation():
+    # GF(3^10): 59049^2 entries would take several GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableLimitExceeded):
+            oracle._group_ops(3, 3**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (3**8) ** 2 <= oracle._ADD_TABLE_ENTRIES  # GF(3^8) still builds
+    ctx = field(3, 6)  # two-byte codes
+    add, neg = oracle._group_ops(3, ctx.order)
+    rng = random.Random(2)
+    for _ in range(500):
+        x, y = rng.randrange(ctx.order), rng.randrange(ctx.order)
+        assert add[x, y] == ctx.add(x, y)
+        assert add[x, neg[x]] == 0
 
 
 def test_brute_distribution_wide_entries_and_counts():
