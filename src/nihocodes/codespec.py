@@ -38,6 +38,12 @@ class SpecValidationError(ValueError):
         self.code = code
 
 
+def moment_system_size(family: str, t: int) -> int:
+    """Number of possible nonzero weights, the size of the moment system:
+    2t+1 for f1, 2t for f2."""
+    return 2 * t + 1 if family == "f1" else 2 * t
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Raw user parameters, unvalidated."""
@@ -69,8 +75,7 @@ class ValidatedSpec(CodeSpec):
 
     @property
     def moment_size(self) -> int:
-        """Number of possible nonzero weights: 2t+1 for f1, 2t for f2."""
-        return 2 * self.t + 1 if self.family == "f1" else 2 * self.t
+        return moment_system_size(self.family, self.t)
 
     @property
     def codeword_count(self) -> int:

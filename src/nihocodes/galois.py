@@ -18,16 +18,25 @@ built once per context on first use: exp and log mirror exp_table and
 log_table (log[0] = -1), and trace holds Tr(x) down to GF(p) for every code
 x.  The trace is GF(p)-linear, so it is the digit vector of x times the
 traces Tr(p^i) of the basis elements, mod p: k scalar traces build it.
+
+sum_codes adds arrays of codes digit by digit (XOR for p = 2).  For odd p,
+group_tables gives the dense addition table and negation map of the codes,
+refused with TableLimitExceeded before allocation above ADD_TABLE_ENTRIES
+entries; a context keeps its own as the group_tables view, built on first
+use like the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 DEFAULT_TABLE_LIMIT = 1 << 24
+# Largest odd-p addition table: GF(3^8) (6561^2 entries) fits, GF(3^10) and
+# GF(5^6) are refused.
+ADD_TABLE_ENTRIES = 1 << 26
 
 
 class FieldBuildError(ValueError):
@@ -269,10 +278,54 @@ class FieldContext:
             place *= self.p
         return _read_only((acc % self.p).astype(np.min_scalar_type(self.p - 1)))
 
+    @cached_property
+    def group_tables(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """This field's addition table and negation map, group_tables(p,
+        order), built once per context on first use."""
+        return group_tables(self.p, self.order)
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def sum_codes(terms: list, p: int, size: int) -> np.ndarray:
+    """Elementwise field sum of broadcastable arrays of packed base-p codes
+    below size (a power of p): XOR for p = 2, else digit by digit in the
+    smallest unsigned dtype that holds size - 1."""
+    if p == 2:
+        return reduce(np.bitwise_xor, terms)
+    # room for a digit sum of up to len(terms) * (p-1) as well as for a code
+    dtype = np.min_scalar_type(max(size - 1, len(terms) * (p - 1)))
+    rest = [np.asarray(t, dtype=dtype) for t in terms]
+    out, place = 0, 1
+    while place < size:
+        digits = 0
+        for i, t in enumerate(rest):
+            rest[i], digit = np.divmod(t, p)
+            digits = digits + digit
+        digits %= p
+        digits *= place
+        out += digits
+        place *= p
+    return out.astype(np.min_scalar_type(size - 1), copy=False)
+
+
+def group_tables(p: int, size: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Addition table and negation map of the packed base-p codes
+    0..size-1 (size a power of p); (None, None) for p = 2, where addition
+    is XOR and every element is its own negative.  A table of more than
+    ADD_TABLE_ENTRIES entries is refused before it is allocated."""
+    if p == 2:
+        return None, None
+    if size * size > ADD_TABLE_ENTRIES:
+        raise TableLimitExceeded(
+            f"addition table of {size}^2 entries exceeds limit {ADD_TABLE_ENTRIES}")
+    codes = np.arange(size)
+    add = sum_codes([codes[:, None], codes[None, :]], p, size)
+    # each row holds its one zero, the minimum, at the row's negative
+    return add, add.argmin(axis=1).astype(add.dtype)
 
 
 def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> FieldContext:

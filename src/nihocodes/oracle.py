@@ -42,10 +42,10 @@ refused outright, never truncated.  The stated cost model charges
 p^dimension * (q^2-1) for a distribution sweep regardless of path, and
 (q^2-1)^r for counting r-tuples.  These are the costs of plain
 enumeration; the budget charges them even though the orbit reduction and
-the meet in the middle do less work.  For odd p both also read a dense
-addition table of the GF(q^2) codes, which is refused with
-TableLimitExceeded before it is allocated when it would pass
-_ADD_TABLE_ENTRIES entries.
+the meet in the middle do less work.  For odd p both also read the dense
+addition table of the GF(q^2) codes, the context's group_tables view: it
+is built once per context and refused with TableLimitExceeded before it is
+allocated when it would pass galois.ADD_TABLE_ENTRIES entries.
 
 Domains list their coefficients in a fixed order: zero first, then
 ascending generator exponents, with the f1 leading coefficient restricted
@@ -55,7 +55,6 @@ the engine walks the tuples.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import Counter
@@ -64,15 +63,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codespec import ValidatedSpec
-from .galois import FieldContext, TableLimitExceeded, build_field
+from .galois import FieldContext, build_field, group_tables, sum_codes
 from .moments import n_r
 from .solver import WeightDistribution, moment_nodes, theoretical_weights
 
 DEFAULT_BUDGET = 10**10
 _BLOCK_ENTRIES = 1 << 22
-# Largest odd-p addition table: GF(3^8) (6561^2 entries) fits, GF(3^10) and
-# GF(5^6) are refused.
-_ADD_TABLE_ENTRIES = 1 << 26
 
 
 class BudgetExceeded(RuntimeError):
@@ -159,7 +155,7 @@ def char_sum(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int
     polynomial vanish identically, which yields q^2 resp. (p-1)q^2.
     """
     validate_tuple(vspec, a, ctx)
-    values = _sum_codes(_root_tables(vspec, ctx, [[c] for c in a]), vspec.p, ctx.order)
+    values = sum_codes(_root_tables(vspec, ctx, [[c] for c in a]), vspec.p, ctx.order)
     n_sol = vspec.e * int(np.count_nonzero(values == 0))
     if vspec.family == "f1":
         return vspec.q * (n_sol - 1)
@@ -190,44 +186,6 @@ def _decode_outer(flat: int, sizes: list[int]) -> list[int]:
     return idx
 
 
-def _sum_codes(terms: list, p: int, size: int) -> np.ndarray:
-    """Elementwise field sum of broadcastable arrays of packed base-p codes
-    below size (a power of p): XOR for p = 2, else digit by digit in the
-    smallest unsigned dtype that holds size - 1."""
-    if p == 2:
-        return functools.reduce(np.bitwise_xor, terms)
-    # room for a digit sum of up to len(terms) * (p-1) as well as for a code
-    dtype = np.min_scalar_type(max(size - 1, len(terms) * (p - 1)))
-    rest = [np.asarray(t, dtype=dtype) for t in terms]
-    out, place = 0, 1
-    while place < size:
-        digits = 0
-        for i, t in enumerate(rest):
-            rest[i], digit = np.divmod(t, p)
-            digits = digits + digit
-        digits %= p
-        digits *= place
-        out += digits
-        place *= p
-    return out.astype(np.min_scalar_type(size - 1), copy=False)
-
-
-def _group_ops(p: int, size: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Addition table and negation map of the packed base-p codes
-    0..size-1 (size a power of p); (None, None) for p = 2, where addition
-    is XOR and every element is its own negative.  A table of more than
-    _ADD_TABLE_ENTRIES entries is refused before it is allocated."""
-    if p == 2:
-        return None, None
-    if size * size > _ADD_TABLE_ENTRIES:
-        raise TableLimitExceeded(
-            f"addition table of {size}^2 entries exceeds limit {_ADD_TABLE_ENTRIES}")
-    codes = np.arange(size)
-    add = _sum_codes([codes[:, None], codes[None, :]], p, size)
-    # each row holds its one zero, the minimum, at the row's negative
-    return add, add.argmin(axis=1).astype(add.dtype)
-
-
 def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
                  domains: list[list[int]]) -> list[np.ndarray]:
     """Per coefficient slot, its term of the root-counting polynomial at
@@ -243,7 +201,7 @@ def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
         zlog, nonzero = ctx.log[z], z != 0
         terms = [ctx.exp[((q if conjugate else 1) * zlog + uexp * wlog) % n] * nonzero
                  for conjugate, uexp in slot]
-        tables.append(_sum_codes(terms, vspec.p, ctx.order))
+        tables.append(sum_codes(terms, vspec.p, ctx.order))
     return tables
 
 
@@ -263,7 +221,7 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
         z = np.asarray(domain)[None, :]
         zlog = ctx.log[z]
         if vspec.family == "f1" and s == 0:
-            relative = _sum_codes([ctx.exp[1], ctx.exp[vspec.q]], vspec.p, ctx.order)
+            relative = sum_codes([ctx.exp[1], ctx.exp[vspec.q]], vspec.p, ctx.order)
             zlog = zlog + 1 - ctx.log[relative]
         tables.append(ctx.trace[ctx.exp[(zlog + d * positions) % n]] * (z != 0))
     return tables
@@ -326,13 +284,13 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     ctx = _context_for(vspec, ctx)
     if path == "fast":
         build = _root_tables
-        add, neg = _group_ops(vspec.p, ctx.order)
+        add, neg = ctx.group_tables
 
         def weight_of(roots):
             return _weight_for_count(vspec, roots)
     elif path == "slow":
         build = _symbol_tables
-        add, neg = _group_ops(vspec.p, vspec.p)
+        add, neg = group_tables(vspec.p, vspec.p)
 
         def weight_of(zeros):
             return vspec.length - zeros
@@ -424,7 +382,7 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     if required > budget:
         raise BudgetExceeded(required, budget)
     ctx = _context_for(vspec, ctx)
-    add, neg = _group_ops(vspec.p, ctx.order)
+    add, neg = ctx.group_tables
 
     powers = np.arange(n, dtype=np.int64)
     sigs = np.stack([ctx.exp[d * powers % n] for d in vspec.exponents], axis=1)

@@ -6,10 +6,18 @@ scale = q^(2t+1) for family f1 and q^(2t) for f2.  The nodes
 j*e*q - q - 1 = e(qj - k), k = (q+1)/e, are also the support of the
 binomial measure whose r-th moment is N_r (see `moments`); node k is
 q^2 - 1, the node of the (q^2-1)^i term.  The system is solved once, by
-the Lagrange-coefficient closed form for transposed Vandermonde systems.
+the Lagrange-coefficient closed form for transposed Vandermonde systems:
+mu_j = sum_i c_ji b_i / P'(x_j), where P = prod_k (x - x_k) is the master
+polynomial and c_j the coefficients of P / (x - x_j).  P is built once
+(O(n^2) big-integer operations), each quotient by synthetic division
+(O(n) per node), and its value at x_j, by Horner, is P'(x_j).
+
 The nodes are distinct, so M is invertible, and an exact residual check
-M mu = b on every row certifies that mu is the unique solution; integrality
-and non-negativity of the result are checked after it.
+M mu = b on every row certifies that mu is the unique solution.  It runs in
+integers over the common denominator D of mu and builds no matrix: row i
+sums v_j = x_j^i mu_j D, and v is multiplied by the nodes for the next row,
+O(n^2) in all.  Integrality and non-negativity of the result are checked
+after it.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .codespec import ValidatedSpec
+from .codespec import ValidatedSpec, moment_system_size
 from .moments import n_r
 
 
@@ -70,7 +78,7 @@ class MomentMatrix:
 
 
 def moment_matrix(family: str, t: int, q: int, e: int) -> MomentMatrix:
-    size = 2 * t + 1 if family == "f1" else 2 * t
+    size = moment_system_size(family, t)
     if size < 1:
         raise ValueError(f"empty moment system for family {family}, t = {t}")
     nodes = moment_nodes(size, q, e)
@@ -82,7 +90,7 @@ def moment_matrix(family: str, t: int, q: int, e: int) -> MomentMatrix:
 
 
 def b_vector(family: str, t: int, q: int, e: int) -> tuple[int, ...]:
-    size = 2 * t + 1 if family == "f1" else 2 * t
+    size = moment_system_size(family, t)
     scale = q ** (2 * t + 1) if family == "f1" else q ** (2 * t)
     return tuple(scale * n_r(i, q, e) - (q * q - 1) ** i for i in range(size))
 
@@ -123,18 +131,29 @@ def solve_bareiss(rows, rhs) -> tuple[Fraction, ...]:
 
 def _lagrange_numerators(nodes) -> list[tuple[list[int], int]]:
     """For each node x_j: coefficients of prod_{k != j}(x - x_k) and the
-    denominator prod_{k != j}(x_j - x_k)."""
+    denominator prod_{k != j}(x_j - x_k).
+
+    The master polynomial P = prod_k (x - x_k) is built once; each
+    numerator is P / (x - x_j) by synthetic division, and its value at x_j,
+    P'(x_j), is the denominator.
+    """
+    master = [1]
+    for xk in nodes:
+        master = [0] + master
+        for i in range(len(master) - 1):
+            master[i] -= xk * master[i + 1]
+    n = len(nodes)
     out = []
-    for j, xj in enumerate(nodes):
-        num = [1]
-        den = 1
-        for k, xk in enumerate(nodes):
-            if k == j:
-                continue
-            num = [0] + num
-            for i in range(len(num) - 1):
-                num[i] -= xk * num[i + 1]
-            den *= xj - xk
+    for xj in nodes:
+        num = [0] * n
+        acc = 1
+        for i in range(n - 1, 0, -1):
+            num[i] = acc
+            acc = master[i] + xj * acc
+        num[0] = acc
+        den = 0
+        for c in reversed(num):
+            den = den * xj + c
         out.append((num, den))
     return out
 
@@ -147,7 +166,7 @@ def solve_lagrange(nodes, rhs) -> tuple[Fraction, ...]:
         raise ZeroDivisionError("repeated interpolation nodes")
     sol = []
     for num, den in _lagrange_numerators(nodes):
-        acc = sum(c * b for c, b in zip(num, rhs))
+        acc = sum(map(operator.mul, num, rhs))
         sol.append(Fraction(acc, den))
     return tuple(sol)
 
@@ -202,19 +221,21 @@ def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
     """Solve the moment system exactly and return the distribution.
 
     One Lagrange solve, certified by the exact residual M mu = b on every
-    row (the nodes are distinct, so the solution is unique); any
-    non-integral or negative frequency is then rejected.
+    row, with no matrix built (the nodes are distinct, so the solution is
+    unique); any non-integral or negative frequency is then rejected.
     """
-    mm = moment_matrix(vspec.family, vspec.t, vspec.q, vspec.e)
+    nodes = moment_nodes(vspec.moment_size, vspec.q, vspec.e)
     b = b_vector(vspec.family, vspec.t, vspec.q, vspec.e)
-    mu = solve_lagrange(mm.nodes, b)
-    # The residual in integers: sum_j M_ij (mu_j D) = b_i D, D the common
-    # denominator of mu.
+    mu = solve_lagrange(nodes, b)
+    # The residual in integers, row by row: sum_j x_j^i (mu_j D) = b_i D,
+    # D the common denominator of mu, with v_j = x_j^i mu_j D kept as
+    # running powers.
     den = math.lcm(*(f.denominator for f in mu))
-    scaled = [f.numerator * (den // f.denominator) for f in mu]
-    for i, row in enumerate(mm.rows):
-        if sum(map(operator.mul, row, scaled)) != b[i] * den:
+    v = [f.numerator * (den // f.denominator) for f in mu]
+    for i, bi in enumerate(b):
+        if sum(v) != bi * den:
             raise AssertionError(f"residual nonzero in row {i}")
+        v = list(map(operator.mul, v, nodes))
     if any(f.denominator != 1 or f < 0 for f in mu):
         raise ModelViolationError(
             f"frequencies are not non-negative integers for {vspec.key}", mu)

@@ -4,7 +4,19 @@
 the Lagrange-coefficient inverse in `nihocodes.solver`.  It treats the
 moment matrix as a general square matrix and uses none of its Vandermonde
 structure, so agreement with `invert_lagrange` on the golden tables checks
-the closed form against plain elimination.
+the closed form against plain elimination.  `lagrange_numerators_direct`
+builds each Lagrange basis numerator from scratch, by n - 1 polynomial
+multiplications per node (O(n^3) in all), the reference for the library's
+synthetic division of one master polynomial.
+
+`mds_freq_by_j` is the weight distribution from the MDS weight enumerator
+(MacWilliams & Sloane, ch. 11, Thm 6).  On the unit circle a tuple's
+root-counting polynomial, times a fixed power of u, takes values in GF(q),
+and the tuples form a GF(q)-space of polynomials of degree < K (K = 2t+1
+for f1, 2t for f2) evaluated at the N = (q+1)/e points of W: an MDS code
+of length N, whose words with j zeros are the tuples of weight index j.
+It uses neither N_r nor the moment system, so it checks the solver at any
+q, far past the reach of enumeration.
 
 `n_r_recursive` counts the r-tuples behind N_r one tuple at a time, the
 reference for the meet-in-the-middle `nihocodes.oracle.n_r_brute`.  It walks
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 
 def invert_exact(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -48,6 +61,48 @@ def invert_exact(rows) -> tuple[tuple[Fraction, ...], ...]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def lagrange_numerators_direct(nodes) -> list[tuple[list[int], int]]:
+    """For each node x_j: coefficients of prod_{k != j}(x - x_k), ascending,
+    and the denominator prod_{k != j}(x_j - x_k), each built from scratch."""
+    out = []
+    for j, xj in enumerate(nodes):
+        num = [1]
+        den = 1
+        for k, xk in enumerate(nodes):
+            if k == j:
+                continue
+            num = [0] + num
+            for i in range(len(num) - 1):
+                num[i] -= xk * num[i + 1]
+            den *= xj - xk
+        out.append((num, den))
+    return out
+
+
+def mds_freq_by_j(family: str, q: int, e: int, t: int) -> tuple[int, ...]:
+    """Nonzero tuples with exactly j roots on W, j = 0..K-1, from the MDS
+    weight enumerator of the length-N, dimension-K code over GF(q).
+
+    For K <= N, freq_by_j[j] = A_{N-j} with d = N - K + 1 and
+    A_w = C(N,w) sum_{i=0}^{w-d} (-1)^i C(w,i) (q^(w-d+1-i) - 1) for
+    w >= d, 0 below.  For K > N every value vector is hit q^(K-N) times.
+    """
+    n = (q + 1) // e
+    k = 2 * t + 1 if family == "f1" else 2 * t
+    if k > n:
+        return tuple(comb(n, j) * (q - 1) ** (n - j) * q ** (k - n) - (j == n)
+                     for j in range(k))
+    d = n - k + 1
+
+    def weight_count(w):
+        if w < d:
+            return 0
+        return comb(n, w) * sum((-1) ** i * comb(w, i) * (q ** (w - d + 1 - i) - 1)
+                                for i in range(w - d + 1))
+
+    return tuple(weight_count(n - j) for j in range(k))
 
 
 def n_r_recursive(vspec, r: int, ctx) -> int:

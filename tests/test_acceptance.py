@@ -38,6 +38,7 @@ from nihocodes.solver import (
 from conftest import field
 from exact_reference import (
     invert_exact,
+    mds_freq_by_j,
     n2_closed_form,
     n3_closed_form,
     n4_closed_form,
@@ -184,6 +185,15 @@ def test_criterion_4_oracle_equivalence(capsys, sweep_results):
              f"{len(sweep_results.records)} specs agree exactly "
              f"({slow} slow-path, {len(sweep_results.records) - slow} fast-path, "
              f"{len(sweep_results.excluded)} beyond default budget)")
+
+
+def test_mds_enumerator_matches_enumeration(sweep_results):
+    # the MDS weight enumerator, the solver's reference at large q, against
+    # every criterion-4 sweep on either path
+    for rec in sweep_results.records:
+        vs = rec.vspec
+        assert rec.brute_dist.freq_by_j == mds_freq_by_j(vs.family, vs.q, vs.e, vs.t), vs.key
+    assert {rec.path for rec in sweep_results.records} == {"slow", "fast"}
 
 
 def test_criterion_5_example_scale_oracles(capsys, example1_spec, example2_spec):

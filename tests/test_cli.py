@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nihocodes import cli
+from nihocodes import cli, galois
 from nihocodes.cli import CHECK_NAMES, AnalysisReport, build_report, main
 from nihocodes.codespec import CodeSpec, validate_spec
 from nihocodes.solver import ModelViolationError, weight_distribution
@@ -125,6 +125,18 @@ def test_verify_addition_table_refusal_exits_3(capsys):
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("table limit refusal: ")
+
+
+def test_verify_builds_one_addition_table_per_context(capsys, monkeypatch):
+    # the q = 9 showcase: the fast sweep and N_1..N_4 all read the GF(81)
+    # addition table of the one context verify builds
+    builds = []
+    build = galois.group_tables
+    monkeypatch.setattr(galois, "group_tables",
+                        lambda p, size: builds.append((p, size)) or build(p, size))
+    assert main(["verify", *EXAMPLE2_FLAGS, "--checks", "all"]) == 0
+    assert "N_4: brute" in capsys.readouterr().out
+    assert builds == [(3, 81)]
 
 
 def test_nr_table(capsys):

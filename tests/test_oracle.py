@@ -9,7 +9,7 @@ import pytest
 
 from nihocodes import oracle
 from nihocodes.codespec import CodeSpec, validate_spec
-from nihocodes.galois import FieldContext, TableLimitExceeded
+from nihocodes.galois import ADD_TABLE_ENTRIES, FieldContext, TableLimitExceeded, group_tables
 from nihocodes.moments import n_r
 from nihocodes.oracle import (
     BudgetExceeded,
@@ -25,7 +25,7 @@ from nihocodes.oracle import (
 from nihocodes.solver import theoretical_weights, weight_distribution
 
 from conftest import field
-from exact_reference import char_sum_direct, n_r_recursive
+from exact_reference import char_sum_direct, mds_freq_by_j, n_r_recursive
 
 
 def spec_of(key):
@@ -135,6 +135,14 @@ def test_brute_distribution_tiny_f2(tiny_f2_spec):
     assert brute_distribution(tiny_f2_spec, path="slow") == solver
 
 
+def test_mds_enumerator_matches_enumeration_on_showcases(example1_spec, example2_spec):
+    # the MDS weight enumerator, the solver's large-q reference, checked
+    # against the root counts of every tuple
+    for vs in (example1_spec, example2_spec):
+        brute = brute_distribution(vs, ctx=field(vs.p, 2 * vs.m), path="fast")
+        assert brute.freq_by_j == mds_freq_by_j(vs.family, vs.q, vs.e, vs.t)
+
+
 def test_brute_distribution_zero_frequency_weight():
     # q = 4, f2, t = 1: weight 10 never occurs; the brute path must agree
     vs = validate_spec(CodeSpec("f2", 2, 2, 1, 1, 1))
@@ -152,10 +160,10 @@ def _unreduced_entries(vs, path):
     domains = coefficient_domains(vs, ctx)
     if path == "fast":
         tables = oracle._root_tables(vs, ctx, domains)
-        add, neg = oracle._group_ops(vs.p, ctx.order)
+        add, neg = ctx.group_tables
     else:
         tables = oracle._symbol_tables(vs, ctx, domains)
-        add, neg = oracle._group_ops(vs.p, vs.p)
+        add, neg = group_tables(vs.p, vs.p)
     by_weight = Counter()
     for count, f in enumerate(oracle._zero_count_histogram(tables, add, neg)):
         weight = oracle._weight_for_count(vs, count) if path == "fast" else vs.length - count
@@ -199,7 +207,7 @@ def test_shard_count_invariance(monkeypatch, shards):
                   for _ in range(8)]
         for table in tables:
             table[:, 0] = 0
-        add, neg = oracle._group_ops(p, ctx.order)
+        add, neg = group_tables(p, ctx.order)
         expected = [0] * 6
         for idx in itertools.product(range(2), repeat=8):
             if any(idx):
@@ -248,7 +256,7 @@ def test_zero_count_histogram_matches_enumeration(monkeypatch, p, degree, block_
             for table, i in zip(tables, idx):
                 sums = [ctx.add(s, int(v)) for s, v in zip(sums, table[:, i])]
             expected[sums.count(0)] += 1
-    add, neg = oracle._group_ops(p, ctx.order)
+    add, neg = group_tables(p, ctx.order)
     assert oracle._zero_count_histogram(tables, add, neg) == expected
 
 
@@ -282,14 +290,14 @@ def test_addition_table_refused_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(TableLimitExceeded):
-            oracle._group_ops(3, 3**10)
+            group_tables(3, 3**10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert (3**8) ** 2 <= oracle._ADD_TABLE_ENTRIES  # GF(3^8) still builds
+    assert (3**8) ** 2 <= ADD_TABLE_ENTRIES  # GF(3^8) still builds
     ctx = field(3, 6)  # two-byte codes
-    add, neg = oracle._group_ops(3, ctx.order)
+    add, neg = group_tables(3, ctx.order)
     rng = random.Random(2)
     for _ in range(500):
         x, y = rng.randrange(ctx.order), rng.randrange(ctx.order)

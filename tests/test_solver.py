@@ -1,12 +1,12 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nihocodes import solver
-from nihocodes.codespec import CodeSpec, validate_spec
+from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec
 from nihocodes.solver import (
     ModelViolationError,
     WeightDistribution,
@@ -22,7 +22,7 @@ from nihocodes.solver import (
     weight_distribution,
 )
 
-from exact_reference import invert_exact
+from exact_reference import invert_exact, lagrange_numerators_direct, mds_freq_by_j
 
 F = Fraction
 
@@ -232,3 +232,96 @@ def test_exact_inverse_agrees_with_lagrange(data):
     nodes = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
     rows = [[x**i for x in nodes] for i in range(n)]
     assert invert_exact(rows) == invert_lagrange(nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True))
+def test_lagrange_numerators_match_direct_construction(nodes):
+    assert solver._lagrange_numerators(nodes) == lagrange_numerators_direct(nodes)
+
+
+@pytest.mark.parametrize("q", [4, 9, 1024])
+@pytest.mark.parametrize("e", [1, 5])
+def test_lagrange_numerators_on_moment_nodes(q, e):
+    # the nodes e(qj - k) are an arithmetic progression of step eq, so
+    # prod_{k != j}(x_j - x_k) = (-1)^(n-1-j) j! (n-1-j)! (eq)^(n-1)
+    for n in range(1, 42):
+        nodes = moment_nodes(n, q, e)
+        pairs = solver._lagrange_numerators(nodes)
+        assert pairs == lagrange_numerators_direct(nodes)
+        assert [den for _, den in pairs] == [
+            (-1) ** (n - 1 - j) * factorial(j) * factorial(n - 1 - j) * (e * q) ** (n - 1)
+            for j in range(n)]
+
+
+def test_residual_certificate_checks_the_last_row(monkeypatch, example1_spec):
+    # v_j = L / P'(x_j) has sum_j x_j^i v_j = 0 for i < n-1 (the leading
+    # coefficients of the Lagrange interpolant of x^i) and L for i = n-1:
+    # a wrong solve that only the last row of M mu = b can see
+    true = weight_distribution(example1_spec).freq_by_j
+    nodes = moment_nodes(example1_spec.moment_size, example1_spec.q, example1_spec.e)
+    dens = [den for _, den in lagrange_numerators_direct(nodes)]
+    common = lcm(*dens)
+    v = [common // den for den in dens]
+    n = len(nodes)
+    rows = [sum(x**i * vj for x, vj in zip(nodes, v)) for i in range(n)]
+    assert rows == [0] * (n - 1) + [common]
+    wrong = tuple(F(f + vj) for f, vj in zip(true, v))
+    monkeypatch.setattr(solver, "solve_lagrange", lambda nodes, rhs: wrong)
+    with pytest.raises(AssertionError, match="residual nonzero in row 4"):
+        weight_distribution(example1_spec)
+
+
+def one_spec_per_e(family, p, m, t):
+    """One admissible spec for each e = gcd(h, q+1) that admits this t:
+    h = e*u and delta are the smallest that validate."""
+    q = p**m
+    specs = []
+    for e in range(1, q + 2):
+        if (q + 1) % e or 2 * e * t > q + 1 or (p != 2 and e % 2 == 0):
+            continue
+        k = (q + 1) // e
+        candidates = ((e * u, delta) for u in range(1, k) if gcd(u, k) == 1
+                      for delta in range(1, q) if gcd(delta, q - 1) == 1)
+        for h, delta in candidates:
+            try:
+                specs.append(validate_spec(CodeSpec(family, p, m, h, delta, t)))
+                break
+            except SpecValidationError:
+                pass
+    return specs
+
+
+# the fields of the analyze-large benchmark workload, with every e that
+# admits some of its t values
+ANALYZE_STRATA = [("f1", 2, 10, {1, 5, 25, 41, 205}), ("f2", 3, 6, {1, 5, 73, 365}),
+                  ("f2", 2, 8, {1})]
+ANALYZE_T = (*range(1, 13), 14, 16, 18)
+
+
+@pytest.mark.parametrize("family, p, m, all_e", ANALYZE_STRATA)
+def test_solver_matches_mds_enumerator_at_large_q(family, p, m, all_e):
+    checked = set()
+    for t in ANALYZE_T:
+        for vs in one_spec_per_e(family, p, m, t):
+            assert weight_distribution(vs).freq_by_j == mds_freq_by_j(family, vs.q, vs.e, t)
+            checked.add(vs.e)
+    assert checked == all_e
+
+
+def test_solver_matches_mds_enumerator_on_small_fields():
+    count = 0
+    for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5)]:
+        for family in ("f1", "f2") if p == 2 else ("f2",):
+            for t in range(0 if family == "f1" else 1, 6):
+                for vs in one_spec_per_e(family, p, m, t):
+                    assert weight_distribution(vs).freq_by_j == mds_freq_by_j(
+                        family, vs.q, vs.e, t)
+                    count += 1
+    assert count > 50
+
+
+def test_solver_matches_mds_enumerator_q4096_t60():
+    # a 121 x 121 system
+    vs = validate_spec(CodeSpec("f1", 2, 12, 1, 1, 60))
+    assert weight_distribution(vs).freq_by_j == mds_freq_by_j("f1", 4096, 1, 60)
