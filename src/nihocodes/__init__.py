@@ -25,13 +25,11 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     PowerMomentReport,
-    UnitCircle,
     brute_distribution,
     char_sum,
     codeword_weight,
     n_r_brute,
     power_moment_check,
-    unit_circle,
     weight_from_char_sum,
 )
 from .solver import (

@@ -185,16 +185,8 @@ def _spec_from_args(args) -> ValidatedSpec:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        vspec = _spec_from_args(args)
-        dist = weight_distribution(vspec)
-    except SpecValidationError as exc:
-        print(f"invalid parameters [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ModelViolationError as exc:
-        print(f"model violation: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    report = build_report(vspec, dist)
+    vspec = _spec_from_args(args)
+    report = build_report(vspec, weight_distribution(vspec))
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
@@ -223,57 +215,42 @@ def _check_weights(vspec, ctx):
 
 
 def cmd_verify(args) -> int:
-    try:
-        vspec = _spec_from_args(args)
-    except SpecValidationError as exc:
-        print(f"invalid parameters [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    vspec = _spec_from_args(args)
     budget = _resolve_budget(args)
     checks = list(CHECK_NAMES) if args.checks == "all" else [args.checks]
-    try:
-        solver_dist = weight_distribution(vspec)
-    except ModelViolationError as exc:
-        print(f"model violation: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    solver_dist = weight_distribution(vspec)
     mismatches = []
     brute = None
-    try:
-        ctx = build_field(vspec.p, 2 * vspec.m, table_limit=_resolve_table_limit())
-        for check in checks:
-            if check == "weights":
-                mismatches += _check_weights(vspec, ctx)
-                print(f"weights: path equivalence and containment "
-                      f"{'ok' if not mismatches else 'FAILED'}")
-            elif check == "distribution":
-                path = "slow" if args.slow_path else "fast"
-                brute = brute_distribution(vspec, ctx=ctx, budget=budget, path=path)
-                if brute != solver_dist:
+    ctx = build_field(vspec.p, 2 * vspec.m, table_limit=_resolve_table_limit())
+    for check in checks:
+        if check == "weights":
+            mismatches += _check_weights(vspec, ctx)
+            print(f"weights: path equivalence and containment "
+                  f"{'ok' if not mismatches else 'FAILED'}")
+        elif check == "distribution":
+            path = "slow" if args.slow_path else "fast"
+            brute = brute_distribution(vspec, ctx=ctx, budget=budget, path=path)
+            if brute != solver_dist:
+                mismatches.append(
+                    f"distribution: brute {brute.entries} != solver {solver_dist.entries}")
+            print(f"distribution ({path} path): "
+                  f"{'ok' if brute == solver_dist else 'FAILED'}")
+        elif check == "nr":
+            rmax = min(4, vspec.moment_size - 1)
+            for r in range(1, rmax + 1):
+                nb = n_r_brute(vspec, r, ctx=ctx, budget=budget)
+                nf = n_r(r, vspec.q, vspec.e)
+                if nb != nf:
+                    mismatches.append(f"N_{r}: brute {nb} != formula {nf}")
+                print(f"N_{r}: brute {nb}, formula {nf}, "
+                      f"{'ok' if nb == nf else 'FAILED'}")
+        elif check == "moments":
+            for r in range(1, vspec.moment_size):
+                rep = power_moment_check(vspec, r, ctx=ctx, budget=budget, dist=brute)
+                if not rep.ok:
                     mismatches.append(
-                        f"distribution: brute {brute.entries} != solver {solver_dist.entries}")
-                print(f"distribution ({path} path): "
-                      f"{'ok' if brute == solver_dist else 'FAILED'}")
-            elif check == "nr":
-                rmax = min(4, vspec.moment_size - 1)
-                for r in range(1, rmax + 1):
-                    nb = n_r_brute(vspec, r, ctx=ctx, budget=budget)
-                    nf = n_r(r, vspec.q, vspec.e)
-                    if nb != nf:
-                        mismatches.append(f"N_{r}: brute {nb} != formula {nf}")
-                    print(f"N_{r}: brute {nb}, formula {nf}, "
-                          f"{'ok' if nb == nf else 'FAILED'}")
-            elif check == "moments":
-                for r in range(1, vspec.moment_size):
-                    rep = power_moment_check(vspec, r, ctx=ctx, budget=budget, dist=brute)
-                    if not rep.ok:
-                        mismatches.append(
-                            f"power moment r={r}: swept {rep.lhs} != predicted {rep.rhs}")
-                    print(f"power moment r={r}: {'ok' if rep.ok else 'FAILED'}")
-    except BudgetExceeded as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except TableLimitExceeded as exc:
-        print(f"table limit refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+                        f"power moment r={r}: swept {rep.lhs} != predicted {rep.rhs}")
+                print(f"power moment r={r}: {'ok' if rep.ok else 'FAILED'}")
     if mismatches:
         print("MISMATCH:", file=sys.stderr)
         for line in mismatches:
@@ -305,34 +282,23 @@ def cmd_nr(args) -> int:
             print(f"--brute needs the full spec; missing {', '.join('--' + f for f in missing)}",
                   file=sys.stderr)
             return EXIT_INVALID
-        try:
-            vspec = validate_spec(CodeSpec(args.family, args.p, args.m, args.h, args.delta, args.t))
-        except SpecValidationError as exc:
-            print(f"invalid parameters [{exc.code}]: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        vspec = validate_spec(CodeSpec(args.family, args.p, args.m, args.h, args.delta, args.t))
         if vspec.e != args.e:
             print(f"spec has e = {vspec.e}, flag says {args.e}", file=sys.stderr)
             return EXIT_INVALID
     header = "r  N_r" + ("  brute  match" if vspec else "")
     print(header)
     mismatch = False
-    try:
-        ctx = build_field(args.p, 2 * args.m, table_limit=_resolve_table_limit()) if vspec else None
-        for r in range(args.rmax + 1):
-            value = n_r(r, q, args.e)
-            line = f"{r}  {value}"
-            if vspec:
-                nb = value if r == 0 else n_r_brute(vspec, r, ctx=ctx, budget=budget)
-                ok = nb == value
-                mismatch |= not ok
-                line += f"  {nb}  {'ok' if ok else 'FAILED'}"
-            print(line)
-    except BudgetExceeded as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except TableLimitExceeded as exc:
-        print(f"table limit refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    ctx = build_field(args.p, 2 * args.m, table_limit=_resolve_table_limit()) if vspec else None
+    for r in range(args.rmax + 1):
+        value = n_r(r, q, args.e)
+        line = f"{r}  {value}"
+        if vspec:
+            nb = value if r == 0 else n_r_brute(vspec, r, ctx=ctx, budget=budget)
+            ok = nb == value
+            mismatch |= not ok
+            line += f"  {nb}  {'ok' if ok else 'FAILED'}"
+        print(line)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
@@ -383,10 +349,10 @@ def cmd_sweep(args) -> int:
     written = skipped = 0
     code = EXIT_OK
     ctx = None
-    with out_fh:
-        if torn:
-            out_fh.write("\n")  # keep the next record off the fragment's line
-        try:
+    try:  # the summary is printed after a refusal too
+        with out_fh:
+            if torn:
+                out_fh.write("\n")  # keep the next record off the fragment's line
             for h, delta, t in grid:
                 spec = CodeSpec(args.family, args.p, args.m, h, delta, t)
                 if spec.key in existing:
@@ -423,16 +389,8 @@ def cmd_sweep(args) -> int:
                     print(f"MISMATCH {spec.key}: brute {brute.entries} != solver {dist.entries}",
                           file=sys.stderr)
                     code = EXIT_MISMATCH
-        except BudgetExceeded as exc:
-            print(f"budget refusal: {exc}", file=sys.stderr)
-            code = EXIT_BUDGET
-        except TableLimitExceeded as exc:
-            print(f"table limit refusal: {exc}", file=sys.stderr)
-            code = EXIT_BUDGET
-        except ModelViolationError as exc:
-            print(f"model violation: {exc}", file=sys.stderr)
-            code = EXIT_MISMATCH
-    print(f"catalog {args.out}: {written} written, {skipped} inadmissible skipped")
+    finally:
+        print(f"catalog {args.out}: {written} written, {skipped} inadmissible skipped")
     return code
 
 
@@ -489,9 +447,24 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and map its refusals to exit codes: invalid
+    parameters 1, a model violation 2, a budget or table-limit refusal 3."""
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpecValidationError as exc:
+        print(f"invalid parameters [{exc.code}]: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ModelViolationError as exc:
+        print(f"model violation: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except BudgetExceeded as exc:
+        print(f"budget refusal: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except TableLimitExceeded as exc:
+        print(f"table limit refusal: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -2,28 +2,35 @@
 
 An element is an integer 0 <= x < p^k whose base-p digits are its
 coordinates in the polynomial basis (constant term in the least significant
-digit).  A full exp/log table pair pins every nonzero element to a power of
+digit).  An exp/log table pair pins every nonzero element to a power of
 a fixed primitive element gamma, so multiplication, inversion and powering
 are table lookups.  gamma is the residue class of the indeterminate modulo
 the lexicographically smallest primitive polynomial, which makes builds
 reproducible: two calls of build_field(p, k) return identical tables.
 
+The tables are read-only numpy arrays, the context's only copy: exp[i] is
+the code of gamma^i and log its inverse permutation (log[0] = -1).
+build_field makes the "times gamma" map of all codes at once (shift the
+digits up one place, then add back the top digit times the negated low
+coefficients of the modulus) and fills exp by pointer doubling: with
+sigma = times gamma^B, exp[B:2B] = sigma[exp[:B]], then sigma <- sigma[sigma].
+
 The subfield GF(p^d) for d | k is never built separately; it is the fixed
 field of the d-th Frobenius power, reachable through is_subfield_element
 and subfield_elements.
 
-The scalar methods check their arguments and serve single lookups and the
-tests.  Array code reads the read-only numpy views exp, log and trace, each
-built once per context on first use: exp and log mirror exp_table and
-log_table (log[0] = -1), and trace holds Tr(x) down to GF(p) for every code
-x.  The trace is GF(p)-linear, so it is the digit vector of x times the
-traces Tr(p^i) of the basis elements, mod p: k scalar traces build it.
+The scalar methods check their arguments, read the tables and return
+Python ints; they serve single lookups and the tests.  Array code reads
+exp, log and the read-only trace view, built once per context on first
+use: it holds Tr(x) down to GF(p) for every code x.  The trace is
+GF(p)-linear, so it is the digit vector of x times the traces Tr(p^i) of
+the basis elements, mod p: k scalar traces build it.
 
 sum_codes adds arrays of codes digit by digit (XOR for p = 2).  For odd p,
 group_tables gives the dense addition table and negation map of the codes,
 refused with TableLimitExceeded before allocation above ADD_TABLE_ENTRIES
 entries; a context keeps its own as the group_tables view, built on first
-use like the others.
+use like the trace.
 """
 
 from __future__ import annotations
@@ -83,13 +90,6 @@ def _digits(code: int, p: int, k: int) -> list[int]:
         code, r = divmod(code, p)
         out.append(r)
     return out
-
-
-def _code(digits: list[int], p: int) -> int:
-    c = 0
-    for d in reversed(digits):
-        c = c * p + d
-    return c
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
@@ -160,7 +160,8 @@ class FieldContext:
     """A fully built GF(p^degree) with exp/log tables.
 
     Immutable after construction and safe to share across workers.  All
-    operations are pure functions of integer codes.
+    operations are pure functions of integer codes.  The tables are
+    determined by the other fields, which alone take part in == and hash.
     """
 
     p: int
@@ -168,8 +169,10 @@ class FieldContext:
     order: int
     modulus_poly: tuple[int, ...]
     generator: int
-    exp_table: tuple[int, ...] = field(repr=False)
-    log_table: tuple[int, ...] = field(repr=False)
+    # exp[i] = gamma^i in the smallest unsigned dtype that holds a code
+    exp: np.ndarray = field(compare=False, repr=False)
+    # log as int64, log[0] = -1
+    log: np.ndarray = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, degree={self.degree}, order={self.order})"
@@ -200,7 +203,7 @@ class FieldContext:
         if x == 0 or y == 0:
             return 0
         n = self.order - 1
-        return self.exp_table[(self.log_table[x] + self.log_table[y]) % n]
+        return self.exp.item((self.log.item(x) + self.log.item(y)) % n)
 
     def pow(self, x: int, k: int) -> int:
         self._check(x)
@@ -211,7 +214,7 @@ class FieldContext:
                 return 1
             raise ZeroDivisionError("negative power of zero")
         n = self.order - 1
-        return self.exp_table[(self.log_table[x] * k) % n]
+        return self.exp.item((self.log.item(x) * k) % n)
 
     # -- traces, subfields ------------------------------------------------
 
@@ -221,16 +224,15 @@ class FieldContext:
         self._check(x)
         if x == 0:
             return True
-        return ((self.p**sub_degree - 1) * self.log_table[x]) % (self.order - 1) == 0
+        return ((self.p**sub_degree - 1) * self.log.item(x)) % (self.order - 1) == 0
 
     def subfield_elements(self, sub_degree: int) -> list[int]:
         """Codes of GF(p^sub_degree) inside this field: zero first, then
         ascending powers of the subgroup generator."""
         if self.degree % sub_degree:
             raise ValueError(f"degree {sub_degree} does not divide {self.degree}")
-        sub_order = self.p**sub_degree
-        step = (self.order - 1) // (sub_order - 1)
-        return [0] + [self.exp_table[i * step] for i in range(sub_order - 1)]
+        step = (self.order - 1) // (self.p**sub_degree - 1)
+        return [0] + self.exp[::step].tolist()
 
     def trace_to_prime(self, x: int, from_degree: int | None = None) -> int:
         """Sum of Frobenius conjugates x + x^p + ... down to GF(p).
@@ -254,18 +256,6 @@ class FieldContext:
         return acc
 
     # -- read-only array views -------------------------------------------
-
-    @cached_property
-    def exp(self) -> np.ndarray:
-        """exp_table in the smallest unsigned dtype that holds a code."""
-        return _read_only(np.array(self.exp_table, dtype=np.min_scalar_type(self.order - 1)))
-
-    @cached_property
-    def log(self) -> np.ndarray:
-        """log_table as int64, log[0] = -1."""
-        log = np.full(self.order, -1, dtype=np.int64)
-        log[self.exp] = np.arange(self.order - 1)
-        return _read_only(log)
 
     @cached_property
     def trace(self) -> np.ndarray:
@@ -344,21 +334,27 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
         raise TableLimitExceeded(
             f"field order {order} exceeds table limit {table_limit}")
 
-    mod, gamma = _find_primitive_modulus(p, degree)
-    gamma_code = _code(gamma, p)
+    mod, _ = _find_primitive_modulus(p, degree)
+    codes = np.arange(order, dtype=np.min_scalar_type(order - 1))
+    top, low = np.divmod(codes, order // p)
+    # x^degree = -mod[:degree]: a top digit d folds back as d * -mod[:degree]
+    fold = (-np.arange(p)[:, None] * mod[:degree] % p @ p ** np.arange(degree)).astype(codes.dtype)
+    times_gamma = sum_codes([low * p, fold[top]], p, order)
 
-    exp = [0] * (order - 1)
-    log = [-1] * order
-    cur = [0] * degree
-    cur[0] = 1
-    for i in range(order - 1):
-        c = _code(cur, p)
-        exp[i] = c
-        log[c] = i
-        cur = _poly_mul_mod(cur, gamma, mod, p)
-    if cur != [1] + [0] * (degree - 1):
+    n = order - 1
+    exp = np.empty(n, dtype=times_gamma.dtype)
+    exp[0] = 1
+    step, done = times_gamma, 1
+    while done < n:  # step is times gamma^done
+        take = min(done, n - done)
+        exp[done:done + take] = step[exp[:take]]
+        done += take
+        step = step[step]
+    log = np.full(order, -1, dtype=np.int64)
+    log[exp] = np.arange(n)
+    if times_gamma[exp[-1]] != 1:
         raise AssertionError("generator order is not the group order")
-    if log.count(-1) != 1:
+    if np.count_nonzero(log == -1) != 1:
         raise AssertionError("exp table is not a bijection onto nonzero elements")
 
     return FieldContext(
@@ -366,7 +362,7 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
         degree=degree,
         order=order,
         modulus_poly=tuple(mod),
-        generator=gamma_code,
-        exp_table=tuple(exp),
-        log_table=tuple(log),
+        generator=int(times_gamma[1]),
+        exp=_read_only(exp),
+        log=_read_only(log),
     )

@@ -65,7 +65,7 @@ import numpy as np
 from .codespec import ValidatedSpec
 from .galois import FieldContext, build_field, group_tables, sum_codes
 from .moments import n_r
-from .solver import WeightDistribution, moment_nodes, theoretical_weights
+from .solver import WeightDistribution, moment_nodes, theoretical_weights, weight_for_index
 
 DEFAULT_BUDGET = 10**10
 _BLOCK_ENTRIES = 1 << 22
@@ -81,23 +81,6 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class UnitCircle:
-    """The order-(q+1) subgroup U of GF(q^2)* and its index-e subgroup W."""
-
-    u: tuple[int, ...]
-    w: tuple[int, ...]
-
-
-def unit_circle(ctx: FieldContext, q: int, e: int) -> UnitCircle:
-    n = ctx.order - 1
-    if n != q * q - 1:
-        raise ValueError(f"context of order {ctx.order} does not match q = {q}")
-    u = tuple(ctx.exp_table[(i * (q - 1)) % n] for i in range(q + 1))
-    w = tuple(ctx.exp_table[(i * (q - 1) * e) % n] for i in range((q + 1) // e))
-    return UnitCircle(u=u, w=w)
-
-
 def _context_for(vspec: ValidatedSpec, ctx: FieldContext | None) -> FieldContext:
     if ctx is None:
         return build_field(vspec.p, 2 * vspec.m)
@@ -110,7 +93,7 @@ def coefficient_domains(vspec: ValidatedSpec, ctx: FieldContext) -> list[list[in
     """Per-coefficient code lists in sweep order: zero first, then ascending
     generator exponents.  Family f1 restricts the leading coefficient to the
     subfield GF(q), reached as zero plus powers of gamma^(q+1)."""
-    full = [0] + list(ctx.exp_table)
+    full = [0] + ctx.exp.tolist()
     if vspec.family == "f1":
         return [ctx.subfield_elements(vspec.m)] + [full] * vspec.t
     return [full] * vspec.t
@@ -168,13 +151,6 @@ def weight_from_char_sum(vspec: ValidatedSpec, s: int) -> int:
     if num % p:
         raise ValueError(f"character sum {s} is not a valid value for {vspec.key}")
     return num // p
-
-
-def _weight_for_count(vspec: ValidatedSpec, roots: int) -> int:
-    q, e, p = vspec.q, vspec.e, vspec.p
-    if vspec.family == "f1":
-        return (q * q - (roots * e - 1) * q) // 2
-    return (p - 1) * (q * q - (roots * e - 1) * q) // p
 
 
 # -- the sweep engine -----------------------------------------------------
@@ -287,7 +263,7 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         add, neg = ctx.group_tables
 
         def weight_of(roots):
-            return _weight_for_count(vspec, roots)
+            return weight_for_index(vspec.family, vspec.p, vspec.q, vspec.e, roots)
     elif path == "slow":
         build = _symbol_tables
         add, neg = group_tables(vspec.p, vspec.p)
@@ -303,7 +279,7 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         # one representative per cyclic orbit of a_j0 (see the module doc)
         n = vspec.length
         g = math.gcd(vspec.exponents[j0], n)
-        domains[j0] = list(ctx.exp_table[:g])
+        domains[j0] = ctx.exp[:g].tolist()
         tables = build(vspec, ctx, domains)
         rest = tables[:j0] + tables[j0 + 1:]
         hist = [n // g * c for c in _zero_count_histogram([tables[j0]] + rest, add, neg)]

@@ -43,15 +43,23 @@ class ModelViolationError(ArithmeticError):
         self.solution = solution
 
 
-def theoretical_weights(family: str, p: int, q: int, e: int, t: int) -> tuple[int, ...]:
-    """Possible nonzero weights w_j, j ascending (weights descending).
+def weight_for_index(family: str, p: int, q: int, e: int, j: int) -> int:
+    """w_j, the weight of a codeword whose root-counting polynomial has j
+    roots on W.
 
-    f1: (q^2 - (je-1)q)/2 for j = 0..2t.
-    f2: (p-1)/p * (q^2 - (je-1)q) for j = 0..2t-1.
+    f1: (q^2 - (je-1)q)/2.
+    f2: (p-1)/p * (q^2 - (je-1)q).
     """
     if family == "f1":
-        return tuple((q * q - (j * e - 1) * q) // 2 for j in range(2 * t + 1))
-    return tuple((p - 1) * (q * q - (j * e - 1) * q) // p for j in range(2 * t))
+        return (q * q - (j * e - 1) * q) // 2
+    return (p - 1) * (q * q - (j * e - 1) * q) // p
+
+
+def theoretical_weights(family: str, p: int, q: int, e: int, t: int) -> tuple[int, ...]:
+    """Possible nonzero weights w_j, j = 0..2t (f1) or 0..2t-1 (f2)
+    ascending (weights descending)."""
+    return tuple(weight_for_index(family, p, q, e, j)
+                 for j in range(moment_system_size(family, t)))
 
 
 def moment_nodes(size: int, q: int, e: int) -> tuple[int, ...]:

@@ -31,6 +31,14 @@ reference for the array paths of `nihocodes.oracle`, whose positionwise
 builder reads the field's trace view and whose root counter reads its
 exp/log views.
 
+`field_by_walk` builds GF(p^k) the way the library once did, walking the
+powers of gamma one interpreted polynomial multiply at a time, the
+reference for `nihocodes.galois.build_field`, which fills its tables by
+pointer doubling on the "times gamma" map.  It also finds the modulus
+independently: a candidate is primitive when the walk of its gamma first
+returns to 1 after p^k - 1 steps, where the library tests powers of gamma
+against the prime factors of p^k - 1.
+
 `neg`, `inv` and `frobenius` are scalar field operations only the tests
 use, and `n2_closed_form`..`n5_closed_form` are known low-order
 evaluations of N_r, independent cross-checks of `nihocodes.moments.n_r`.
@@ -116,7 +124,7 @@ def n_r_recursive(vspec, r: int, ctx) -> int:
     """
     n = vspec.length
     exps = vspec.exponents
-    sigs = [tuple(ctx.exp_table[(d * i) % n] for d in exps) for i in range(n)]
+    sigs = [tuple(int(ctx.exp[(d * i) % n]) for d in exps) for i in range(n)]
     sig_counts = Counter(sigs)
 
     if vspec.p == 2:
@@ -150,6 +158,54 @@ def n_r_recursive(vspec, r: int, ctx) -> int:
     return sum(count_below(s, r - 2) for s in sigs)
 
 
+def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    # mod is monic of degree k, given as k+1 digits; a, b have length k.
+    k = len(mod) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(k):
+                prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
+    return prod[:k]
+
+
+def _code(digits: list[int], p: int) -> int:
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+def field_by_walk(p: int, k: int) -> tuple[tuple[int, ...], int, list[int], list[int]]:
+    """(modulus digits, generator code, exp, log) of GF(p^k): the modulus
+    is the lexicographically smallest monic degree-k polynomial (compared
+    from the highest coefficient down) whose residue gamma of the
+    indeterminate has order p^k - 1; exp[i] is the code of gamma^i and
+    log[0] = -1."""
+    order = p**k
+    one = [1] + [0] * (k - 1)
+    for n in range(1, order):
+        if n % p == 0:  # zero constant term: the indeterminate divides it
+            continue
+        mod = [n // p**i % p for i in range(k)] + [1]
+        gamma = [(-mod[0]) % p] if k == 1 else [0, 1] + [0] * (k - 2)
+        exp, cur = [], one
+        for _ in range(order - 1):
+            exp.append(_code(cur, p))
+            cur = _poly_mul_mod(cur, gamma, mod, p)
+            if cur == one:
+                break
+        if len(exp) == order - 1:
+            log = [-1] * order
+            for i, c in enumerate(exp):
+                log[c] = i
+            return tuple(mod), _code(gamma, p), exp, log
+    raise AssertionError(f"no primitive polynomial of degree {k} over GF({p})")
+
+
 def neg(ctx, x: int) -> int:
     """-x, digit by digit."""
     ctx._check(x)
@@ -167,7 +223,7 @@ def inv(ctx, x: int) -> int:
     ctx._check(x)
     if x == 0:
         raise ZeroDivisionError("zero has no multiplicative inverse")
-    return ctx.exp_table[(-ctx.log_table[x]) % (ctx.order - 1)]
+    return int(ctx.exp[-ctx.log[x] % (ctx.order - 1)])
 
 
 def frobenius(ctx, x: int, i: int = 1) -> int:
@@ -178,7 +234,7 @@ def symbol_at(vspec, a, ctx, i: int) -> int:
     """Symbol i of the codeword of coefficient tuple a."""
     n = vspec.length
     if vspec.family == "f1":
-        head = ctx.mul(a[0], ctx.exp_table[(vspec.exponents[0] * i) % n])
+        head = ctx.mul(a[0], int(ctx.exp[(vspec.exponents[0] * i) % n]))
         sym = ctx.trace_to_prime(head, vspec.m)
         rest_exps = vspec.exponents[1:]
         rest = a[1:]
@@ -188,7 +244,7 @@ def symbol_at(vspec, a, ctx, i: int) -> int:
         rest = a
     acc = 0
     for coeff, d in zip(rest, rest_exps):
-        acc = ctx.add(acc, ctx.mul(coeff, ctx.exp_table[(d * i) % n]))
+        acc = ctx.add(acc, ctx.mul(coeff, int(ctx.exp[(d * i) % n])))
     return (sym + ctx.trace_to_prime(acc)) % vspec.p
 
 

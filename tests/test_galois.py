@@ -11,7 +11,7 @@ from nihocodes.galois import (
 )
 
 from conftest import field
-from exact_reference import frobenius, inv
+from exact_reference import field_by_walk, frobenius, inv
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2), (7, 1)]
 
@@ -64,15 +64,27 @@ def test_build_rejections():
 def test_build_determinism():
     a = build_field(2, 4)
     b = build_field(2, 4)
-    assert a == b
-    assert a.exp_table == b.exp_table
+    assert a == b and hash(a) == hash(b)
+    assert a.exp.tolist() == b.exp.tolist()
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 12), (3, 6), (3, 8), (5, 4),
+                                 (7, 3), (97, 2)])
+def test_build_matches_polynomial_walk(p, k):
+    ctx = build_field(p, k)
+    modulus, generator, exp, log = field_by_walk(p, k)
+    assert ctx.modulus_poly == modulus
+    assert ctx.generator == generator
+    assert ctx.exp.tolist() == exp
+    assert ctx.log.tolist() == log
+    assert not ctx.exp.flags.writeable and not ctx.log.flags.writeable
 
 
 def test_log_exp_mutually_inverse():
     ctx = field(3, 2)
-    assert len(ctx.exp_table) == ctx.order - 1
+    assert len(ctx.exp) == ctx.order - 1
     for x in range(1, ctx.order):
-        assert ctx.exp_table[ctx.log_table[x]] == x
+        assert ctx.exp[ctx.log[x]] == x
 
 
 def test_trace_examples():

@@ -16,3 +16,15 @@ def test_reproduce_examples_prints_both_showcases():
     assert done.returncode == 0, done.stderr
     assert EXAMPLE1_ENUM in done.stdout
     assert EXAMPLE2_ENUM in done.stdout
+
+
+def test_small_field_survey_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run(
+        [sys.executable, "scripts/small_field_survey.py",
+         "--out", str(tmp_path / "catalog.jsonl")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    status = [line for line in done.stdout.splitlines() if line.startswith("status counts:")]
+    assert len(status) == 1 and "oracle-verified" in status[0]
+    assert "mismatch" not in status[0]
