@@ -33,8 +33,8 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     brute_distribution,
-    codeword_weight,
-    char_sum,
+    char_sums,
+    codeword_weights,
     coefficient_domains,
     n_r_brute,
     power_moment_check,
@@ -196,17 +196,20 @@ def cmd_analyze(args) -> int:
 
 def _check_weights(vspec, ctx):
     """Spot-check path equivalence on a deterministic pseudo-random sample
-    of coefficient tuples, and containment in the predicted weight set."""
+    of coefficient tuples, and containment in the predicted weight set.
+    Each path evaluates the whole sample in one batch."""
     rng = random.Random(0)
     domains = coefficient_domains(vspec, ctx)
     predicted = set(theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t))
-    failures = []
+    samples = []
     for _ in range(WEIGHT_SAMPLES):
         a = tuple(rng.choice(domain) for domain in domains)
-        if all(c == 0 for c in a):
-            continue
-        w_direct = codeword_weight(vspec, a, ctx)
-        w_roots = weight_from_char_sum(vspec, char_sum(vspec, a, ctx))
+        if any(a):
+            samples.append(a)
+    failures = []
+    for a, w_direct, s in zip(samples, codeword_weights(vspec, samples, ctx),
+                              char_sums(vspec, samples, ctx)):
+        w_roots = weight_from_char_sum(vspec, s)
         if w_direct != w_roots:
             failures.append(f"tuple {a}: positionwise {w_direct} != root path {w_roots}")
         elif w_direct not in predicted:

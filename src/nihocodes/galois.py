@@ -13,7 +13,11 @@ the code of gamma^i and log its inverse permutation (log[0] = -1).
 build_field makes the "times gamma" map of all codes at once (shift the
 digits up one place, then add back the top digit times the negated low
 coefficients of the modulus) and fills exp by pointer doubling: with
-sigma = times gamma^B, exp[B:2B] = sigma[exp[:B]], then sigma <- sigma[sigma].
+sigma = times gamma^B, exp[B:2B] = sigma[exp[:B]], then sigma <- sigma[sigma],
+while B^2 < p^k - 1.  The rest is filled block by block with that fixed
+sigma, exp[i:i+B] = sigma[exp[i-B:i]]: about sqrt(p^k) gathers of B entries
+in place of further squarings of the whole map.  The modulus search is
+memoized per (p, k); the tables are not, since GF(2^24) holds 669 MB.
 
 The subfield GF(p^d) for d | k is never built separately; it is the fixed
 field of the d-th Frobenius power, reachable through is_subfield_element
@@ -36,7 +40,7 @@ use like the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -136,9 +140,11 @@ def _has_full_order(gen: list[int], mod: list[int], p: int, group_order: int,
     return True
 
 
-def _find_primitive_modulus(p: int, k: int) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=None)
+def _find_primitive_modulus(p: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Smallest monic degree-k polynomial whose root gamma generates the
-    multiplicative group.  Returns (modulus digits, gamma digits)."""
+    multiplicative group.  Returns (modulus digits, gamma digits).  A pure
+    function of (p, k), searched once per process."""
     order = p**k
     factors = prime_factors(order - 1) if order > 2 else ()
     for n in range(1, order):
@@ -151,7 +157,7 @@ def _find_primitive_modulus(p: int, k: int) -> tuple[list[int], list[int]]:
             gamma = [0] * k
             gamma[1] = 1
         if _has_full_order(gamma, mod, p, order - 1, factors):
-            return mod, gamma
+            return tuple(mod), tuple(gamma)
     raise FieldBuildError(f"no primitive polynomial of degree {k} over GF({p})")
 
 
@@ -345,11 +351,12 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
     exp = np.empty(n, dtype=times_gamma.dtype)
     exp[0] = 1
     step, done = times_gamma, 1
-    while done < n:  # step is times gamma^done
-        take = min(done, n - done)
-        exp[done:done + take] = step[exp[:take]]
-        done += take
+    while done * done < n:  # step is times gamma^done, and 2 * done <= n
+        exp[done:2 * done] = step[exp[:done]]
+        done *= 2
         step = step[step]
+    for i in range(done, n, done):  # the rest by the fixed step
+        exp[i:i + done] = step[exp[i - done:min(i, n - done)]]
     log = np.full(order, -1, dtype=np.int64)
     log[exp] = np.arange(n)
     if times_gamma[exp[-1]] != 1:
@@ -361,7 +368,7 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
         p=p,
         degree=degree,
         order=order,
-        modulus_poly=tuple(mod),
+        modulus_poly=mod,
         generator=int(times_gamma[1]),
         exp=_read_only(exp),
         log=_read_only(log),

@@ -14,10 +14,14 @@ Per coefficient slot, a builder gives one value per entry and coefficient
 of the slot's domain: _root_tables the slot's term at each W point
 (entries are W points, values GF(q^2) codes), _symbol_tables its trace
 symbol at each position (entries are positions, values GF(p) symbols).  A
-tuple's entry is the sum of its slots.  codeword_weight and char_sum build
-the tables of one tuple (singleton domains) and count the nonzero symbols
-or the roots.  Full-space sweeps hand the tables of whole domains to one
-engine, _zero_count_histogram, which histograms how many entries vanish;
+tuple's entry is the sum of its slots.  The batch evaluators
+codeword_weights and char_sums give slot s the s-th coefficients of a list
+of tuples as its domain, so column i of every table is tuple i: they sum the
+slot tables elementwise and count the nonzero symbols or the roots per
+column, in chunks of at most _BATCH_ENTRIES entries per slot.
+codeword_weight and char_sum are the batches of one tuple.  Full-space
+sweeps hand the tables of whole domains to one engine,
+_zero_count_histogram, which histograms how many entries vanish;
 brute_distribution maps that count to a weight.  The scalar references
 both paths are tested against, written with the FieldContext methods, live
 in the tests.
@@ -69,6 +73,9 @@ from .solver import WeightDistribution, moment_nodes, theoretical_weights, weigh
 
 DEFAULT_BUDGET = 10**10
 _BLOCK_ENTRIES = 1 << 22
+# Table entries per slot in one chunk of a batch path (codeword_weights,
+# char_sums): larger chunks save no numpy calls worth having and cost memory.
+_BATCH_ENTRIES = 1 << 16
 
 
 class BudgetExceeded(RuntimeError):
@@ -119,30 +126,59 @@ def validate_tuple(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) 
         raise ValueError(f"leading coefficient {a[0]} is not in GF({vspec.q})")
 
 
-# -- per-tuple paths --------------------------------------------------------
+# -- batch paths -------------------------------------------------------------
+
+def _columns(vspec: ValidatedSpec, tuples: list[tuple[int, ...]], ctx: FieldContext,
+             rows: int):
+    """Validate every tuple, then yield them in chunks of at most
+    _BATCH_ENTRIES // rows tuples, each chunk as per-slot domains: slot s
+    holds the chunk's s-th coefficients, in input order."""
+    for a in tuples:
+        validate_tuple(vspec, a, ctx)
+    size = max(1, _BATCH_ENTRIES // rows)
+    for start in range(0, len(tuples), size):
+        yield list(zip(*tuples[start:start + size]))
+
+
+def codeword_weights(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
+                     ctx: FieldContext) -> list[int]:
+    """Hamming weights by direct positionwise evaluation of the defining
+    trace expression, in input order; independent of the root-counting
+    shortcut.  Column i of the slot tables is tuple i, so the symbols are
+    the slot tables summed elementwise."""
+    weights = []
+    for domains in _columns(vspec, tuples, ctx, vspec.length):
+        symbols = np.sum(_symbol_tables(vspec, ctx, domains), axis=0) % vspec.p
+        weights += np.count_nonzero(symbols, axis=0).tolist()
+    return weights
+
+
+def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
+              ctx: FieldContext) -> list[int]:
+    """Character sums via root counting over W, in input order.
+
+    Evaluates each tuple's coefficient polynomial at every point of W; each
+    root accounts for e unit-circle solutions, giving N = e * roots and the
+    sum q(N-1) for family f1 or (p-1)q(N-1) for f2.  The zero tuple makes
+    the polynomial vanish identically, which yields q^2 resp. (p-1)q^2.
+    """
+    scale = vspec.q if vspec.family == "f1" else (vspec.p - 1) * vspec.q
+    sums = []
+    for domains in _columns(vspec, tuples, ctx, (vspec.q + 1) // vspec.e):
+        values = sum_codes(_root_tables(vspec, ctx, domains), vspec.p, ctx.order)
+        sums += [scale * (vspec.e * roots - 1)
+                 for roots in np.count_nonzero(values == 0, axis=0).tolist()]
+    return sums
+
 
 def codeword_weight(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """Hamming weight by direct positionwise evaluation of the defining
-    trace expression; independent of the root-counting shortcut."""
-    validate_tuple(vspec, a, ctx)
-    symbols = np.sum(_symbol_tables(vspec, ctx, [[c] for c in a]), axis=0) % vspec.p
-    return int(np.count_nonzero(symbols))
+    """One tuple's Hamming weight: codeword_weights of a batch of one."""
+    return codeword_weights(vspec, [a], ctx)[0]
 
 
 def char_sum(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """Character sum via root counting over W.
-
-    Evaluates the coefficient polynomial at every point of W; each root
-    accounts for e unit-circle solutions, giving N = e * roots and the sum
-    q(N-1) for family f1 or (p-1)q(N-1) for f2.  The zero tuple makes the
-    polynomial vanish identically, which yields q^2 resp. (p-1)q^2.
-    """
-    validate_tuple(vspec, a, ctx)
-    values = sum_codes(_root_tables(vspec, ctx, [[c] for c in a]), vspec.p, ctx.order)
-    n_sol = vspec.e * int(np.count_nonzero(values == 0))
-    if vspec.family == "f1":
-        return vspec.q * (n_sol - 1)
-    return (vspec.p - 1) * vspec.q * (n_sol - 1)
+    """One tuple's character sum: char_sums of a batch of one."""
+    return char_sums(vspec, [a], ctx)[0]
 
 
 def weight_from_char_sum(vspec: ValidatedSpec, s: int) -> int:

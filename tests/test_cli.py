@@ -296,6 +296,51 @@ def test_sweep_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert [r["status"] for r in records] == ["mismatch"] * 4
 
 
+def _corrupt_one(real, index, delta, seen):
+    """real, with entry index of its result moved by delta; the batch it
+    was handed is recorded in seen."""
+    def corrupted(vspec, tuples, ctx):
+        seen.append(list(tuples))
+        out = real(vspec, tuples, ctx)
+        out[index] += delta
+        return out
+    return corrupted
+
+
+def _mismatch_lines(err):
+    lines = err.splitlines()
+    assert lines[0] == "MISMATCH:"
+    return [line.strip() for line in lines[1:]]
+
+
+def test_verify_weights_path_disagreement_exits_2(capsys, monkeypatch):
+    # a character sum 2 higher is a binary weight 1 lower
+    seen = []
+    monkeypatch.setattr(cli, "char_sums", _corrupt_one(cli.char_sums, 5, 2, seen))
+    assert main(["verify", *EXAMPLE1_FLAGS, "--checks", "weights"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "weights: path equivalence and containment FAILED\n"
+    [line] = _mismatch_lines(captured.err)
+    [batch] = seen
+    assert line.startswith(f"tuple {batch[5]}: positionwise ")
+    assert "root path" in line
+
+
+def test_verify_weights_outside_predicted_set_exits_2(capsys, monkeypatch):
+    # both paths agree on a weight 1 off the predicted set, spaced by 8
+    seen = []
+    monkeypatch.setattr(cli, "char_sums", _corrupt_one(cli.char_sums, 0, 2, []))
+    monkeypatch.setattr(cli, "codeword_weights",
+                        _corrupt_one(cli.codeword_weights, 0, -1, seen))
+    assert main(["verify", *EXAMPLE1_FLAGS, "--checks", "weights"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "weights: path equivalence and containment FAILED\n"
+    [line] = _mismatch_lines(captured.err)
+    [batch] = seen
+    assert line.startswith(f"tuple {batch[0]}: weight ")
+    assert line.endswith(" outside predicted set")
+
+
 @pytest.mark.parametrize("flag", ["--h-range", "--delta-range", "--t-range"])
 def test_sweep_malformed_range_exits_1(tmp_path, capsys, flag):
     argv = [*SWEEP_TINY, "--out", str(tmp_path / "catalog.jsonl")]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nihocodes import galois
 from nihocodes.galois import (
     FieldBuildError,
     TableLimitExceeded,
@@ -78,6 +79,20 @@ def test_build_matches_polynomial_walk(p, k):
     assert ctx.exp.tolist() == exp
     assert ctx.log.tolist() == log
     assert not ctx.exp.flags.writeable and not ctx.log.flags.writeable
+
+
+def test_modulus_search_runs_once_per_field(monkeypatch):
+    galois._find_primitive_modulus.cache_clear()
+    tested = []
+    has_full_order = galois._has_full_order
+    monkeypatch.setattr(galois, "_has_full_order",
+                        lambda *args: tested.append(args) or has_full_order(*args))
+    first = build_field(5, 3)
+    searched = len(tested)
+    second = build_field(5, 3)
+    assert searched >= 1 and len(tested) == searched
+    assert first.modulus_poly == second.modulus_poly == field_by_walk(5, 3)[0]
+    assert first.exp.tolist() == second.exp.tolist()
 
 
 def test_log_exp_mutually_inverse():

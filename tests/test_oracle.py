@@ -15,7 +15,9 @@ from nihocodes.oracle import (
     BudgetExceeded,
     brute_distribution,
     char_sum,
+    char_sums,
     codeword_weight,
+    codeword_weights,
     coefficient_domains,
     n_r_brute,
     power_moment_check,
@@ -24,7 +26,7 @@ from nihocodes.oracle import (
 from nihocodes.solver import theoretical_weights, weight_distribution, weight_for_index
 
 from conftest import field
-from exact_reference import char_sum_direct, mds_freq_by_j, n_r_recursive
+from exact_reference import char_sum_direct, mds_freq_by_j, n_r_recursive, symbol_at
 
 
 def spec_of(key):
@@ -66,6 +68,11 @@ def test_tuple_validation(tiny_f1_spec, gf16):
         for code in (-1, gf16.order):
             with pytest.raises(ValueError):
                 fn(tiny_f1_spec, (1, code), gf16)
+    # a batch is refused if any one tuple is invalid, wherever it stands
+    for fn in (codeword_weights, char_sums):
+        with pytest.raises(ValueError):
+            fn(tiny_f1_spec, [(1, 1), (0, 0), (1, gf16.order)], gf16)
+    assert codeword_weights(tiny_f1_spec, [], gf16) == char_sums(tiny_f1_spec, [], gf16) == []
 
 
 def test_paths_agree_everywhere_tiny_f1(tiny_f1_spec):
@@ -109,6 +116,51 @@ def test_paths_agree_on_samples_example1(example1_spec, gf256):
         assert w == weight_from_char_sum(example1_spec, s)
         if any(a):
             assert w in weights
+
+
+def mixed_batch(vspec, ctx, rng, size):
+    """The zero tuple, random tuples, and tuples that differ from the first
+    random one in one slot only."""
+    domains = coefficient_domains(vspec, ctx)
+    base = tuple(rng.choice(d) for d in domains)
+    batch = [tuple(0 for _ in domains), base]
+    for slot, domain in enumerate(domains):
+        batch.append(base[:slot] + (rng.choice(domain),) + base[slot + 1:])
+    batch += [tuple(rng.choice(d) for d in domains) for _ in range(size)]
+    rng.shuffle(batch)
+    return batch
+
+
+@pytest.mark.parametrize("key", ["f1:2:4:2:1:2", "f2:3:2:3:1:3", "f2:5:1:1:1:1", "f2:3:2:5:1:1"])
+def test_batch_paths_match_scalar_references(key):
+    """Each entry of a mixed batch equals the scalar positionwise symbols
+    and the direct character sum, on both showcases and odd-p fields."""
+    vs = spec_of(key)
+    ctx = field(vs.p, 2 * vs.m)
+    batch = mixed_batch(vs, ctx, random.Random(key), 6)
+    weights = codeword_weights(vs, batch, ctx)
+    sums = char_sums(vs, batch, ctx)
+    assert len(weights) == len(sums) == len(batch)
+    for a, w, s in zip(batch, weights, sums):
+        assert w == sum(symbol_at(vs, a, ctx, i) != 0 for i in range(vs.length))
+        assert s == char_sum_direct(vs, a, ctx)
+        assert w == weight_from_char_sum(vs, s)
+
+
+@pytest.mark.parametrize("batch_entries", [oracle._BATCH_ENTRIES, 64])
+def test_batch_longer_than_a_chunk_matches_tuple_by_tuple(monkeypatch, batch_entries):
+    """At f1 q = 32 a positionwise chunk holds 2^16 // 1023 = 64 tuples, so
+    150 tuples take three; at 64 entries every root-path chunk holds one
+    tuple and every positionwise chunk holds one too."""
+    vs = spec_of("f1:2:5:1:1:2")
+    ctx = field(vs.p, 2 * vs.m)
+    batch = mixed_batch(vs, ctx, random.Random(5), 150 - 2 - len(vs.exponents))
+    expected_w = [codeword_weight(vs, a, ctx) for a in batch]
+    expected_s = [char_sum(vs, a, ctx) for a in batch]
+    monkeypatch.setattr(oracle, "_BATCH_ENTRIES", batch_entries)
+    assert len(batch) == 150
+    assert codeword_weights(vs, batch, ctx) == expected_w
+    assert char_sums(vs, batch, ctx) == expected_s
 
 
 def test_char_sum_values_lie_in_predicted_set(tiny_f1_spec, gf16):
@@ -262,8 +314,8 @@ def test_zero_count_histogram_matches_enumeration(monkeypatch, p, degree, block_
 
 
 def test_oracle_hot_paths_are_table_driven(monkeypatch, example1_spec, example2_spec):
-    """Once a context's views are built, the per-tuple paths, both sweep
-    paths and the tuple counter make no scalar field call."""
+    """Once a context's views are built, the per-tuple and batch paths, both
+    sweep paths and the tuple counter make no scalar field call."""
     cases = [(vs, field(vs.p, 2 * vs.m)) for vs in (example1_spec, example2_spec)]
     for _, ctx in cases:
         ctx.exp, ctx.log, ctx.trace
@@ -276,9 +328,11 @@ def test_oracle_hot_paths_are_table_driven(monkeypatch, example1_spec, example2_
     for vs, ctx in cases:
         rng = random.Random(11)
         domains = coefficient_domains(vs, ctx)
-        for _ in range(8):
-            a = tuple(rng.choice(d) for d in domains)
+        batch = [tuple(rng.choice(d) for d in domains) for _ in range(8)]
+        for a in batch:
             assert codeword_weight(vs, a, ctx) == weight_from_char_sum(vs, char_sum(vs, a, ctx))
+        assert codeword_weights(vs, batch, ctx) == [
+            weight_from_char_sum(vs, s) for s in char_sums(vs, batch, ctx)]
         solver = weight_distribution(vs)
         for path in ("fast", "slow"):
             assert brute_distribution(vs, ctx=ctx, path=path) == solver
