@@ -14,7 +14,7 @@ from nihocodes.solver import (
     b_vector,
     enumerator_string,
     invert_lagrange,
-    moment_matrix,
+    moment_nodes,
     weight_distribution,
 )
 
@@ -30,10 +30,10 @@ def run(name: str, spec: CodeSpec, check_oracle: bool) -> None:
     print(f"q = {vs.q}, e = {vs.e}, length = {vs.length}, dimension = {vs.dimension}")
     print(f"s-values {vs.s_values}  exponents {vs.exponents}  coset sizes {vs.coset_sizes}")
     print("N_r:", [n_r(r, vs.q, vs.e) for r in range(vs.moment_size)])
-    mm = moment_matrix(vs.family, vs.t, vs.q, vs.e)
-    print(f"moment matrix nodes: {mm.nodes}")
+    nodes = moment_nodes(vs.moment_size, vs.q, vs.e)
+    print(f"moment matrix nodes: {nodes}")
     print("inverse:")
-    for row in invert_lagrange(mm.nodes):
+    for row in invert_lagrange(nodes):
         print("  " + "  ".join(str(x) for x in row))
     print("b:", b_vector(vs.family, vs.t, vs.q, vs.e))
     dist = weight_distribution(vs)

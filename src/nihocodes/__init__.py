@@ -36,12 +36,10 @@ from .oracle import (
 )
 from .solver import (
     ModelViolationError,
-    MomentMatrix,
     WeightDistribution,
     b_vector,
     enumerator_string,
     invert_lagrange,
-    moment_matrix,
     parse_enumerator,
     theoretical_weights,
     weight_distribution,

@@ -203,7 +203,7 @@ def _check_weights(vspec, ctx):
     predicted = set(theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t))
     samples = []
     for _ in range(WEIGHT_SAMPLES):
-        a = tuple(rng.choice(domain) for domain in domains)
+        a = tuple(int(rng.choice(domain)) for domain in domains)
         if any(a):
             samples.append(a)
     failures = []
@@ -248,6 +248,9 @@ def cmd_verify(args) -> int:
                 print(f"N_{r}: brute {nb}, formula {nf}, "
                       f"{'ok' if nb == nf else 'FAILED'}")
         elif check == "moments":
+            if brute is None and vspec.moment_size > 1:
+                # one sweep serves every row
+                brute = brute_distribution(vspec, ctx=ctx, budget=budget, path="fast")
             for r in range(1, vspec.moment_size):
                 rep = power_moment_check(vspec, r, ctx=ctx, budget=budget, dist=brute)
                 if not rep.ok:

@@ -23,12 +23,12 @@ The subfield GF(p^d) for d | k is never built separately; it is the fixed
 field of the d-th Frobenius power, reachable through is_subfield_element
 and subfield_elements.
 
-The scalar methods check their arguments, read the tables and return
-Python ints; they serve single lookups and the tests.  Array code reads
-exp, log and the read-only trace view, built once per context on first
-use: it holds Tr(x) down to GF(p) for every code x.  The trace is
-GF(p)-linear, so it is the digit vector of x times the traces Tr(p^i) of
-the basis elements, mod p: k scalar traces build it.
+All arithmetic reads these arrays; the context has no scalar add, mul or
+pow.  The read-only trace view, built once per context on first use, holds
+Tr(gamma^i) down to GF(p) for every exponent i.  The trace is GF(p)-linear,
+so it is the digit vector of exp[i] times the basis traces Tr(gamma^j),
+j < k, mod p.  Those are the power sums of the modulus's roots, which
+Newton's identities give from its coefficients in k^2 integer steps.
 
 sum_codes adds arrays of codes digit by digit (XOR for p = 2).  For odd p,
 group_tables gives the dense addition table and negation map of the codes,
@@ -165,9 +165,9 @@ def _find_primitive_modulus(p: int, k: int) -> tuple[tuple[int, ...], tuple[int,
 class FieldContext:
     """A fully built GF(p^degree) with exp/log tables.
 
-    Immutable after construction and safe to share across workers.  All
-    operations are pure functions of integer codes.  The tables are
-    determined by the other fields, which alone take part in == and hash.
+    Immutable after construction and safe to share across workers.  The
+    tables are determined by the other fields, which alone take part in ==
+    and hash.
     """
 
     p: int
@@ -183,51 +183,13 @@ class FieldContext:
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, degree={self.degree}, order={self.order})"
 
-    # -- basic arithmetic ------------------------------------------------
-
-    def _check(self, x: int) -> int:
-        if not 0 <= x < self.order:
-            raise ValueError(f"element code {x!r} outside GF({self.order})")
-        return x
-
-    def add(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        if self.p == 2:
-            return x ^ y
-        p, out, mult = self.p, 0, 1
-        while x or y:
-            x, dx = divmod(x, p)
-            y, dy = divmod(y, p)
-            out += ((dx + dy) % p) * mult
-            mult *= p
-        return out
-
-    def mul(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        if x == 0 or y == 0:
-            return 0
-        n = self.order - 1
-        return self.exp.item((self.log.item(x) + self.log.item(y)) % n)
-
-    def pow(self, x: int, k: int) -> int:
-        self._check(x)
-        if x == 0:
-            if k > 0:
-                return 0
-            if k == 0:
-                return 1
-            raise ZeroDivisionError("negative power of zero")
-        n = self.order - 1
-        return self.exp.item((self.log.item(x) * k) % n)
-
-    # -- traces, subfields ------------------------------------------------
+    # -- subfields ----------------------------------------------------------
 
     def is_subfield_element(self, x: int, sub_degree: int) -> bool:
         if self.degree % sub_degree:
             raise ValueError(f"degree {sub_degree} does not divide {self.degree}")
-        self._check(x)
+        if not 0 <= x < self.order:
+            raise ValueError(f"element code {x!r} outside GF({self.order})")
         if x == 0:
             return True
         return ((self.p**sub_degree - 1) * self.log.item(x)) % (self.order - 1) == 0
@@ -240,38 +202,17 @@ class FieldContext:
         step = (self.order - 1) // (self.p**sub_degree - 1)
         return [0] + self.exp[::step].tolist()
 
-    def trace_to_prime(self, x: int, from_degree: int | None = None) -> int:
-        """Sum of Frobenius conjugates x + x^p + ... down to GF(p).
-
-        from_degree names the subfield x is claimed to live in; it must
-        divide the field degree and x must actually lie there.
-        """
-        if from_degree is None:
-            from_degree = self.degree
-        if self.degree % from_degree:
-            raise ValueError(f"degree {from_degree} does not divide {self.degree}")
-        if not self.is_subfield_element(x, from_degree):
-            raise ValueError(f"element {x} is not in the degree-{from_degree} subfield")
-        acc = 0
-        y = x
-        for _ in range(from_degree):
-            acc = self.add(acc, y)
-            y = self.pow(y, self.p)
-        if acc >= self.p:
-            raise AssertionError("trace left the prime field")
-        return acc
-
     # -- read-only array views -------------------------------------------
 
     @cached_property
     def trace(self) -> np.ndarray:
-        """Tr(x) down to GF(p) for every code x, by GF(p)-linearity."""
-        codes = np.arange(self.order)
-        acc = np.zeros(self.order, dtype=np.int64)
-        place = 1
-        for _ in range(self.degree):
-            acc += codes // place % self.p * self.trace_to_prime(place)
-            place *= self.p
+        """Tr(gamma^i) down to GF(p) for every exponent i, by GF(p)-linearity
+        from the basis traces."""
+        rest = self.exp.astype(np.int64)
+        acc = np.zeros(self.order - 1, dtype=np.int64)
+        for s in _basis_traces(self.modulus_poly, self.p):
+            rest, digit = np.divmod(rest, self.p)
+            acc += digit * s
         return _read_only((acc % self.p).astype(np.min_scalar_type(self.p - 1)))
 
     @cached_property
@@ -279,6 +220,18 @@ class FieldContext:
         """This field's addition table and negation map, group_tables(p,
         order), built once per context on first use."""
         return group_tables(self.p, self.order)
+
+
+def _basis_traces(modulus: tuple[int, ...], p: int) -> list[int]:
+    """Tr(gamma^j) for j < k, gamma a root of the monic degree-k modulus:
+    the power sums s_j of its roots, by Newton's identities,
+    s_0 = k and s_i = -(i c_(k-i) + sum_(0<j<i) c_(k-j) s_(i-j)) mod p."""
+    k = len(modulus) - 1
+    s = [k % p]
+    for i in range(1, k):
+        s.append(-(i * modulus[k - i]
+                   + sum(modulus[k - j] * s[i - j] for j in range(1, i))) % p)
+    return s
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

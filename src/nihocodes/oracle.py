@@ -23,8 +23,8 @@ codeword_weight and char_sum are the batches of one tuple.  Full-space
 sweeps hand the tables of whole domains to one engine,
 _zero_count_histogram, which histograms how many entries vanish;
 brute_distribution maps that count to a weight.  The scalar references
-both paths are tested against, written with the FieldContext methods, live
-in the tests.
+both paths are tested against live in the tests, with their own scalar
+field arithmetic.
 
 brute_distribution sweeps one representative per cyclic orbit of the first
 full-field slot j0 (slot 0 for f2, slot 1 for f1 with t >= 1).  A cyclic
@@ -59,6 +59,7 @@ the engine walks the tuples.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import Counter
@@ -96,13 +97,13 @@ def _context_for(vspec: ValidatedSpec, ctx: FieldContext | None) -> FieldContext
     return ctx
 
 
-def coefficient_domains(vspec: ValidatedSpec, ctx: FieldContext) -> list[list[int]]:
-    """Per-coefficient code lists in sweep order: zero first, then ascending
+def coefficient_domains(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndarray]:
+    """Per-coefficient code arrays in sweep order: zero first, then ascending
     generator exponents.  Family f1 restricts the leading coefficient to the
     subfield GF(q), reached as zero plus powers of gamma^(q+1)."""
-    full = [0] + ctx.exp.tolist()
+    full = np.concatenate(([0], ctx.exp))
     if vspec.family == "f1":
-        return [ctx.subfield_elements(vspec.m)] + [full] * vspec.t
+        return [np.array(ctx.subfield_elements(vspec.m))] + [full] * vspec.t
     return [full] * vspec.t
 
 
@@ -191,15 +192,8 @@ def weight_from_char_sum(vspec: ValidatedSpec, s: int) -> int:
 
 # -- the sweep engine -----------------------------------------------------
 
-def _decode_outer(flat: int, sizes: list[int]) -> list[int]:
-    idx = [0] * len(sizes)
-    for pos in range(len(sizes) - 1, -1, -1):
-        flat, idx[pos] = divmod(flat, sizes[pos])
-    return idx
-
-
 def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
-                 domains: list[list[int]]) -> list[np.ndarray]:
+                 domains: list) -> list[np.ndarray]:
     """Per coefficient slot, its term of the root-counting polynomial at
     every W point for every coefficient of its domain, as element codes:
     shape (|W|, |domain|).  A term z * u^k is exp[(log z + k log u) mod n]
@@ -218,9 +212,11 @@ def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
 
 
 def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
-                   domains: list[list[int]]) -> list[np.ndarray]:
+                   domains: list) -> list[np.ndarray]:
     """Per coefficient slot, its trace symbol at every codeword position for
-    every coefficient of its domain: shape (q^2-1, |domain|).
+    every coefficient of its domain: shape (q^2-1, |domain|).  The symbol
+    of z at position i is Tr(z gamma^(d i)), one read of the trace view at
+    exponent (log z + d i) mod n, masked to 0 where z = 0.
 
     Family f1 takes the leading slot's trace from GF(q) only.  For x in
     GF(q) that trace is Tr(theta x) down from GF(q^2), where theta =
@@ -235,7 +231,7 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
         if vspec.family == "f1" and s == 0:
             relative = sum_codes([ctx.exp[1], ctx.exp[vspec.q]], vspec.p, ctx.order)
             zlog = zlog + 1 - ctx.log[relative]
-        tables.append(ctx.trace[ctx.exp[(zlog + d * positions) % n]] * (z != 0))
+        tables.append(ctx.trace[(zlog + d * positions) % n] * (z != 0))
     return tables
 
 
@@ -270,9 +266,9 @@ def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
     outer_sizes = [t.shape[1] for t in tables[:split]]
     count_dtype = np.min_scalar_type(n_entries)
     hist = np.zeros(n_entries + 1, dtype=np.int64)
-    for flat in range(math.prod(outer_sizes)):
+    for outer in itertools.product(*map(range, outer_sizes)):
         partial = np.zeros(n_entries, dtype=block.dtype)
-        for table, zi in zip(tables, _decode_outer(flat, outer_sizes)):
+        for table, zi in zip(tables, outer):
             partial = partial ^ table[:, zi] if add is None else add[partial, table[:, zi]]
         target = partial if neg is None else neg[partial]
         counts = (block == target[:, None]).sum(axis=0, dtype=count_dtype)
@@ -315,7 +311,7 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         # one representative per cyclic orbit of a_j0 (see the module doc)
         n = vspec.length
         g = math.gcd(vspec.exponents[j0], n)
-        domains[j0] = ctx.exp[:g].tolist()
+        domains[j0] = ctx.exp[:g]
         tables = build(vspec, ctx, domains)
         rest = tables[:j0] + tables[j0 + 1:]
         hist = [n // g * c for c in _zero_count_histogram([tables[j0]] + rest, add, neg)]

@@ -2,15 +2,17 @@
 
 The weight frequencies mu_j solve M mu = b where M is the Vandermonde-type
 matrix with entries (j*e*q - q - 1)^i and b_i = scale * N_i - (q^2-1)^i,
-scale = q^(2t+1) for family f1 and q^(2t) for f2.  The nodes
-j*e*q - q - 1 = e(qj - k), k = (q+1)/e, are also the support of the
-binomial measure whose r-th moment is N_r (see `moments`); node k is
-q^2 - 1, the node of the (q^2-1)^i term.  The system is solved once, by
-the Lagrange-coefficient closed form for transposed Vandermonde systems:
-mu_j = sum_i c_ji b_i / P'(x_j), where P = prod_k (x - x_k) is the master
-polynomial and c_j the coefficients of P / (x - x_j).  P is built once
-(O(n^2) big-integer operations), each quotient by synthetic division
-(O(n) per node), and its value at x_j, by Horner, is P'(x_j).
+scale = q^(2t+1) for family f1 and q^(2t) for f2.  M is never built: the
+library holds only its nodes, moment_nodes, and the solve and its check
+below read them alone.  The nodes j*e*q - q - 1 = e(qj - k), k = (q+1)/e,
+are also the support of the binomial measure whose r-th moment is N_r (see
+`moments`); node k is q^2 - 1, the node of the (q^2-1)^i term.  The system
+is solved once, by the Lagrange-coefficient closed form for transposed
+Vandermonde systems: mu_j = sum_i c_ji b_i / P'(x_j), where
+P = prod_k (x - x_k) is the master polynomial and c_j the coefficients of
+P / (x - x_j).  P is built once (O(n^2) big-integer operations), each
+quotient by synthetic division (O(n) per node), and its value at x_j, by
+Horner, is P'(x_j).
 
 The nodes are distinct, so M is invertible, and an exact residual check
 M mu = b on every row certifies that mu is the unique solution.  It runs in
@@ -64,37 +66,6 @@ def theoretical_weights(family: str, p: int, q: int, e: int, t: int) -> tuple[in
 
 def moment_nodes(size: int, q: int, e: int) -> tuple[int, ...]:
     return tuple(j * e * q - q - 1 for j in range(size))
-
-
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Square matrix with rows (node_j)^i, recorded with its provenance."""
-
-    rows: tuple[tuple[int, ...], ...]
-    family: str
-    t: int
-    q: int
-    e: int
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return moment_nodes(self.size, self.q, self.e)
-
-
-def moment_matrix(family: str, t: int, q: int, e: int) -> MomentMatrix:
-    size = moment_system_size(family, t)
-    if size < 1:
-        raise ValueError(f"empty moment system for family {family}, t = {t}")
-    nodes = moment_nodes(size, q, e)
-    # Rows are built from lists: CPython sizes a tuple built from a generator
-    # by resizing, and on release parks it on a free list that such tuples
-    # never draw from, so a long-running caller would grow with every call.
-    rows = tuple([tuple([x**i for x in nodes]) for i in range(size)])
-    return MomentMatrix(rows=rows, family=family, t=t, q=q, e=e)
 
 
 def b_vector(family: str, t: int, q: int, e: int) -> tuple[int, ...]:

@@ -2,8 +2,9 @@
 
 `invert_exact` is Gauss-Jordan inversion on rationals, the reference for
 the Lagrange-coefficient inverse in `nihocodes.solver`.  It treats the
-moment matrix as a general square matrix and uses none of its Vandermonde
-structure, so agreement with `invert_lagrange` on the golden tables checks
+moment matrix, built here by `moment_rows` from the library's nodes (the
+library builds no matrix), as a general square matrix and uses none of its
+Vandermonde structure, so agreement with `invert_lagrange` on the golden tables checks
 the closed form against plain elimination.  `lagrange_numerators_direct`
 builds each Lagrange basis numerator from scratch, by n - 1 polynomial
 multiplications per node (O(n^3) in all), the reference for the library's
@@ -24,8 +25,8 @@ the first r-1 coordinates in plain Python, with no histograms and no numpy,
 so agreement checks the halving, the convolutions and the matching of the
 library's counter.
 
-`symbol_at` evaluates one codeword symbol with the scalar `FieldContext`
-methods, taking the f1 leading term's trace from GF(q) directly, and
+`symbol_at` evaluates one codeword symbol with this module's scalar `add`,
+`mul` and `trace_to_prime`, taking the f1 leading term's trace from GF(q) directly, and
 `char_sum_direct` sums it over all of GF(q^2).  They are the scalar
 reference for the array paths of `nihocodes.oracle`, whose positionwise
 builder reads the field's trace view and whose root counter reads its
@@ -39,9 +40,16 @@ independently: a candidate is primitive when the walk of its gamma first
 returns to 1 after p^k - 1 steps, where the library tests powers of gamma
 against the prime factors of p^k - 1.
 
-`neg`, `inv` and `frobenius` are scalar field operations only the tests
-use, and `n2_closed_form`..`n5_closed_form` are known low-order
-evaluations of N_r, independent cross-checks of `nihocodes.moments.n_r`.
+`add`, `mul`, `power`, `trace_to_prime`, `neg`, `inv` and `frobenius` are
+scalar field operations on one element code at a time, which only the
+tests use: the library's field has array views and no scalar arithmetic.
+`trace_to_prime` sums the Frobenius conjugates, so it checks the field's
+trace view, built from the modulus by Newton's identities, by another
+route.  `mul` and `power` read the field's exp/log tables, and `add` works
+digit by digit.
+
+`n2_closed_form`..`n5_closed_form` are known low-order evaluations of N_r,
+independent cross-checks of `nihocodes.moments.n_r`.
 """
 
 from __future__ import annotations
@@ -134,7 +142,7 @@ def n_r_recursive(vspec, r: int, ctx) -> int:
         def neg_sig(u):
             return u
     else:
-        add_code = [[ctx.add(x, y) for y in range(ctx.order)] for x in range(ctx.order)]
+        add_code = [[add(ctx, x, y) for y in range(ctx.order)] for x in range(ctx.order)]
         neg_code = [neg(ctx, x) for x in range(ctx.order)]
 
         def add_sig(u, v):
@@ -206,9 +214,71 @@ def field_by_walk(p: int, k: int) -> tuple[tuple[int, ...], int, list[int], list
     raise AssertionError(f"no primitive polynomial of degree {k} over GF({p})")
 
 
+def _check(ctx, x: int) -> int:
+    if not 0 <= x < ctx.order:
+        raise ValueError(f"element code {x!r} outside GF({ctx.order})")
+    return x
+
+
+def add(ctx, x: int, y: int) -> int:
+    """x + y, digit by digit (XOR for p = 2)."""
+    _check(ctx, x)
+    _check(ctx, y)
+    if ctx.p == 2:
+        return x ^ y
+    p, out, mult = ctx.p, 0, 1
+    while x or y:
+        x, dx = divmod(x, p)
+        y, dy = divmod(y, p)
+        out += ((dx + dy) % p) * mult
+        mult *= p
+    return out
+
+
+def mul(ctx, x: int, y: int) -> int:
+    _check(ctx, x)
+    _check(ctx, y)
+    if x == 0 or y == 0:
+        return 0
+    return ctx.exp.item((ctx.log.item(x) + ctx.log.item(y)) % (ctx.order - 1))
+
+
+def power(ctx, x: int, k: int) -> int:
+    _check(ctx, x)
+    if x == 0:
+        if k > 0:
+            return 0
+        if k == 0:
+            return 1
+        raise ZeroDivisionError("negative power of zero")
+    return ctx.exp.item((ctx.log.item(x) * k) % (ctx.order - 1))
+
+
+def trace_to_prime(ctx, x: int, from_degree: int | None = None) -> int:
+    """Sum of Frobenius conjugates x + x^p + ... down to GF(p).
+
+    from_degree names the subfield x is claimed to live in; it must
+    divide the field degree and x must actually lie there.
+    """
+    if from_degree is None:
+        from_degree = ctx.degree
+    if ctx.degree % from_degree:
+        raise ValueError(f"degree {from_degree} does not divide {ctx.degree}")
+    if not ctx.is_subfield_element(x, from_degree):
+        raise ValueError(f"element {x} is not in the degree-{from_degree} subfield")
+    acc = 0
+    y = x
+    for _ in range(from_degree):
+        acc = add(ctx, acc, y)
+        y = power(ctx, y, ctx.p)
+    if acc >= ctx.p:
+        raise AssertionError("trace left the prime field")
+    return acc
+
+
 def neg(ctx, x: int) -> int:
     """-x, digit by digit."""
-    ctx._check(x)
+    _check(ctx, x)
     if ctx.p == 2:
         return x
     p, out, mult = ctx.p, 0, 1
@@ -220,22 +290,27 @@ def neg(ctx, x: int) -> int:
 
 
 def inv(ctx, x: int) -> int:
-    ctx._check(x)
+    _check(ctx, x)
     if x == 0:
         raise ZeroDivisionError("zero has no multiplicative inverse")
     return int(ctx.exp[-ctx.log[x] % (ctx.order - 1)])
 
 
 def frobenius(ctx, x: int, i: int = 1) -> int:
-    return ctx.pow(x, ctx.p**i)
+    return power(ctx, x, ctx.p**i)
+
+
+def moment_rows(nodes) -> list[tuple[int, ...]]:
+    """The moment matrix [node_j^i], row i holding the i-th powers."""
+    return [tuple(x**i for x in nodes) for i in range(len(nodes))]
 
 
 def symbol_at(vspec, a, ctx, i: int) -> int:
     """Symbol i of the codeword of coefficient tuple a."""
     n = vspec.length
     if vspec.family == "f1":
-        head = ctx.mul(a[0], int(ctx.exp[(vspec.exponents[0] * i) % n]))
-        sym = ctx.trace_to_prime(head, vspec.m)
+        head = mul(ctx, a[0], int(ctx.exp[(vspec.exponents[0] * i) % n]))
+        sym = trace_to_prime(ctx, head, vspec.m)
         rest_exps = vspec.exponents[1:]
         rest = a[1:]
     else:
@@ -244,8 +319,8 @@ def symbol_at(vspec, a, ctx, i: int) -> int:
         rest = a
     acc = 0
     for coeff, d in zip(rest, rest_exps):
-        acc = ctx.add(acc, ctx.mul(coeff, int(ctx.exp[(d * i) % n])))
-    return (sym + ctx.trace_to_prime(acc)) % vspec.p
+        acc = add(ctx, acc, mul(ctx, coeff, int(ctx.exp[(d * i) % n])))
+    return (sym + trace_to_prime(ctx, acc)) % vspec.p
 
 
 def char_sum_direct(vspec, a, ctx) -> int:

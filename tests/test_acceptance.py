@@ -31,7 +31,6 @@ from nihocodes.solver import (
     b_vector,
     enumerator_string,
     invert_lagrange,
-    moment_matrix,
     weight_distribution,
 )
 
@@ -39,12 +38,13 @@ from conftest import field
 from exact_reference import (
     invert_exact,
     mds_freq_by_j,
+    moment_rows,
     n2_closed_form,
     n3_closed_form,
     n4_closed_form,
     n5_closed_form,
 )
-from test_solver import INVERSE_Q16_T2, INVERSE_Q9_T3
+from test_solver import INVERSE_Q16_T2, INVERSE_Q9_T3, showcase_nodes
 
 EXAMPLE1_ENUM = "1+35700Y^104+30600Y^112+250920Y^120+377655Y^128+353700Y^136"
 EXAMPLE2_ENUM = "1+2016Y^30+6720Y^36+40320Y^42+113760Y^48+205040Y^54+163584Y^60"
@@ -145,24 +145,26 @@ def test_criterion_2_example2_golden(capsys):
 
 def test_criterion_3_printed_inverses(capsys):
     started = time.perf_counter()
-    mm1 = moment_matrix("f1", 2, 16, 1)
-    inv1 = invert_exact(mm1.rows)
+    nodes1 = showcase_nodes("f1", 2, 16, 1)
+    rows1 = moment_rows(nodes1)
+    inv1 = invert_exact(rows1)
     assert inv1 == INVERSE_Q16_T2
-    assert invert_lagrange(mm1.nodes) == INVERSE_Q16_T2
+    assert invert_lagrange(nodes1) == INVERSE_Q16_T2
     assert inv1[0][0] == INVERSE_Q16_T2[0][0]  # spot entry -7285/524288
 
-    mm2 = moment_matrix("f2", 3, 9, 1)
-    inv2 = invert_exact(mm2.rows)
+    nodes2 = showcase_nodes("f2", 3, 9, 1)
+    rows2 = moment_rows(nodes2)
+    inv2 = invert_exact(rows2)
     # the (5,5) entry of the golden table is the forced 1/7085880, not the
     # tempting 1/708588; see the table definition in test_solver
     assert inv2 == INVERSE_Q9_T3
-    assert invert_lagrange(mm2.nodes) == INVERSE_Q9_T3
+    assert invert_lagrange(nodes2) == INVERSE_Q9_T3
     assert inv2[0][0] == INVERSE_Q9_T3[0][0]  # spot entry -3094/177147
-    for mm, inv in ((mm1, inv1), (mm2, inv2)):
-        n = mm.size
+    for rows, inv in ((rows1, inv1), (rows2, inv2)):
+        n = len(rows)
         for i in range(n):
             for j in range(n):
-                assert sum(inv[i][k] * mm.rows[k][j] for k in range(n)) == (i == j)
+                assert sum(inv[i][k] * rows[k][j] for k in range(n)) == (i == j)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     announce(capsys, 3, elapsed,

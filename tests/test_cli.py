@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nihocodes import cli, galois
+from nihocodes import cli, galois, oracle
 from nihocodes.cli import CHECK_NAMES, AnalysisReport, build_report, main
 from nihocodes.codespec import CodeSpec, validate_spec
+from nihocodes.galois import build_field
 from nihocodes.solver import ModelViolationError, weight_distribution
 
 EXAMPLE1_FLAGS = ["--family", "f1", "--p", "2", "--m", "4", "--h", "2", "--delta", "1", "--t", "2"]
@@ -137,6 +139,53 @@ def test_verify_builds_one_addition_table_per_context(capsys, monkeypatch):
     assert main(["verify", *EXAMPLE2_FLAGS, "--checks", "all"]) == 0
     assert "N_4: brute" in capsys.readouterr().out
     assert builds == [(3, 81)]
+
+
+@pytest.mark.parametrize("flags, rows", [(EXAMPLE1_FLAGS, 4), (EXAMPLE2_FLAGS, 5)])
+def test_verify_moments_sweeps_once(capsys, monkeypatch, flags, rows):
+    # without the distribution check, every power-moment row reads one sweep
+    sweeps = []
+    sweep = oracle.brute_distribution
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "brute_distribution", counted)
+    monkeypatch.setattr(oracle, "brute_distribution", counted)
+    assert main(["verify", *flags, "--checks", "moments"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("power moment")] == [
+        f"power moment r={r}: ok" for r in range(1, rows + 1)]
+    assert len(sweeps) == 1
+
+
+def test_verify_moments_budget_refusal_prints_no_row(capsys):
+    code = main(["verify", *EXAMPLE1_FLAGS, "--checks", "moments", "--budget", "1000"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
+@pytest.mark.parametrize("spec", [CodeSpec("f1", 2, 4, 2, 1, 2), CodeSpec("f2", 3, 2, 3, 1, 3)])
+def test_weight_samples_match_list_domains(monkeypatch, spec):
+    """The weight check draws from array domains the tuples the same
+    generator draws from the domains written as Python lists, as ints."""
+    vs = validate_spec(spec)
+    ctx = build_field(vs.p, 2 * vs.m)
+    full = [0] + ctx.exp.tolist()
+    domains = ([ctx.subfield_elements(vs.m)] if vs.family == "f1" else []) + [full] * vs.t
+    rng = random.Random(0)
+    draws = [tuple(rng.choice(d) for d in domains) for _ in range(cli.WEIGHT_SAMPLES)]
+    seen = []
+    real = cli.codeword_weights
+    monkeypatch.setattr(cli, "codeword_weights",
+                        lambda vspec, tuples, ctx: seen.append(tuples) or real(vspec, tuples, ctx))
+    assert cli._check_weights(vs, ctx) == []
+    [samples] = seen
+    assert samples == [a for a in draws if any(a)]
+    assert all(type(c) is int for a in samples for c in a)
 
 
 def test_nr_table(capsys):

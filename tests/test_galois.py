@@ -12,9 +12,10 @@ from nihocodes.galois import (
 )
 
 from conftest import field
-from exact_reference import field_by_walk, frobenius, inv
+from exact_reference import add, field_by_walk, frobenius, inv, mul, power, trace_to_prime
 
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2), (7, 1)]
+WALK_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 12), (3, 6), (3, 8), (5, 4), (7, 3), (97, 2)]
 
 
 def test_gf4_build():
@@ -22,22 +23,22 @@ def test_gf4_build():
     assert ctx.modulus_poly == (1, 1, 1)  # x^2 + x + 1, the only primitive choice
     assert ctx.order == 4
     g = ctx.generator
-    assert ctx.pow(g, 3) == 1
-    assert ctx.pow(g, 1) != 1 and ctx.pow(g, 2) != 1
+    assert power(ctx, g, 3) == 1
+    assert power(ctx, g, 1) != 1 and power(ctx, g, 2) != 1
 
 
 def test_gf4_arithmetic():
     ctx = field(2, 2)
     g = ctx.generator
-    assert ctx.mul(g, ctx.pow(g, 2)) == 1  # gamma has order 3
-    assert ctx.add(g, g) == 0  # characteristic 2
+    assert mul(ctx, g, power(ctx, g, 2)) == 1  # gamma has order 3
+    assert add(ctx, g, g) == 0  # characteristic 2
 
 
 def test_gf9_generator_order():
     ctx = field(3, 2)
-    assert ctx.pow(ctx.generator, 8) == 1
+    assert power(ctx, ctx.generator, 8) == 1
     for k in (1, 2, 4):
-        assert ctx.pow(ctx.generator, k) != 1
+        assert power(ctx, ctx.generator, k) != 1
 
 
 def test_gf81_order_by_direct_powering():
@@ -46,7 +47,7 @@ def test_gf81_order_by_direct_powering():
     acc = 1
     seen = {}
     for k in range(1, 81):
-        acc = ctx.mul(acc, ctx.generator)
+        acc = mul(ctx, acc, ctx.generator)
         seen[k] = acc
     assert seen[80] == 1
     assert seen[16] != 1
@@ -69,8 +70,7 @@ def test_build_determinism():
     assert a.exp.tolist() == b.exp.tolist()
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 12), (3, 6), (3, 8), (5, 4),
-                                 (7, 3), (97, 2)])
+@pytest.mark.parametrize("p,k", WALK_FIELDS)
 def test_build_matches_polynomial_walk(p, k):
     ctx = build_field(p, k)
     modulus, generator, exp, log = field_by_walk(p, k)
@@ -79,6 +79,15 @@ def test_build_matches_polynomial_walk(p, k):
     assert ctx.exp.tolist() == exp
     assert ctx.log.tolist() == log
     assert not ctx.exp.flags.writeable and not ctx.log.flags.writeable
+
+
+@pytest.mark.parametrize("p,k", WALK_FIELDS)
+def test_basis_traces_by_newton_identities(p, k):
+    # the basis element p^j is gamma^j (gamma^0 = 1 when k = 1)
+    ctx = field(p, k)
+    expected = [trace_to_prime(ctx, p**j) for j in range(k)]
+    assert galois._basis_traces(ctx.modulus_poly, p) == expected
+    assert expected == [trace_to_prime(ctx, ctx.exp.item(j)) for j in range(k)]
 
 
 def test_modulus_search_runs_once_per_field(monkeypatch):
@@ -104,25 +113,25 @@ def test_log_exp_mutually_inverse():
 
 def test_trace_examples():
     gf4 = field(2, 2)
-    assert gf4.trace_to_prime(0) == 0
+    assert trace_to_prime(gf4, 0) == 0
     # gamma^2 = gamma + 1 under x^2+x+1, so gamma + gamma^2 = 1
-    assert gf4.trace_to_prime(gf4.generator) == 1
+    assert trace_to_prime(gf4, gf4.generator) == 1
     gf9 = field(3, 2)
-    assert gf9.trace_to_prime(1) == 2
+    assert trace_to_prime(gf9, 1) == 2
 
 
 def test_trace_rejects_elements_outside_subfield():
     ctx = field(2, 4)
     with pytest.raises(ValueError):
-        ctx.trace_to_prime(ctx.generator, 2)
+        trace_to_prime(ctx, ctx.generator, 2)
     with pytest.raises(ValueError):
-        ctx.trace_to_prime(1, 3)  # 3 does not divide 4
+        trace_to_prime(ctx, 1, 3)  # 3 does not divide 4
 
 
 def test_subfield_membership():
     ctx = field(2, 4)
     g = ctx.generator
-    assert ctx.is_subfield_element(ctx.pow(g, 5), 2)  # gamma^5 has order 3
+    assert ctx.is_subfield_element(power(ctx, g, 5), 2)  # gamma^5 has order 3
     assert not ctx.is_subfield_element(g, 2)
     assert ctx.is_subfield_element(0, 2)
     with pytest.raises(ValueError):
@@ -134,7 +143,7 @@ def test_subfield_elements_fixed_by_frobenius():
     sub = ctx.subfield_elements(2)
     assert len(sub) == 4
     for x in sub:
-        assert ctx.pow(x, 4) == x
+        assert power(ctx, x, 4) == x
 
 
 def test_inversion_of_zero():
@@ -145,27 +154,27 @@ def test_inversion_of_zero():
 
 def test_pow_zero_base():
     ctx = field(3, 2)
-    assert ctx.pow(0, 5) == 0
-    assert ctx.pow(0, 0) == 1
+    assert power(ctx, 0, 5) == 0
+    assert power(ctx, 0, 0) == 1
     with pytest.raises(ZeroDivisionError):
-        ctx.pow(0, -1)
+        power(ctx, 0, -1)
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)
 def test_lagrange_order(p, k):
     ctx = field(p, k)
     for x in range(1, ctx.order):
-        assert ctx.pow(x, ctx.order - 1) == 1
+        assert power(ctx, x, ctx.order - 1) == 1
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2), (2, 8), (3, 4)])
 def test_trace_surjective_and_balanced(p, k):
     ctx = field(p, k)
-    assert ctx.trace.tolist() == [ctx.trace_to_prime(x) for x in range(ctx.order)]
+    assert ctx.trace.tolist() == [trace_to_prime(ctx, x) for x in ctx.exp.tolist()]
     for sub in (d for d in range(1, k + 1) if k % d == 0):
         counts = {}
         for x in ctx.subfield_elements(sub):
-            counts[ctx.trace_to_prime(x, sub)] = counts.get(ctx.trace_to_prime(x, sub), 0) + 1
+            counts[trace_to_prime(ctx, x, sub)] = counts.get(trace_to_prime(ctx, x, sub), 0) + 1
         assert counts == {v: p ** (sub - 1) for v in range(p)}
 
 
@@ -175,12 +184,12 @@ def test_field_laws(pk, data):
     ctx = field(*pk)
     elem = st.integers(0, ctx.order - 1)
     x, y, z = data.draw(elem), data.draw(elem), data.draw(elem)
-    assert ctx.add(x, y) == ctx.add(y, x)
-    assert ctx.mul(x, y) == ctx.mul(y, x)
-    assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
-    assert ctx.mul(ctx.mul(x, y), z) == ctx.mul(x, ctx.mul(y, z))
+    assert add(ctx, x, y) == add(ctx, y, x)
+    assert mul(ctx, x, y) == mul(ctx, y, x)
+    assert mul(ctx, x, add(ctx, y, z)) == add(ctx, mul(ctx, x, y), mul(ctx, x, z))
+    assert mul(ctx, mul(ctx, x, y), z) == mul(ctx, x, mul(ctx, y, z))
     if x:
-        assert ctx.mul(x, inv(ctx, x)) == 1
+        assert mul(ctx, x, inv(ctx, x)) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,8 +199,8 @@ def test_frobenius_is_additive_and_multiplicative(pk, data):
     elem = st.integers(0, ctx.order - 1)
     x, y = data.draw(elem), data.draw(elem)
     fx, fy = frobenius(ctx, x), frobenius(ctx, y)
-    assert frobenius(ctx, ctx.add(x, y)) == ctx.add(fx, fy)
-    assert frobenius(ctx, ctx.mul(x, y)) == ctx.mul(fx, fy)
+    assert frobenius(ctx, add(ctx, x, y)) == add(ctx, fx, fy)
+    assert frobenius(ctx, mul(ctx, x, y)) == mul(ctx, fx, fy)
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,8 +209,8 @@ def test_trace_is_linear(pk, data):
     ctx = field(*pk)
     elem = st.integers(0, ctx.order - 1)
     x, y = data.draw(elem), data.draw(elem)
-    assert (ctx.trace_to_prime(ctx.add(x, y))
-            == (ctx.trace_to_prime(x) + ctx.trace_to_prime(y)) % ctx.p)
+    assert (trace_to_prime(ctx, add(ctx, x, y))
+            == (trace_to_prime(ctx, x) + trace_to_prime(ctx, y)) % ctx.p)
 
 
 def test_is_prime_and_factors():

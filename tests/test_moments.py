@@ -10,7 +10,7 @@ from nihocodes import cli, moments
 from nihocodes.moments import b_count, n_r
 
 from conftest import field
-from exact_reference import n2_closed_form, n3_closed_form, n4_closed_form, n5_closed_form
+from exact_reference import add, n2_closed_form, n3_closed_form, n4_closed_form, n5_closed_form
 from partition_sum import PartitionVector, n_r_partition_sum, partitions_min2
 
 
@@ -22,7 +22,7 @@ def brute_zero_sum_tuples(ctx, j):
     for combo in itertools.product(nonzero, repeat=j - 1):
         acc = 0
         for x in combo:
-            acc = ctx.add(acc, x)
+            acc = add(ctx, acc, x)
         if acc != 0:  # the forced last coordinate -acc must be nonzero
             count += 1
     return count

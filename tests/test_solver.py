@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nihocodes import solver
-from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec
+from nihocodes.codespec import CodeSpec, SpecValidationError, moment_system_size, validate_spec
 from nihocodes.solver import (
     ModelViolationError,
     WeightDistribution,
     b_vector,
     enumerator_string,
     invert_lagrange,
-    moment_matrix,
     moment_nodes,
     parse_enumerator,
     solve_bareiss,
@@ -22,7 +21,7 @@ from nihocodes.solver import (
     weight_distribution,
 )
 
-from exact_reference import invert_exact, lagrange_numerators_direct, mds_freq_by_j
+from exact_reference import invert_exact, lagrange_numerators_direct, mds_freq_by_j, moment_rows
 
 F = Fraction
 
@@ -63,32 +62,38 @@ def test_theoretical_weights_golden():
     assert theoretical_weights("f1", 2, 16, 1, 0) == (136,)
 
 
+def showcase_nodes(family, t, q, e):
+    return moment_nodes(moment_system_size(family, t), q, e)
+
+
 def test_moment_matrix_structure():
-    mm = moment_matrix("f1", 2, 16, 1)
-    assert mm.size == 5
-    assert mm.rows[0] == (1, 1, 1, 1, 1)
-    assert mm.nodes == (-17, -1, 15, 31, 47)
-    mm2 = moment_matrix("f2", 3, 9, 1)
-    assert mm2.size == 6
-    assert mm2.nodes == (-10, -1, 8, 17, 26, 35)
+    nodes = showcase_nodes("f1", 2, 16, 1)
+    rows = moment_rows(nodes)
+    assert len(rows) == 5
+    assert rows[0] == (1, 1, 1, 1, 1)
+    assert nodes == (-17, -1, 15, 31, 47)
+    nodes2 = showcase_nodes("f2", 3, 9, 1)
+    assert len(moment_rows(nodes2)) == 6
+    assert nodes2 == (-10, -1, 8, 17, 26, 35)
 
 
 def test_golden_inverse_q16():
-    mm = moment_matrix("f1", 2, 16, 1)
-    assert invert_exact(mm.rows) == INVERSE_Q16_T2
-    assert invert_lagrange(mm.nodes) == INVERSE_Q16_T2
+    nodes = showcase_nodes("f1", 2, 16, 1)
+    assert invert_exact(moment_rows(nodes)) == INVERSE_Q16_T2
+    assert invert_lagrange(nodes) == INVERSE_Q16_T2
 
 
 def test_golden_inverse_q9():
-    mm = moment_matrix("f2", 3, 9, 1)
-    inv = invert_exact(mm.rows)
+    nodes = showcase_nodes("f2", 3, 9, 1)
+    rows = moment_rows(nodes)
+    inv = invert_exact(rows)
     assert inv == INVERSE_Q9_T3
-    assert invert_lagrange(mm.nodes) == INVERSE_Q9_T3
+    assert invert_lagrange(nodes) == INVERSE_Q9_T3
     # definitional check: the computed matrix actually inverts M
-    n = mm.size
+    n = len(rows)
     for i in range(n):
         for j in range(n):
-            acc = sum(inv[i][k] * mm.rows[k][j] for k in range(n))
+            acc = sum(inv[i][k] * rows[k][j] for k in range(n))
             assert acc == (1 if i == j else 0)
 
 
@@ -156,10 +161,10 @@ def test_parse_enumerator_rejects_garbage():
 
 
 def test_solvers_verify_residual(example1_spec):
-    mm = moment_matrix("f1", 2, 16, 1)
+    rows = moment_rows(showcase_nodes("f1", 2, 16, 1))
     b = b_vector("f1", 2, 16, 1)
-    mu = solve_bareiss(mm.rows, b)
-    for row, target in zip(mm.rows, b):
+    mu = solve_bareiss(rows, b)
+    for row, target in zip(rows, b):
         assert sum(r * x for r, x in zip(row, mu)) == target
 
 
