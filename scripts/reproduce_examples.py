@@ -13,8 +13,8 @@ from nihocodes.oracle import brute_distribution
 from nihocodes.solver import (
     b_vector,
     enumerator_string,
-    invert_lagrange,
     moment_nodes,
+    solve_equispaced,
     weight_distribution,
 )
 
@@ -33,7 +33,9 @@ def run(name: str, spec: CodeSpec, check_oracle: bool) -> None:
     nodes = moment_nodes(vs.moment_size, vs.q, vs.e)
     print(f"moment matrix nodes: {nodes}")
     print("inverse:")
-    for row in invert_lagrange(nodes):
+    size = len(nodes)
+    columns = [solve_equispaced(nodes, [int(i == k) for k in range(size)]) for i in range(size)]
+    for row in zip(*columns):
         print("  " + "  ".join(str(x) for x in row))
     print("b:", b_vector(vs.family, vs.t, vs.q, vs.e))
     dist = weight_distribution(vs)

@@ -39,7 +39,6 @@ from .solver import (
     WeightDistribution,
     b_vector,
     enumerator_string,
-    invert_lagrange,
     parse_enumerator,
     theoretical_weights,
     weight_distribution,

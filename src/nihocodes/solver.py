@@ -6,13 +6,17 @@ scale = q^(2t+1) for family f1 and q^(2t) for f2.  M is never built: the
 library holds only its nodes, moment_nodes, and the solve and its check
 below read them alone.  The nodes j*e*q - q - 1 = e(qj - k), k = (q+1)/e,
 are also the support of the binomial measure whose r-th moment is N_r (see
-`moments`); node k is q^2 - 1, the node of the (q^2-1)^i term.  The system
-is solved once, by the Lagrange-coefficient closed form for transposed
-Vandermonde systems: mu_j = sum_i c_ji b_i / P'(x_j), where
-P = prod_k (x - x_k) is the master polynomial and c_j the coefficients of
-P / (x - x_j).  P is built once (O(n^2) big-integer operations), each
-quotient by synthetic division (O(n) per node), and its value at x_j, by
-Horner, is P'(x_j).
+`moments`); node k is q^2 - 1, the node of the (q^2-1)^i term.
+
+The nodes x_j = a + c*j, a = -(q+1), c = e*q, are equally spaced, and the
+system is solved once in the Newton basis N_i(x) = prod_{r<i} (x - x_r)
+(Bjorck and Pereyra, Math. Comp. 24, 1970).  Starting from d = b, sweep i
+replaces d_l by d_{l+1} - x_{i-1} d_l, so that its first entry is
+F_i = sum_j N_i(x_j) mu_j.  On equally spaced nodes N_i(x_j) = c^i i! C(j,i),
+hence G_i = F_i / (c^i i!) = sum_{j>=i} C(j,i) mu_j: G is mu in the basis
+(1 + y)^j, and a Taylor shift by -1 gives mu back.  Each step multiplies a
+big integer by one node at most, O(n^2) small multiplications and
+subtractions in all, with n divisions by c^i i!.
 
 The nodes are distinct, so M is invertible, and an exact residual check
 M mu = b on every row certifies that mu is the unique solution.  It runs in
@@ -20,6 +24,10 @@ integers over the common denominator D of mu and builds no matrix: row i
 sums v_j = x_j^i mu_j D, and v is multiplied by the nodes for the next row,
 O(n^2) in all.  Integrality and non-negativity of the result are checked
 after it.
+
+`solve_lagrange` (Lagrange coefficients from one master polynomial) and
+`solve_bareiss` (fraction-free elimination) have no library caller; they are
+the tests' references for the solve.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ def solve_bareiss(rows, rhs) -> tuple[Fraction, ...]:
     """Exact solve of a square integer system by fraction-free elimination
     (Bareiss) followed by rational back-substitution.
 
-    The tests' independent cross-check of solve_lagrange; nothing in the
+    The tests' independent cross-check of solve_equispaced; nothing in the
     library calls it, and it stays here while the benchmark traces it.
     """
     n = len(rows)
@@ -114,7 +122,8 @@ def _lagrange_numerators(nodes) -> list[tuple[list[int], int]]:
 
     The master polynomial P = prod_k (x - x_k) is built once; each
     numerator is P / (x - x_j) by synthetic division, and its value at x_j,
-    P'(x_j), is the denominator.
+    P'(x_j), is the denominator.  Only solve_lagrange and the tests'
+    invert_lagrange use it.
     """
     master = [1]
     for xk in nodes:
@@ -140,7 +149,11 @@ def _lagrange_numerators(nodes) -> list[tuple[list[int], int]]:
 def solve_lagrange(nodes, rhs) -> tuple[Fraction, ...]:
     """Exact solve of sum_j x_j^i mu_j = b_i via Lagrange coefficients: the
     inverse matrix row for node x_j is the coefficient vector of its basis
-    polynomial."""
+    polynomial.
+
+    The tests' reference for solve_equispaced on any distinct nodes; nothing
+    in the library calls it, and it stays here while the benchmark traces it.
+    """
     if len(set(nodes)) != len(nodes):
         raise ZeroDivisionError("repeated interpolation nodes")
     sol = []
@@ -150,14 +163,46 @@ def solve_lagrange(nodes, rhs) -> tuple[Fraction, ...]:
     return tuple(sol)
 
 
-def invert_lagrange(nodes) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the matrix [node_j^i] from Lagrange basis coefficients."""
+def solve_equispaced(nodes, rhs) -> tuple[int | Fraction, ...]:
+    """Exact solve of sum_j x_j^i mu_j = b_i on equally spaced nodes
+    x_j = x_0 + c*j, by Newton-basis sweeps and a Taylor shift by -1 (see
+    the module docstring).
+
+    Returns ints when every division by c^i i! is exact, which makes every
+    mu_j an integer; otherwise Fractions over the common denominator
+    c^(n-1) (n-1)!.  Raises ValueError on nodes that are not equally spaced
+    and ZeroDivisionError on repeated ones.
+    """
     n = len(nodes)
-    out = []
-    for num, den in _lagrange_numerators(nodes):
-        row = [Fraction(num[i] if i < len(num) else 0, den) for i in range(n)]
-        out.append(tuple(row))
-    return tuple(out)
+    if n < 2:
+        return tuple(rhs)
+    start, step = nodes[0], nodes[1] - nodes[0]
+    if step == 0:
+        raise ZeroDivisionError("repeated interpolation nodes")
+    if any(x != start + step * j for j, x in enumerate(nodes)):
+        raise ValueError(f"nodes are not equally spaced: {tuple(nodes)}")
+    d = list(rhs)
+    newton = [d[0]]
+    for x in nodes[:-1]:
+        d = [nxt - x * cur for cur, nxt in zip(d, d[1:])]
+        newton.append(d[0])
+    scales = [1]
+    for i in range(1, n):
+        scales.append(scales[-1] * step * i)
+    quotients = [divmod(f, s) for f, s in zip(newton, scales)]
+    if any(r for _, r in quotients):
+        den = scales[-1]
+        g = [f * (den // s) for f, s in zip(newton, scales)]
+    else:
+        den = 1
+        g = [quotient for quotient, _ in quotients]
+    # Taylor shift by -1: mu_j = sum_{i>=j} (-1)^(i-j) C(i,j) G_i
+    for i in range(n - 1):
+        for k in range(n - 2, i - 1, -1):
+            g[k] -= g[k + 1]
+    if den == 1:
+        return tuple(g)
+    return tuple(Fraction(x, den) for x in g)
 
 
 @dataclass(frozen=True)
@@ -199,13 +244,14 @@ class WeightDistribution:
 def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
     """Solve the moment system exactly and return the distribution.
 
-    One Lagrange solve, certified by the exact residual M mu = b on every
-    row, with no matrix built (the nodes are distinct, so the solution is
-    unique); any non-integral or negative frequency is then rejected.
+    One Newton-basis solve on the equally spaced nodes, certified by the
+    exact residual M mu = b on every row, with no matrix built (the nodes
+    are distinct, so the solution is unique); any non-integral or negative
+    frequency is then rejected, carrying the solution as Fractions.
     """
     nodes = moment_nodes(vspec.moment_size, vspec.q, vspec.e)
     b = b_vector(vspec.family, vspec.t, vspec.q, vspec.e)
-    mu = solve_lagrange(nodes, b)
+    mu = solve_equispaced(nodes, b)
     # The residual in integers, row by row: sum_j x_j^i (mu_j D) = b_i D,
     # D the common denominator of mu, with v_j = x_j^i mu_j D kept as
     # running powers.
@@ -217,7 +263,8 @@ def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
         v = list(map(operator.mul, v, nodes))
     if any(f.denominator != 1 or f < 0 for f in mu):
         raise ModelViolationError(
-            f"frequencies are not non-negative integers for {vspec.key}", mu)
+            f"frequencies are not non-negative integers for {vspec.key}",
+            tuple(map(Fraction, mu)))
     freq_by_j = tuple(int(f) for f in mu)
     weights = theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t)
     return WeightDistribution.from_freq_by_j(vspec, weights, freq_by_j)

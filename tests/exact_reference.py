@@ -1,14 +1,16 @@
 """Independent references for library computations.
 
-`invert_exact` is Gauss-Jordan inversion on rationals, the reference for
-the Lagrange-coefficient inverse in `nihocodes.solver`.  It treats the
-moment matrix, built here by `moment_rows` from the library's nodes (the
+`invert_exact` is Gauss-Jordan inversion on rationals, and `invert_lagrange`
+the inverse from the Lagrange coefficients of `nihocodes.solver`'s
+`_lagrange_numerators`; both are references for the inverse that the
+library's `solve_equispaced` gives on unit vectors.  `invert_exact` treats
+the moment matrix, built here by `moment_rows` from the library's nodes (the
 library builds no matrix), as a general square matrix and uses none of its
-Vandermonde structure, so agreement with `invert_lagrange` on the golden tables checks
-the closed form against plain elimination.  `lagrange_numerators_direct`
-builds each Lagrange basis numerator from scratch, by n - 1 polynomial
-multiplications per node (O(n^3) in all), the reference for the library's
-synthetic division of one master polynomial.
+Vandermonde structure, so agreement with `invert_lagrange` on the golden
+tables checks the closed form against plain elimination.
+`lagrange_numerators_direct` builds each Lagrange basis numerator from
+scratch, by n - 1 polynomial multiplications per node (O(n^3) in all), the
+reference for the library's synthetic division of one master polynomial.
 
 `mds_freq_by_j` is the weight distribution from the MDS weight enumerator
 (MacWilliams & Sloane, ch. 11, Thm 6).  On the unit circle a tuple's
@@ -18,6 +20,12 @@ for f1, 2t for f2) evaluated at the N = (q+1)/e points of W: an MDS code
 of length N, whose words with j zeros are the tuples of weight index j.
 It uses neither N_r nor the moment system, so it checks the solver at any
 q, far past the reach of enumeration.
+
+`newton_freq_by_j` is the same distribution from the Newton-basis
+coordinates of the moment system, G_i = sum_{j>=i} C(j,i) mu_j, in closed
+form: G_i = C(k,i) (q^(s-i) - 1), k = (q+1)/e, s = 2t+1 (f1) or 2t (f2),
+and mu_j = sum_{i>=j} (-1)^(i-j) C(i,j) G_i.  It rests on the binomial form
+of N_r, not on the recurrence of `nihocodes.moments`, and needs no solve.
 
 `n_r_recursive` counts the r-tuples behind N_r one tuple at a time, the
 reference for the meet-in-the-middle `nihocodes.oracle.n_r_brute`.  It walks
@@ -58,6 +66,8 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
+from nihocodes.solver import _lagrange_numerators
+
 
 def invert_exact(rows) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse by Gauss-Jordan on rationals."""
@@ -77,6 +87,16 @@ def invert_exact(rows) -> tuple[tuple[Fraction, ...], ...]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def invert_lagrange(nodes) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of the matrix [node_j^i] from Lagrange basis coefficients."""
+    n = len(nodes)
+    out = []
+    for num, den in _lagrange_numerators(nodes):
+        row = [Fraction(num[i] if i < len(num) else 0, den) for i in range(n)]
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def lagrange_numerators_direct(nodes) -> list[tuple[list[int], int]]:
@@ -119,6 +139,16 @@ def mds_freq_by_j(family: str, q: int, e: int, t: int) -> tuple[int, ...]:
                                 for i in range(w - d + 1))
 
     return tuple(weight_count(n - j) for j in range(k))
+
+
+def newton_freq_by_j(family: str, q: int, e: int, t: int) -> tuple[int, ...]:
+    """Nonzero tuples with exactly j roots on W, j = 0..s-1, from the
+    closed-form Newton coordinates G_i = C(k,i) (q^(s-i) - 1)."""
+    k = (q + 1) // e
+    s = 2 * t + 1 if family == "f1" else 2 * t
+    g = [comb(k, i) * (q ** (s - i) - 1) for i in range(s)]
+    return tuple(sum((-1) ** (i - j) * comb(i, j) * g[i] for i in range(j, s))
+                 for j in range(s))
 
 
 def n_r_recursive(vspec, r: int, ctx) -> int:

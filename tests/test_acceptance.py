@@ -30,13 +30,13 @@ from nihocodes.oracle import (
 from nihocodes.solver import (
     b_vector,
     enumerator_string,
-    invert_lagrange,
     weight_distribution,
 )
 
 from conftest import field
 from exact_reference import (
     invert_exact,
+    invert_lagrange,
     mds_freq_by_j,
     moment_rows,
     n2_closed_form,
@@ -44,7 +44,7 @@ from exact_reference import (
     n4_closed_form,
     n5_closed_form,
 )
-from test_solver import INVERSE_Q16_T2, INVERSE_Q9_T3, showcase_nodes
+from test_solver import INVERSE_Q16_T2, INVERSE_Q9_T3, inverse_by_solve, showcase_nodes
 
 EXAMPLE1_ENUM = "1+35700Y^104+30600Y^112+250920Y^120+377655Y^128+353700Y^136"
 EXAMPLE2_ENUM = "1+2016Y^30+6720Y^36+40320Y^42+113760Y^48+205040Y^54+163584Y^60"
@@ -149,6 +149,7 @@ def test_criterion_3_printed_inverses(capsys):
     rows1 = moment_rows(nodes1)
     inv1 = invert_exact(rows1)
     assert inv1 == INVERSE_Q16_T2
+    assert inverse_by_solve(nodes1) == INVERSE_Q16_T2
     assert invert_lagrange(nodes1) == INVERSE_Q16_T2
     assert inv1[0][0] == INVERSE_Q16_T2[0][0]  # spot entry -7285/524288
 
@@ -158,6 +159,7 @@ def test_criterion_3_printed_inverses(capsys):
     # the (5,5) entry of the golden table is the forced 1/7085880, not the
     # tempting 1/708588; see the table definition in test_solver
     assert inv2 == INVERSE_Q9_T3
+    assert inverse_by_solve(nodes2) == INVERSE_Q9_T3
     assert invert_lagrange(nodes2) == INVERSE_Q9_T3
     assert inv2[0][0] == INVERSE_Q9_T3[0][0]  # spot entry -3094/177147
     for rows, inv in ((rows1, inv1), (rows2, inv2)):

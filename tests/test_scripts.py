@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -28,3 +29,20 @@ def test_small_field_survey_runs(tmp_path):
     status = [line for line in done.stdout.splitlines() if line.startswith("status counts:")]
     assert len(status) == 1 and "oracle-verified" in status[0]
     assert "mismatch" not in status[0]
+
+
+def test_bench_solver_writes_timings(tmp_path):
+    env = dict(os.environ, PYTHONPATH="src")
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, "scripts/bench_solver.py", "--out", str(out), "--sizes", "5", "9",
+         "--repeats", "1", "--rounds", "1", "--runs", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(out.read_text())
+    assert [row["size"] for row in result["solve_alone_best_s"]] == [5, 9]
+    assert all(row["lagrange_s"] > 0 and row["equispaced_s"] > 0
+               for row in result["solve_alone_best_s"])
+    loop = result["analyze_in_process"]
+    assert loop["ops"] == 45 and loop["identical_stdout"]
+    assert len(loop["lagrange_ops_per_s"]) == len(loop["equispaced_ops_per_s"]) == 1

@@ -12,16 +12,23 @@ from nihocodes.solver import (
     WeightDistribution,
     b_vector,
     enumerator_string,
-    invert_lagrange,
     moment_nodes,
     parse_enumerator,
     solve_bareiss,
+    solve_equispaced,
     solve_lagrange,
     theoretical_weights,
     weight_distribution,
 )
 
-from exact_reference import invert_exact, lagrange_numerators_direct, mds_freq_by_j, moment_rows
+from exact_reference import (
+    invert_exact,
+    invert_lagrange,
+    lagrange_numerators_direct,
+    mds_freq_by_j,
+    moment_rows,
+    newton_freq_by_j,
+)
 
 F = Fraction
 
@@ -66,6 +73,13 @@ def showcase_nodes(family, t, q, e):
     return moment_nodes(moment_system_size(family, t), q, e)
 
 
+def inverse_by_solve(nodes):
+    """The inverse of [node_j^i], column i solved from the unit vector e_i."""
+    n = len(nodes)
+    columns = [solve_equispaced(nodes, [int(i == k) for k in range(n)]) for i in range(n)]
+    return tuple(zip(*columns))
+
+
 def test_moment_matrix_structure():
     nodes = showcase_nodes("f1", 2, 16, 1)
     rows = moment_rows(nodes)
@@ -80,6 +94,7 @@ def test_moment_matrix_structure():
 def test_golden_inverse_q16():
     nodes = showcase_nodes("f1", 2, 16, 1)
     assert invert_exact(moment_rows(nodes)) == INVERSE_Q16_T2
+    assert inverse_by_solve(nodes) == INVERSE_Q16_T2
     assert invert_lagrange(nodes) == INVERSE_Q16_T2
 
 
@@ -88,6 +103,7 @@ def test_golden_inverse_q9():
     rows = moment_rows(nodes)
     inv = invert_exact(rows)
     assert inv == INVERSE_Q9_T3
+    assert inverse_by_solve(nodes) == INVERSE_Q9_T3
     assert invert_lagrange(nodes) == INVERSE_Q9_T3
     # definitional check: the computed matrix actually inverts M
     n = len(rows)
@@ -175,7 +191,7 @@ def test_residual_certificate_rejects_a_wrong_solve(monkeypatch, example1_spec):
     # both, row 1 does not
     for wrong in [tuple(F(f) for f in (353701, 377655, 250920, 30600, 35699)),
                   (F(707401, 2), F(755309, 2), F(250920), F(30600), F(35700))]:
-        monkeypatch.setattr(solver, "solve_lagrange", lambda nodes, rhs, mu=wrong: mu)
+        monkeypatch.setattr(solver, "solve_equispaced", lambda nodes, rhs, mu=wrong: mu)
         with pytest.raises(AssertionError, match="residual nonzero in row 1"):
             weight_distribution(example1_spec)
 
@@ -232,6 +248,38 @@ def test_bareiss_matches_lagrange_on_random_vandermonde(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
+def test_equispaced_matches_lagrange_and_bareiss(data):
+    # random right-hand sides, whose solutions are mostly non-integral, and
+    # right-hand sides M mu of integer mu, which take the all-integer path
+    n = data.draw(st.integers(1, 40))
+    start = data.draw(st.integers(-60, 60))
+    step = data.draw(st.integers(-30, 30).filter(bool))
+    nodes = [start + step * j for j in range(n)]
+    rows = [[x**i for x in nodes] for i in range(n)]
+    if data.draw(st.booleans()):
+        rhs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    else:
+        mu = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+        rhs = [sum(r * m for r, m in zip(row, mu)) for row in rows]
+        assert solve_equispaced(nodes, rhs) == tuple(mu)
+    solved = solve_equispaced(nodes, rhs)
+    assert solved == solve_lagrange(nodes, rhs)
+    assert solved == solve_bareiss(rows, rhs)
+
+
+@pytest.mark.parametrize("nodes", [(0, 1, 3), (-17, -1, 15, 31, 48), (2, 4, 6, 8, 9)])
+def test_equispaced_rejects_unequal_spacing(nodes):
+    with pytest.raises(ValueError, match="not equally spaced"):
+        solve_equispaced(nodes, [1] * len(nodes))
+
+
+def test_equispaced_rejects_repeated_nodes():
+    with pytest.raises(ZeroDivisionError):
+        solve_equispaced((5, 5, 5), (1, 2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
 def test_exact_inverse_agrees_with_lagrange(data):
     n = data.draw(st.integers(1, 5))
     nodes = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
@@ -272,7 +320,7 @@ def test_residual_certificate_checks_the_last_row(monkeypatch, example1_spec):
     rows = [sum(x**i * vj for x, vj in zip(nodes, v)) for i in range(n)]
     assert rows == [0] * (n - 1) + [common]
     wrong = tuple(F(f + vj) for f, vj in zip(true, v))
-    monkeypatch.setattr(solver, "solve_lagrange", lambda nodes, rhs: wrong)
+    monkeypatch.setattr(solver, "solve_equispaced", lambda nodes, rhs: wrong)
     with pytest.raises(AssertionError, match="residual nonzero in row 4"):
         weight_distribution(example1_spec)
 
@@ -324,6 +372,22 @@ def test_solver_matches_mds_enumerator_on_small_fields():
                         family, vs.q, vs.e, t)
                     count += 1
     assert count > 50
+
+
+def test_solver_matches_newton_closed_form_at_large_q():
+    # every admissible h < 60 at delta = 1 on the analyze-large fields
+    checked = 0
+    for family, p, m, _ in ANALYZE_STRATA:
+        for t in range(0 if family == "f1" else 1, 19):
+            for h in range(1, 60):
+                try:
+                    vs = validate_spec(CodeSpec(family, p, m, h, 1, t))
+                except SpecValidationError:
+                    continue
+                assert weight_distribution(vs).freq_by_j == newton_freq_by_j(
+                    family, vs.q, vs.e, t)
+                checked += 1
+    assert checked == 2717
 
 
 def test_solver_matches_mds_enumerator_q4096_t60():
