@@ -16,7 +16,9 @@ FIELDS = [("f1", 2, 2), ("f2", 2, 2), ("f1", 2, 3), ("f2", 2, 3), ("f2", 3, 2)]
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="small_field_catalog.jsonl")
+    parser.add_argument("--out", default="small_field_catalog.jsonl",
+                        help="JSONL catalog, appended to; a rerun skips every spec "
+                             "already in it, so delete it to re-check after an upgrade")
     parser.add_argument("--verify-small", type=int, default=10**8,
                         help="oracle-verify specs whose sweep cost fits this")
     args = parser.parse_args()

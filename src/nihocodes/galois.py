@@ -1,4 +1,4 @@
-"""Arbitrary GF(p^k) arithmetic on packed integer codes.
+"""Arbitrary GF(p^k) arithmetic on integer codes.
 
 An element is an integer 0 <= x < p^k whose base-p digits are its
 coordinates in the polynomial basis (constant term in the least significant
@@ -30,24 +30,27 @@ so it is the digit vector of exp[i] times the basis traces Tr(gamma^j),
 j < k, mod p.  Those are the power sums of the modulus's roots, which
 Newton's identities give from its coefficients in k^2 integer steps.
 
-sum_codes adds arrays of codes digit by digit (XOR for p = 2).  For odd p,
-group_tables gives the dense addition table and negation map of the codes,
-refused with TableLimitExceeded before allocation above ADD_TABLE_ENTRIES
-entries; a context keeps its own as the group_tables view, built on first
-use like the trace.
+Addition reads a second, packed form of the codes (Knuth's broadword
+arithmetic, TAOCP Vol. 4A, 7.1.3): digit i sits in bits W i .. W i + W - 1,
+W = digit_bits(p) = bitlen(p-1) + 1 for odd p, so 2^(W-1) >= p and two
+digits plus 2^(W-1) - p stay below 2^W.  With ONES a 1 at the bottom of
+every field, adder(p, k) gives add(x, y) = wrap(x + y) and neg(x) =
+wrap(p ONES - x) on whole arrays, no table and no digit loop, where
+wrap(s) = s - p (((s + (2^(W-1) - p) ONES) >> (W-1)) & ONES).  For p = 2
+(W = 1) the packed form is the code, add is XOR and neg the identity.  Zero
+packs to 0.  The read-only packed_exp view holds exp packed, built on first
+use like the trace; build_field makes its "times gamma" map with the adder.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 DEFAULT_TABLE_LIMIT = 1 << 24
-# Largest odd-p addition table: GF(3^8) (6561^2 entries) fits, GF(3^10) and
-# GF(5^6) are refused.
-ADD_TABLE_ENTRIES = 1 << 26
 
 
 class FieldBuildError(ValueError):
@@ -59,18 +62,7 @@ class TableLimitExceeded(FieldBuildError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and (n < 4 or all(n % d for d in range(2, math.isqrt(n) + 1)))
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -86,14 +78,6 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-def _digits(code: int, p: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        code, r = divmod(code, p)
-        out.append(r)
-    return out
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
@@ -114,9 +98,7 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
 
 
 def _poly_pow_mod(base: list[int], exponent: int, mod: list[int], p: int) -> list[int]:
-    k = len(mod) - 1
-    result = [0] * k
-    result[0] = 1
+    result = [1] + [0] * (len(mod) - 2)
     acc = list(base)
     while exponent:
         if exponent & 1:
@@ -129,9 +111,7 @@ def _poly_pow_mod(base: list[int], exponent: int, mod: list[int], p: int) -> lis
 
 def _has_full_order(gen: list[int], mod: list[int], p: int, group_order: int,
                     factors: tuple[int, ...]) -> bool:
-    k = len(mod) - 1
-    one = [0] * k
-    one[0] = 1
+    one = [1] + [0] * (len(mod) - 2)
     if _poly_pow_mod(gen, group_order, mod, p) != one:
         return False
     for ell in factors:
@@ -150,12 +130,8 @@ def _find_primitive_modulus(p: int, k: int) -> tuple[tuple[int, ...], tuple[int,
     for n in range(1, order):
         if n % p == 0:  # zero constant term: the indeterminate divides it
             continue
-        mod = _digits(n, p, k) + [1]
-        if k == 1:
-            gamma = [(-mod[0]) % p]
-        else:
-            gamma = [0] * k
-            gamma[1] = 1
+        mod = [n // p**i % p for i in range(k)] + [1]  # base-p digits, then monic
+        gamma = [-mod[0] % p] if k == 1 else [0, 1] + [0] * (k - 2)
         if _has_full_order(gamma, mod, p, order - 1, factors):
             return tuple(mod), tuple(gamma)
     raise FieldBuildError(f"no primitive polynomial of degree {k} over GF({p})")
@@ -216,10 +192,10 @@ class FieldContext:
         return _read_only((acc % self.p).astype(np.min_scalar_type(self.p - 1)))
 
     @cached_property
-    def group_tables(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """This field's addition table and negation map, group_tables(p,
-        order), built once per context on first use."""
-        return group_tables(self.p, self.order)
+    def packed_exp(self) -> np.ndarray:
+        """exp in packed form: gamma^i for every exponent i, as the adder's
+        operand."""
+        return _read_only(pack(self.exp, self.p, self.degree))
 
 
 def _basis_traces(modulus: tuple[int, ...], p: int) -> list[int]:
@@ -239,42 +215,58 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def sum_codes(terms: list, p: int, size: int) -> np.ndarray:
-    """Elementwise field sum of broadcastable arrays of packed base-p codes
-    below size (a power of p): XOR for p = 2, else digit by digit in the
-    smallest unsigned dtype that holds size - 1."""
-    if p == 2:
-        return reduce(np.bitwise_xor, terms)
-    # room for a digit sum of up to len(terms) * (p-1) as well as for a code
-    dtype = np.min_scalar_type(max(size - 1, len(terms) * (p - 1)))
-    rest = [np.asarray(t, dtype=dtype) for t in terms]
-    out, place = 0, 1
-    while place < size:
-        digits = 0
-        for i, t in enumerate(rest):
-            rest[i], digit = np.divmod(t, p)
-            digits = digits + digit
-        digits %= p
-        digits *= place
-        out += digits
-        place *= p
-    return out.astype(np.min_scalar_type(size - 1), copy=False)
+def digit_bits(p: int) -> int:
+    """Bits W of one packed base-p digit: 1 for p = 2, else bitlen(p-1) + 1."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def group_tables(p: int, size: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Addition table and negation map of the packed base-p codes
-    0..size-1 (size a power of p); (None, None) for p = 2, where addition
-    is XOR and every element is its own negative.  A table of more than
-    ADD_TABLE_ENTRIES entries is refused before it is allocated."""
+def packed_dtype(p: int, k: int) -> np.dtype:
+    """The smallest unsigned dtype that holds a packed GF(p^k) element."""
+    return np.min_scalar_type((1 << digit_bits(p) * k) - 1)
+
+
+def pack(codes, p: int, k: int) -> np.ndarray:
+    """Base-p codes below p^k in packed form (for odd p in packed_dtype(p, k))."""
     if p == 2:
-        return None, None
-    if size * size > ADD_TABLE_ENTRIES:
-        raise TableLimitExceeded(
-            f"addition table of {size}^2 entries exceeds limit {ADD_TABLE_ENTRIES}")
-    codes = np.arange(size)
-    add = sum_codes([codes[:, None], codes[None, :]], p, size)
-    # each row holds its one zero, the minimum, at the row's negative
-    return add, add.argmin(axis=1).astype(add.dtype)
+        return np.asarray(codes)
+    rest, out = np.asarray(codes), 0
+    for i in range(k):
+        rest, digit = np.divmod(rest, p)
+        out = out | digit.astype(packed_dtype(p, k)) << digit_bits(p) * i
+    return out
+
+
+def unpack(packed, p: int, k: int) -> np.ndarray:
+    """Packed GF(p^k) elements as base-p codes, in the smallest unsigned
+    dtype that holds p^k - 1."""
+    if p == 2:
+        return np.asarray(packed)
+    bits, dtype, out = digit_bits(p), np.min_scalar_type(p**k - 1), 0
+    for i in reversed(range(k)):
+        out = out * p + (packed >> bits * i & (1 << bits) - 1).astype(dtype)
+    return out
+
+
+def adder(p: int, k: int):
+    """(add, neg) on packed GF(p^k) elements, elementwise on broadcastable
+    arrays.  For odd p they compute in packed_dtype(p, k), so narrower
+    operands (GF(p) symbols in one byte for p > 128) are widened first."""
+    if p == 2:
+        return np.bitwise_xor, lambda x: x  # -x = x in characteristic 2
+    bits, dtype = digit_bits(p), packed_dtype(p, k)
+    ones = sum(1 << bits * i for i in range(k))
+    bias = ((1 << bits - 1) - p) * ones
+
+    def wrap(s):
+        return s - p * ((s + bias) >> bits - 1 & ones)
+
+    def add(x, y):
+        return wrap(np.add(x, y, dtype=dtype))
+
+    def neg(x):
+        return wrap(np.subtract(p * ones, x, dtype=dtype))
+
+    return add, neg
 
 
 def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> FieldContext:
@@ -298,7 +290,8 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
     top, low = np.divmod(codes, order // p)
     # x^degree = -mod[:degree]: a top digit d folds back as d * -mod[:degree]
     fold = (-np.arange(p)[:, None] * mod[:degree] % p @ p ** np.arange(degree)).astype(codes.dtype)
-    times_gamma = sum_codes([low * p, fold[top]], p, order)
+    add, _ = adder(p, degree)
+    times_gamma = unpack(add(pack(low * p, p, degree), pack(fold, p, degree)[top]), p, degree)
 
     n = order - 1
     exp = np.empty(n, dtype=times_gamma.dtype)

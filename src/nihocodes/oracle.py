@@ -1,30 +1,30 @@
 """Independent ground truth by direct enumeration.
 
 Two weight paths are kept separate by method, and each is implemented
-once, as a table builder over the field's exp/log/trace arrays:
+once, as a table builder over the field's array views:
 
   * the positionwise path, _symbol_tables, evaluates the defining trace
-    expression of a codeword symbol by symbol over all q^2-1 coordinates;
+    expression of a codeword symbol by symbol over all q^2-1 coordinates,
+    as GF(p) symbols read from the trace view;
   * the root-counting path, _root_tables, evaluates a degree <= 2t
     polynomial over the small subgroup W of the unit circle (order
     (q+1)/e) and converts the number of roots into a character-sum value
-    and hence a weight.
+    and hence a weight; its values are GF(q^2) elements in the packed form
+    of galois, read from the packed_exp view.
 
-Per coefficient slot, a builder gives one value per entry and coefficient
-of the slot's domain: _root_tables the slot's term at each W point
-(entries are W points, values GF(q^2) codes), _symbol_tables its trace
-symbol at each position (entries are positions, values GF(p) symbols).  A
-tuple's entry is the sum of its slots.  The batch evaluators
-codeword_weights and char_sums give slot s the s-th coefficients of a list
-of tuples as its domain, so column i of every table is tuple i: they sum the
-slot tables elementwise and count the nonzero symbols or the roots per
-column, in chunks of at most _BATCH_ENTRIES entries per slot.
-codeword_weight and char_sum are the batches of one tuple.  Full-space
-sweeps hand the tables of whole domains to one engine,
-_zero_count_histogram, which histograms how many entries vanish;
-brute_distribution maps that count to a weight.  The scalar references
-both paths are tested against live in the tests, with their own scalar
-field arithmetic.
+A builder gives, per coefficient slot, one value per entry (W point or
+position) and coefficient of the slot's domain.  A tuple's entry is the sum
+of its slots under the (add, neg) pair of galois.adder, for GF(q^2) or
+GF(p); zero packs to 0, so roots and zero symbols are counted without
+unpacking, and domains, validation and log lookups stay on base-p codes.
+The batch evaluators codeword_weights and char_sums give slot s the s-th
+coefficients of a list of tuples as its domain, so column i of every table
+is tuple i, in chunks of at most _BATCH_ENTRIES entries per slot;
+codeword_weight and char_sum are batches of one.  Full-space sweeps hand
+the tables of whole domains to one engine, _zero_count_histogram, which
+histograms how many entries vanish; brute_distribution maps that count to
+a weight.  n_r_brute sums packed signatures with the same adder.  The
+scalar references both paths are tested against live in the tests.
 
 brute_distribution sweeps one representative per cyclic orbit of the first
 full-field slot j0 (slot 0 for f2, slot 1 for f1 with t >= 1).  A cyclic
@@ -46,10 +46,7 @@ refused outright, never truncated.  The stated cost model charges
 p^dimension * (q^2-1) for a distribution sweep regardless of path, and
 (q^2-1)^r for counting r-tuples.  These are the costs of plain
 enumeration; the budget charges them even though the orbit reduction and
-the meet in the middle do less work.  For odd p both also read the dense
-addition table of the GF(q^2) codes, the context's group_tables view: it
-is built once per context and refused with TableLimitExceeded before it is
-allocated when it would pass galois.ADD_TABLE_ENTRIES entries.
+the meet in the middle do less work.
 
 Domains list their coefficients in a fixed order: zero first, then
 ascending generator exponents, with the f1 leading coefficient restricted
@@ -64,11 +61,12 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .codespec import ValidatedSpec
-from .galois import FieldContext, build_field, group_tables, sum_codes
+from .galois import FieldContext, adder, build_field, digit_bits, unpack
 from .moments import n_r
 from .solver import WeightDistribution, moment_nodes, theoretical_weights, weight_for_index
 
@@ -147,9 +145,10 @@ def codeword_weights(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
     trace expression, in input order; independent of the root-counting
     shortcut.  Column i of the slot tables is tuple i, so the symbols are
     the slot tables summed elementwise."""
+    add, _ = adder(vspec.p, 1)
     weights = []
     for domains in _columns(vspec, tuples, ctx, vspec.length):
-        symbols = np.sum(_symbol_tables(vspec, ctx, domains), axis=0) % vspec.p
+        symbols = reduce(add, _symbol_tables(vspec, ctx, domains))
         weights += np.count_nonzero(symbols, axis=0).tolist()
     return weights
 
@@ -164,9 +163,10 @@ def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
     the polynomial vanish identically, which yields q^2 resp. (p-1)q^2.
     """
     scale = vspec.q if vspec.family == "f1" else (vspec.p - 1) * vspec.q
+    add, _ = adder(ctx.p, ctx.degree)
     sums = []
     for domains in _columns(vspec, tuples, ctx, (vspec.q + 1) // vspec.e):
-        values = sum_codes(_root_tables(vspec, ctx, domains), vspec.p, ctx.order)
+        values = reduce(add, _root_tables(vspec, ctx, domains))
         sums += [scale * (vspec.e * roots - 1)
                  for roots in np.count_nonzero(values == 0, axis=0).tolist()]
     return sums
@@ -195,19 +195,20 @@ def weight_from_char_sum(vspec: ValidatedSpec, s: int) -> int:
 def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
                  domains: list) -> list[np.ndarray]:
     """Per coefficient slot, its term of the root-counting polynomial at
-    every W point for every coefficient of its domain, as element codes:
-    shape (|W|, |domain|).  A term z * u^k is exp[(log z + k log u) mod n]
-    and its conjugate z^q * u^k is exp[(q log z + k log u) mod n], both
-    masked to 0 where z = 0."""
+    every W point for every coefficient of its domain, as packed elements:
+    shape (|W|, |domain|).  A term z * u^k is gamma^((log z + k log u) mod n)
+    and its conjugate z^q * u^k is gamma^((q log z + k log u) mod n), both
+    read from the packed_exp view and masked to 0 where z = 0."""
     q, n = vspec.q, ctx.order - 1
+    add, _ = adder(ctx.p, ctx.degree)
     wlog = np.arange(0, n, (q - 1) * vspec.e)[:, None]  # W = <gamma^((q-1)e)>
     tables = []
     for slot, domain in zip(_slot_terms(vspec), domains):
         z = np.asarray(domain)[None, :]
         zlog, nonzero = ctx.log[z], z != 0
-        terms = [ctx.exp[((q if conjugate else 1) * zlog + uexp * wlog) % n] * nonzero
+        terms = [ctx.packed_exp[((q if conjugate else 1) * zlog + uexp * wlog) % n] * nonzero
                  for conjugate, uexp in slot]
-        tables.append(sum_codes(terms, vspec.p, ctx.order))
+        tables.append(reduce(add, terms))
     return tables
 
 
@@ -229,26 +230,27 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
         z = np.asarray(domain)[None, :]
         zlog = ctx.log[z]
         if vspec.family == "f1" and s == 0:
-            relative = sum_codes([ctx.exp[1], ctx.exp[vspec.q]], vspec.p, ctx.order)
+            add, _ = adder(ctx.p, ctx.degree)
+            relative = unpack(add(ctx.packed_exp[1], ctx.packed_exp[vspec.q]),
+                              ctx.p, ctx.degree)
             zlog = zlog + 1 - ctx.log[relative]
         tables.append(ctx.trace[(zlog + d * positions) % n] * (z != 0))
     return tables
 
 
-def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
-                          neg: np.ndarray | None) -> list[int]:
+def _zero_count_histogram(tables: list[np.ndarray], add, neg) -> list[int]:
     """How many coefficient tuples make exactly c of the L summed entries
     zero, for c = 0..L, the all-zero tuple removed.
 
     tables[s][k, i] is slot s's entry k when its coefficient is the i-th of
-    its domain; a tuple's entry k is the group sum over its slots, under
-    XOR when add is None and through the table add otherwise.  A domain
-    that holds the zero coefficient holds it first, as an all-zero column;
-    when every domain does, the all-zero tuple (count L) is swept and
-    removed.  The trailing slots are folded into one block of at most
-    _BLOCK_ENTRIES entries; the leading (outer) slots are walked as one
-    flat index, and an outer tuple's partial sum is matched against every
-    block column at once.
+    its domain, a packed element; a tuple's entry k is the sum over its
+    slots by the adder's add, and neg negates.  A domain that holds the
+    zero coefficient holds it first, as an all-zero column; when every
+    domain does, the all-zero tuple (count L) is swept and removed.  The
+    trailing slots are folded into one block of at most _BLOCK_ENTRIES
+    entries, which is then negated; the leading (outer) slots are walked as
+    one flat index, and an outer tuple's partial sum is matched against
+    every negated block column at once.
     """
     n_entries = tables[0].shape[0]
     split, cols = len(tables) - 1, tables[-1].shape[1]
@@ -257,11 +259,8 @@ def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
         cols *= tables[split].shape[1]
     block = tables[split]
     for nxt in tables[split + 1:]:
-        if add is None:
-            block = block[:, :, None] ^ nxt[:, None, :]
-        else:
-            block = add[block[:, :, None], nxt[:, None, :]]
-        block = block.reshape(n_entries, -1)
+        block = add(block[:, :, None], nxt[:, None, :]).reshape(n_entries, -1)
+    block = neg(block)
 
     outer_sizes = [t.shape[1] for t in tables[:split]]
     count_dtype = np.min_scalar_type(n_entries)
@@ -269,9 +268,8 @@ def _zero_count_histogram(tables: list[np.ndarray], add: np.ndarray | None,
     for outer in itertools.product(*map(range, outer_sizes)):
         partial = np.zeros(n_entries, dtype=block.dtype)
         for table, zi in zip(tables, outer):
-            partial = partial ^ table[:, zi] if add is None else add[partial, table[:, zi]]
-        target = partial if neg is None else neg[partial]
-        counts = (block == target[:, None]).sum(axis=0, dtype=count_dtype)
+            partial = add(partial, table[:, zi])
+        counts = (block == partial[:, None]).sum(axis=0, dtype=count_dtype)
         hist += np.bincount(counts, minlength=n_entries + 1)
     if not any(table[:, 0].any() for table in tables):
         hist[n_entries] -= 1
@@ -292,13 +290,13 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     ctx = _context_for(vspec, ctx)
     if path == "fast":
         build = _root_tables
-        add, neg = ctx.group_tables
+        add, neg = adder(ctx.p, ctx.degree)
 
         def weight_of(roots):
             return weight_for_index(vspec.family, vspec.p, vspec.q, vspec.e, roots)
     elif path == "slow":
         build = _symbol_tables
-        add, neg = group_tables(vspec.p, vspec.p)
+        add, neg = adder(vspec.p, 1)
 
         def weight_of(zeros):
             return vspec.length - zeros
@@ -341,29 +339,34 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
 
 # -- tuple counting and power moments --------------------------------------
 
-def _row_ids(rows: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of the rows of a (R, k) array of element codes below
-    `order`, equal rows sharing an id, and the index of each id's first row.
+def _row_ids(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the rows of a (R, k) array of unsigned entries below
+    `base` (packed elements below 2^(W k) in n_r_brute), equal rows sharing
+    an id, and the index of each id's first row.
 
-    The columns are packed base `order` into one int64 key; when the next
-    column would not fit, the key packed so far is first replaced by its
-    rank, which is below R.
+    The columns are combined base `base` into one int64 key; when the next
+    column would not fit, the key built so far is first replaced by its
+    rank, which is below R, and if it still would not, so is the column.
     """
     ids = np.zeros(len(rows), dtype=np.int64)
     bound = 1
     for col in rows.T:
-        if bound * order > 1 << 63:
+        width = base
+        if bound * width > 1 << 63:
             _, ids = np.unique(ids, return_inverse=True)
             bound = len(rows)
-        ids = ids * order + col
-        bound *= order
+        if bound * width > 1 << 63:
+            _, col = np.unique(col, return_inverse=True)
+            width = len(rows)
+        ids = ids * width + col.astype(np.int64)
+        bound *= width
     _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
     return ids, first
 
 
-def _merge_rows(keys: np.ndarray, counts: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _merge_rows(keys: np.ndarray, counts: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of keys, each with the sum of its rows' counts."""
-    ids, first = _row_ids(keys, order)
+    ids, first = _row_ids(keys, base)
     merged = np.zeros(len(first), dtype=counts.dtype)
     np.add.at(merged, ids, counts)
     return keys[first], merged
@@ -374,7 +377,7 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     """Number of r-tuples of nonzero GF(q^2) elements that satisfy every
     defining power-sum equation, by meet in the middle.
 
-    An element's signature is the vector of its exponent powers.  The
+    An element's signature is the vector of its exponent powers, packed.  The
     histogram of the n = q^2-1 signatures is convolved with itself
     ceil(r/2) and floor(r/2) times, equal sums merged after each step, into
     the histograms A and B of signature sums over ceil(r/2)- and
@@ -390,22 +393,20 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     if required > budget:
         raise BudgetExceeded(required, budget)
     ctx = _context_for(vspec, ctx)
-    add, neg = ctx.group_tables
+    add, neg = adder(ctx.p, ctx.degree)
+    base = 1 << digit_bits(ctx.p) * ctx.degree
 
     powers = np.arange(n, dtype=np.int64)
-    sigs = np.stack([ctx.exp[d * powers % n] for d in vspec.exponents], axis=1)
+    sigs = np.stack([ctx.packed_exp[d * powers % n] for d in vspec.exponents], axis=1)
     width = sigs.shape[1]
     count_dtype = np.int64 if n ** ((r + 1) // 2) < 1 << 63 else object
-    one_keys, one_counts = _merge_rows(sigs, np.ones(n, dtype=count_dtype), ctx.order)
+    one_keys, one_counts = _merge_rows(sigs, np.ones(n, dtype=count_dtype), base)
 
     def plus_one(keys, counts):
         """The histogram of the sums with one more signature."""
-        if add is None:
-            sums = keys[:, None, :] ^ one_keys[None, :, :]
-        else:
-            sums = add[keys[:, None, :], one_keys[None, :, :]]
+        sums = add(keys[:, None, :], one_keys[None, :, :])
         return _merge_rows(sums.reshape(-1, width), (counts[:, None] * one_counts).reshape(-1),
-                           ctx.order)
+                           base)
 
     high = low = (np.zeros((1, width), dtype=sigs.dtype), np.ones(1, dtype=count_dtype))
     for size in range(1, (r + 1) // 2 + 1):
@@ -414,9 +415,7 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
             low = high
     keys_a, counts_a = high
     keys_b, counts_b = low
-    if neg is not None:
-        keys_b = neg[keys_b]
-    ids, _ = _row_ids(np.concatenate([keys_a, keys_b]), ctx.order)
+    ids, _ = _row_ids(np.concatenate([keys_a, neg(keys_b)]), base)
     counts_by_id = np.zeros(len(ids), dtype=count_dtype)
     counts_by_id[ids[len(keys_a):]] = counts_b
     return sum(map(operator.mul, counts_a.tolist(), counts_by_id[ids[:len(keys_a)]].tolist()))

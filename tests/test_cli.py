@@ -119,26 +119,43 @@ def test_verify_table_limit_env(capsys, monkeypatch):
     assert "table limit" in capsys.readouterr().err
 
 
-def test_verify_addition_table_refusal_exits_3(capsys):
-    # admissible and inside the default budget (N_1 is charged 59048), but
-    # the GF(3^10) addition table would hold 59049^2 entries
-    code = main(["verify", "--family", "f2", "--p", "3", "--m", "5", "--h", "1",
-                 "--delta", "1", "--t", "1", "--checks", "nr"])
-    assert code == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("table limit refusal: ")
+@pytest.mark.parametrize("p, m", [(3, 5), (5, 3), (97, 1)])
+def test_verify_odd_p_fields_need_no_addition_table(capsys, p, m):
+    # admissible and inside the default budget; a dense addition table of
+    # GF(q^2) would hold more than 2^26 entries, the packed adder holds none
+    code = main(["verify", "--family", "f2", "--p", str(p), "--m", str(m), "--h", "1",
+                 "--delta", "1", "--t", "1", "--checks", "all"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "all checks agree" in out
 
 
-def test_verify_builds_one_addition_table_per_context(capsys, monkeypatch):
-    # the q = 9 showcase: the fast sweep and N_1..N_4 all read the GF(81)
-    # addition table of the one context verify builds
-    builds = []
-    build = galois.group_tables
-    monkeypatch.setattr(galois, "group_tables",
-                        lambda p, size: builds.append((p, size)) or build(p, size))
+def test_verify_packs_exp_once_per_context(capsys, monkeypatch):
+    # the q = 9 showcase: the fast sweep and N_1..N_4 all read the packed
+    # exp view of the one context verify builds
+    contexts, packed = [], []
+    build, pack = cli.build_field, galois.pack
+    monkeypatch.setattr(cli, "build_field",
+                        lambda *args, **kwargs: contexts.append(build(*args, **kwargs))
+                        or contexts[-1])
+    monkeypatch.setattr(galois, "pack",
+                        lambda codes, p, k: packed.append(codes) or pack(codes, p, k))
     assert main(["verify", *EXAMPLE2_FLAGS, "--checks", "all"]) == 0
     assert "N_4: brute" in capsys.readouterr().out
-    assert builds == [(3, 81)]
+    assert len(contexts) == 1 and "packed_exp" in vars(contexts[0])
+    assert sum(codes is contexts[0].exp for codes in packed) == 1
+
+
+@pytest.mark.parametrize("slow", [False, True])
+def test_verify_gf131_symbols_wider_than_a_byte(capsys, slow):
+    # p = 131: a packed digit takes 9 bits, so GF(p) symbols held in one
+    # byte must be widened before they are added
+    code = main(["verify", "--family", "f2", "--p", "131", "--m", "1", "--h", "1",
+                 "--delta", "1", "--t", "1", "--checks", "distribution",
+                 *(["--slow-path"] if slow else [])])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "all checks agree" in out
 
 
 @pytest.mark.parametrize("flags, rows", [(EXAMPLE1_FLAGS, 4), (EXAMPLE2_FLAGS, 5)])

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -10,7 +9,7 @@ import pytest
 
 from nihocodes import oracle
 from nihocodes.codespec import CodeSpec, validate_spec
-from nihocodes.galois import ADD_TABLE_ENTRIES, FieldContext, TableLimitExceeded, group_tables
+from nihocodes.galois import FieldContext, adder, digit_bits, pack, packed_dtype, unpack
 from nihocodes.moments import n_r
 from nihocodes.oracle import (
     BudgetExceeded,
@@ -33,6 +32,7 @@ from exact_reference import (
     mds_freq_by_j,
     mul,
     n_r_recursive,
+    neg as scalar_neg,
     power,
     symbol_at,
     trace_to_prime,
@@ -222,10 +222,10 @@ def _unreduced_entries(vs, path):
     domains = coefficient_domains(vs, ctx)
     if path == "fast":
         tables = oracle._root_tables(vs, ctx, domains)
-        add, neg = ctx.group_tables
+        add, neg = adder(ctx.p, ctx.degree)
     else:
         tables = oracle._symbol_tables(vs, ctx, domains)
-        add, neg = group_tables(vs.p, vs.p)
+        add, neg = adder(vs.p, 1)
     by_weight = Counter()
     for count, f in enumerate(oracle._zero_count_histogram(tables, add, neg)):
         weight = (weight_for_index(vs.family, vs.p, vs.q, vs.e, count) if path == "fast"
@@ -270,7 +270,6 @@ def test_shard_count_invariance(monkeypatch, shards):
                   for _ in range(8)]
         for table in tables:
             table[:, 0] = 0
-        add, neg = group_tables(p, ctx.order)
         expected = [0] * 6
         for idx in itertools.product(range(2), repeat=8):
             if any(idx):
@@ -278,6 +277,8 @@ def test_shard_count_invariance(monkeypatch, shards):
                 for table, i in zip(tables, idx):
                     sums = [scalar_add(ctx, s, int(v)) for s, v in zip(sums, table[:, i])]
                 expected[sums.count(0)] += 1
+        tables = [pack(table, p, 2) for table in tables]
+        add, neg = adder(p, 2)
         assert oracle._zero_count_histogram(tables, add, neg) == expected
 
         steps = []
@@ -296,7 +297,7 @@ def test_shard_count_invariance(monkeypatch, shards):
 
 def test_outer_index_walk_matches_solver():
     # the q = 9 showcase is too large for one block on either path, so its
-    # leading slot is walked as an outer index through the addition table
+    # leading slot is walked as an outer index through the packed adder
     odd = validate_spec(CodeSpec("f2", 3, 2, 3, 1, 3))
     solver = weight_distribution(odd)
     assert brute_distribution(odd, path="fast") == solver
@@ -323,7 +324,8 @@ def test_zero_count_histogram_matches_enumeration(monkeypatch, p, degree, block_
             for table, i in zip(tables, idx):
                 sums = [scalar_add(ctx, s, int(v)) for s, v in zip(sums, table[:, i])]
             expected[sums.count(0)] += 1
-    add, neg = group_tables(p, ctx.order)
+    tables = [pack(table, p, degree) for table in tables]
+    add, neg = adder(p, degree)
     assert oracle._zero_count_histogram(tables, add, neg) == expected
 
 
@@ -351,24 +353,34 @@ def test_oracle_hot_paths_are_table_driven(example1_spec, example2_spec):
             assert n_r_brute(vs, r, ctx=ctx) == n_r(r, vs.q, vs.e)
 
 
-def test_addition_table_refused_before_allocation():
-    # GF(3^10): 59049^2 entries would take several GB
-    tracemalloc.start()
-    try:
-        with pytest.raises(TableLimitExceeded):
-            group_tables(3, 3**10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert (3**8) ** 2 <= ADD_TABLE_ENTRIES  # GF(3^8) still builds
-    ctx = field(3, 6)  # two-byte codes
-    add, neg = group_tables(3, ctx.order)
-    rng = random.Random(2)
-    for _ in range(500):
-        x, y = rng.randrange(ctx.order), rng.randrange(ctx.order)
-        assert add[x, y] == scalar_add(ctx, x, y)
-        assert add[x, neg[x]] == 0
+@pytest.mark.parametrize("p, degree", [
+    (3, 6), (5, 4), (7, 4), (97, 2), (131, 2), (3, 1), (97, 1), (131, 1)])
+def test_packed_adder_matches_digitwise_add(p, degree):
+    """add and neg on packed elements against the scalar digit-by-digit
+    reference; at p = 131 a digit takes 9 bits, and k = 1 operands held in
+    one byte (the slow path's GF(p) symbols) are widened by the adder."""
+    ctx = field(p, degree)
+    codes = np.arange(ctx.order)
+    assert unpack(pack(codes, p, degree), p, degree).tolist() == codes.tolist()
+    rng = np.random.default_rng(p * degree)
+    x, y = rng.integers(0, ctx.order, size=(2, 500))
+    add, neg = adder(p, degree)
+    px, py = pack(x, p, degree), pack(y, p, degree)
+    if degree == 1:
+        px, py = px.astype(np.min_scalar_type(p - 1)), py.astype(np.min_scalar_type(p - 1))
+    assert unpack(add(px, py), p, degree).tolist() == [
+        scalar_add(ctx, a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert unpack(neg(px), p, degree).tolist() == [scalar_neg(ctx, a) for a in x.tolist()]
+    assert not add(px, neg(px)).any()
+
+
+def test_gf3_15_packs_into_45_bits():
+    # no field build: the largest odd-p field under the default table limit
+    assert digit_bits(3) * 15 == 45 and packed_dtype(3, 15) == np.uint64
+    top = 3**15 - 1  # every digit 2
+    assert int(pack([top], 3, 15)[0]) == sum(2 << 3 * i for i in range(15)) < 1 << 45
+    codes = np.random.default_rng(15).integers(0, 3**15, size=1000)
+    assert unpack(pack(codes, 3, 15), 3, 15).tolist() == codes.tolist()
 
 
 def test_brute_distribution_wide_entries_and_counts():
@@ -410,15 +422,20 @@ def test_n_r_brute_matches_recursive_counter(key, rmax):
         assert n_r_brute(vs, r, ctx=ctx) == n_r_recursive(vs, r, ctx), (key, r)
 
 
-@pytest.mark.parametrize("order", [4, 256, 1 << 20])
+@pytest.mark.parametrize("order", [4, 256, 1 << 20, 1 << 52, 1 << 62])
 def test_row_ids_match_row_equality(order):
-    # twelve columns: at order 256 or 2^20 the rows do not fit one int64
-    # key, and rows that differ only in their first column must not merge
+    # twelve columns: at order 256 or more the rows do not fit one int64
+    # key, and rows that differ only in their first column, or only in the
+    # last bit of their last, must not merge; at 2^52 and 2^62 the entries
+    # are uint64 and a key passes float precision, and at 2^62 even one
+    # column beside the rank of the others passes 2^63
     rng = np.random.default_rng(order)
     base = rng.integers(0, order, size=(40, 12))
-    changed = base.copy()
+    changed, nearby = base.copy(), base.copy()
     changed[:, 0] = (changed[:, 0] + rng.integers(1, order, size=40)) % order
-    rows = np.concatenate([base, changed, base[::-1]])
+    nearby[:, -1] ^= 1
+    rows = np.concatenate([base, changed, nearby, base[::-1]]).astype(
+        np.min_scalar_type(order - 1))
     ids, first = oracle._row_ids(rows, order)
     as_tuples = [tuple(row) for row in rows.tolist()]
     for i in range(len(rows)):
