@@ -81,7 +81,8 @@ class AnalysisReport:
     def to_json_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "spec": dataclasses.asdict(self.spec),
+            "spec": {"family": self.spec.family, "p": self.spec.p, "m": self.spec.m,
+                     "h": self.spec.h, "delta": self.spec.delta, "t": self.spec.t},
             "q": self.q,
             "e": self.e,
             "s_values": list(self.s_values),
@@ -119,19 +120,35 @@ class AnalysisReport:
         )
 
 
-def build_report(vspec: ValidatedSpec, dist: WeightDistribution) -> AnalysisReport:
-    n_values = tuple(n_r(i, vspec.q, vspec.e) for i in range(vspec.moment_size))
+@dataclasses.dataclass(frozen=True)
+class Solution:
+    """The part of a report that depends on (family, p, m, e, t) alone: the
+    certified distribution, the N_r row and the enumerator."""
+
+    dist: WeightDistribution
+    n_values: tuple[int, ...]
+    enumerator: str
+
+
+def solve(vspec: ValidatedSpec) -> Solution:
+    dist = weight_distribution(vspec)
+    return Solution(dist, tuple(n_r(i, vspec.q, vspec.e) for i in range(vspec.moment_size)),
+                    enumerator_string(dist))
+
+
+def build_report(vspec: ValidatedSpec, solution: Solution) -> AnalysisReport:
+    dist = solution.dist
     return AnalysisReport(
         spec=CodeSpec(vspec.family, vspec.p, vspec.m, vspec.h, vspec.delta, vspec.t),
         q=vspec.q, e=vspec.e,
         s_values=vspec.s_values, exponents=vspec.exponents,
         coset_sizes=vspec.coset_sizes,
         length=vspec.length, dimension=vspec.dimension,
-        n_values=n_values,
+        n_values=solution.n_values,
         weights_by_j=dist.weights_by_j,
         freq_by_j=dist.freq_by_j,
         zero_frequency_weights=dist.zero_frequency_weights,
-        enumerator=enumerator_string(dist),
+        enumerator=solution.enumerator,
     )
 
 
@@ -186,7 +203,7 @@ def _spec_from_args(args) -> ValidatedSpec:
 
 def cmd_analyze(args) -> int:
     vspec = _spec_from_args(args)
-    report = build_report(vspec, weight_distribution(vspec))
+    report = build_report(vspec, solve(vspec))
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
@@ -355,6 +372,7 @@ def cmd_sweep(args) -> int:
     written = skipped = 0
     code = EXIT_OK
     ctx = None
+    solved = {}  # (e, t) -> Solution: h and delta enter the distribution only through e
     try:  # the summary is printed after a refusal too
         with out_fh:
             if torn:
@@ -371,7 +389,10 @@ def cmd_sweep(args) -> int:
                     skipped += 1
                     continue
                 started = time.perf_counter()
-                dist = weight_distribution(vspec)
+                solution = solved.get((vspec.e, vspec.t))
+                if solution is None:
+                    solution = solved[vspec.e, vspec.t] = solve(vspec)
+                dist = solution.dist
                 status = "formula-only"
                 if args.verify_small is not None:
                     cost = vspec.codeword_count * vspec.length
@@ -385,7 +406,7 @@ def cmd_sweep(args) -> int:
                     "key": spec.key,
                     "status": status,
                     "elapsed_s": round(time.perf_counter() - started, 6),
-                    "report": build_report(vspec, dist).to_json_dict(),
+                    "report": build_report(vspec, solution).to_json_dict(),
                 }
                 out_fh.write(json.dumps(record, sort_keys=True) + "\n")
                 out_fh.flush()

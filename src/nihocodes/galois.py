@@ -38,8 +38,11 @@ every field, adder(p, k) gives add(x, y) = wrap(x + y) and neg(x) =
 wrap(p ONES - x) on whole arrays, no table and no digit loop, where
 wrap(s) = s - p (((s + (2^(W-1) - p) ONES) >> (W-1)) & ONES).  For p = 2
 (W = 1) the packed form is the code, add is XOR and neg the identity.  Zero
-packs to 0.  The read-only packed_exp view holds exp packed, built on first
-use like the trace; build_field makes its "times gamma" map with the adder.
+packs to 0.  packed_range(p, k), the packed form of every code below p^k, is
+built by one broadcast OR per digit with no digit pass over the range.  The
+read-only packed_exp view is one gather from it, built on first use like the
+trace; build_field makes its "times gamma" map with the adder on the packed
+range one degree down.
 """
 
 from __future__ import annotations
@@ -195,7 +198,9 @@ class FieldContext:
     def packed_exp(self) -> np.ndarray:
         """exp in packed form: gamma^i for every exponent i, as the adder's
         operand."""
-        return _read_only(pack(self.exp, self.p, self.degree))
+        if self.p == 2:
+            return self.exp
+        return _read_only(packed_range(self.p, self.degree)[self.exp])
 
 
 def _basis_traces(modulus: tuple[int, ...], p: int) -> list[int]:
@@ -233,6 +238,19 @@ def pack(codes, p: int, k: int) -> np.ndarray:
     for i in range(k):
         rest, digit = np.divmod(rest, p)
         out = out | digit.astype(packed_dtype(p, k)) << digit_bits(p) * i
+    return out
+
+
+def packed_range(p: int, k: int) -> np.ndarray:
+    """pack(arange(p^k)) without a digit pass over the whole range: digit i
+    joins by one broadcast OR, (arange(p) << W i)[:, None] | out[None, :],
+    over an array p times smaller than the result."""
+    dtype = packed_dtype(p, k)
+    if p == 2:
+        return np.arange(1 << k, dtype=dtype)
+    out = np.zeros(1, dtype=dtype)
+    for i in range(k):
+        out = ((np.arange(p, dtype=dtype) << digit_bits(p) * i)[:, None] | out).ravel()
     return out
 
 
@@ -286,12 +304,14 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
             f"field order {order} exceeds table limit {table_limit}")
 
     mod, _ = _find_primitive_modulus(p, degree)
-    codes = np.arange(order, dtype=np.min_scalar_type(order - 1))
-    top, low = np.divmod(codes, order // p)
-    # x^degree = -mod[:degree]: a top digit d folds back as d * -mod[:degree]
-    fold = (-np.arange(p)[:, None] * mod[:degree] % p @ p ** np.arange(degree)).astype(codes.dtype)
+    # A code is top x^(degree-1) + low, so times gamma it is low x, the packed
+    # range of p^(degree-1) shifted up one digit, plus top x^degree =
+    # top (-mod[:degree]); the sum is laid out as a (top, low) grid.
+    dtype = packed_dtype(p, degree)
+    low = packed_range(p, degree - 1).astype(dtype) << digit_bits(p)
+    fold = (-np.arange(p)[:, None] * mod[:degree] % p @ p ** np.arange(degree)).astype(dtype)
     add, _ = adder(p, degree)
-    times_gamma = unpack(add(pack(low * p, p, degree), pack(fold, p, degree)[top]), p, degree)
+    times_gamma = unpack(add(low, pack(fold, p, degree)[:, None]).ravel(), p, degree)
 
     n = order - 1
     exp = np.empty(n, dtype=times_gamma.dtype)

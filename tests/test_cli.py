@@ -42,12 +42,19 @@ def test_analyze_json_round_trip(capsys):
     data = json.loads(capsys.readouterr().out)
     report = AnalysisReport.from_json_dict(data)
     vs = validate_spec(CodeSpec("f1", 2, 4, 2, 1, 2))
-    assert report == build_report(vs, weight_distribution(vs))
+    assert report == build_report(vs, cli.solve(vs))
     # big integers as decimal strings
     assert data["weights"][0]["frequency"] == "353700"
     assert data["n_values"] == ["1", "0", "255", "3570", "237405"]
     # self-consistency of the report
     assert sum(int(w["frequency"]) for w in data["weights"]) == 2**20 - 1
+
+
+@pytest.mark.parametrize("flags", [EXAMPLE1_FLAGS, EXAMPLE2_FLAGS])
+def test_report_spec_written_field_by_field(capsys, flags):
+    assert main(["analyze", *flags, "--json"]) == 0
+    report = AnalysisReport.from_json_dict(json.loads(capsys.readouterr().out))
+    assert report.to_json_dict()["spec"] == dataclasses.asdict(report.spec)
 
 
 def test_verify_all_checks_tiny(capsys):
@@ -132,18 +139,19 @@ def test_verify_odd_p_fields_need_no_addition_table(capsys, p, m):
 
 def test_verify_packs_exp_once_per_context(capsys, monkeypatch):
     # the q = 9 showcase: the fast sweep and N_1..N_4 all read the packed
-    # exp view of the one context verify builds
+    # exp view of the one context verify builds; the view gathers from the
+    # packed range of the whole field, made once
     contexts, packed = [], []
-    build, pack = cli.build_field, galois.pack
+    build, packed_range = cli.build_field, galois.packed_range
     monkeypatch.setattr(cli, "build_field",
                         lambda *args, **kwargs: contexts.append(build(*args, **kwargs))
                         or contexts[-1])
-    monkeypatch.setattr(galois, "pack",
-                        lambda codes, p, k: packed.append(codes) or pack(codes, p, k))
+    monkeypatch.setattr(galois, "packed_range",
+                        lambda p, k: packed.append((p, k)) or packed_range(p, k))
     assert main(["verify", *EXAMPLE2_FLAGS, "--checks", "all"]) == 0
     assert "N_4: brute" in capsys.readouterr().out
     assert len(contexts) == 1 and "packed_exp" in vars(contexts[0])
-    assert sum(codes is contexts[0].exp for codes in packed) == 1
+    assert packed.count((contexts[0].p, contexts[0].degree)) == 1
 
 
 @pytest.mark.parametrize("slow", [False, True])
@@ -329,6 +337,32 @@ def test_sweep_builds_oracle_field_once(tmp_path, monkeypatch):
     assert len(records) == 4
     assert all(r["status"] == "oracle-verified" for r in records)
     assert calls == [(2, 4)]
+
+
+def test_sweep_solves_each_moment_system_once(tmp_path, capsys, monkeypatch):
+    # q = 8: h = 3 and 6 give e = 3, the other h e = 1 (h = 9 is 0 mod q+1),
+    # so t = 0 and t = 1 each occur with two values of e
+    calls, real = [], cli.weight_distribution
+    monkeypatch.setattr(cli, "weight_distribution",
+                        lambda vspec: calls.append((vspec.e, vspec.t)) or real(vspec))
+    out = tmp_path / "catalog.jsonl"
+    assert main(["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
+                 "--delta-range", "1:7", "--t-range", "0:4", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    keys = {(r["report"]["e"], r["report"]["spec"]["t"]) for r in records}
+    assert {e for e, _ in keys} == {1, 3} and len(records) > len(keys)
+    assert sorted(calls) == sorted(keys)
+    capsys.readouterr()
+    for r in records:
+        family, p, m, h, delta, t = r["key"].split(":")
+        assert main(["analyze", "--family", family, "--p", p, "--m", m, "--h", h,
+                     "--delta", delta, "--t", t, "--json"]) == 0
+        assert r["report"] == json.loads(capsys.readouterr().out)
+
+    calls.clear()
+    assert main([*SWEEP_TINY, "--out", str(tmp_path / "tiny.jsonl")]) == 0
+    assert len((tmp_path / "tiny.jsonl").read_text().splitlines()) == 4
+    assert calls == [(1, 0), (1, 1)]
 
 
 def test_sweep_budget_refusal_exits_3(tmp_path, capsys):

@@ -9,7 +9,15 @@ import pytest
 
 from nihocodes import oracle
 from nihocodes.codespec import CodeSpec, validate_spec
-from nihocodes.galois import FieldContext, adder, digit_bits, pack, packed_dtype, unpack
+from nihocodes.galois import (
+    FieldContext,
+    adder,
+    digit_bits,
+    pack,
+    packed_dtype,
+    packed_range,
+    unpack,
+)
 from nihocodes.moments import n_r
 from nihocodes.oracle import (
     BudgetExceeded,
@@ -372,6 +380,19 @@ def test_packed_adder_matches_digitwise_add(p, degree):
         scalar_add(ctx, a, b) for a, b in zip(x.tolist(), y.tolist())]
     assert unpack(neg(px), p, degree).tolist() == [scalar_neg(ctx, a) for a in x.tolist()]
     assert not add(px, neg(px)).any()
+
+
+@pytest.mark.parametrize("p, degree", [(3, 6), (5, 4), (131, 2), (2, 6)])
+def test_packed_range_matches_pack(p, degree):
+    """The broadcast-OR packed range and the packed exp view gathered from it
+    against the digit-by-digit pack, dtype included."""
+    codes = np.arange(p**degree)
+    expected = pack(codes, p, degree).astype(packed_dtype(p, degree))
+    got = packed_range(p, degree)
+    assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+    ctx = field(p, degree)
+    assert ctx.packed_exp.tolist() == pack(ctx.exp, p, degree).tolist()
+    assert not ctx.packed_exp.flags.writeable
 
 
 def test_gf3_15_packs_into_45_bits():

@@ -46,3 +46,22 @@ def test_bench_solver_writes_timings(tmp_path):
     loop = result["analyze_in_process"]
     assert loop["ops"] == 45 and loop["identical_stdout"]
     assert len(loop["lagrange_ops_per_s"]) == len(loop["equispaced_ops_per_s"]) == 1
+
+
+def test_bench_sweep_writes_counts_and_rates(tmp_path):
+    env = dict(os.environ, PYTHONPATH="src")
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, "scripts/bench_sweep.py", "--out", str(out), "--rounds", "1",
+            "--runs", "1"]
+    for label in ("first", "first", "second"):
+        done = subprocess.run([*argv, "--label", label], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(out.read_text())
+    first, second = result["trees"]["first"], result["trees"]["second"]
+    assert first["ops"] == 11 and first["records"] == 254
+    # one round of seed 1 holds 42 distinct (e, t) pairs across its 11 sweeps
+    assert first["weight_distribution_calls"] == 42
+    assert len(first["ops_per_s"]) == 2 and len(second["ops_per_s"]) == 1
+    assert all(rate > 0 for rate in first["ops_per_s"])
+    assert result["identical_catalogs"]
