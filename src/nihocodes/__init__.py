@@ -6,7 +6,6 @@ from .codespec import (
     CodeSpec,
     SpecValidationError,
     ValidatedSpec,
-    cyclotomic_coset,
     exponents_f1,
     exponents_f2,
     minpoly_degree,

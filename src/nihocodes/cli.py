@@ -380,12 +380,12 @@ def cmd_sweep(args) -> int:
             for h, delta, t in grid:
                 spec = CodeSpec(args.family, args.p, args.m, h, delta, t)
                 if spec.key in existing:
-                    log.info("skip %s: already in catalog", spec.key)
+                    log.debug("skip %s: already in catalog", spec.key)
                     continue
                 try:
                     vspec = validate_spec(spec)
                 except SpecValidationError as exc:
-                    log.info("skip %s: %s (%s)", spec.key, exc, exc.code)
+                    log.debug("skip %s: %s (%s)", spec.key, exc, exc.code)
                     skipped += 1
                     continue
                 started = time.perf_counter()

@@ -13,7 +13,9 @@ integer halving, which forces delta and h to be odd.
 
 The resulting cyclic codes have length q^2-1 and dimension (2t+1)m ("f1")
 or 2tm ("f2"), provided the exponents land in pairwise distinct p-cyclotomic
-cosets; validate_spec checks that explicitly instead of trusting the count.
+cosets.  validate_spec reads the coset sizes and collisions from the
+s-values by the rule of `minpoly_degree` and `minpoly_same`; the tests check
+that rule against the cosets that tests/exact_reference.py enumerates.
 """
 
 from __future__ import annotations
@@ -119,19 +121,6 @@ def exponents_f2(p: int, m: int, h: int, delta: int, t: int) -> tuple[tuple[int,
     return s_values, exponents
 
 
-def cyclotomic_coset(modulus: int, p: int, exponent: int) -> frozenset[int]:
-    """Orbit of exponent under multiplication by p mod modulus."""
-    if math.gcd(p, modulus) != 1:
-        raise ValueError(f"p = {p} shares a factor with modulus {modulus}")
-    exponent %= modulus
-    coset = {exponent}
-    x = exponent * p % modulus
-    while x != exponent:
-        coset.add(x)
-        x = x * p % modulus
-    return frozenset(coset)
-
-
 def _s_of(d: int, delta: int, q: int) -> int:
     """Recover s with d = s(q-1) + delta mod q^2-1, or fail if d is not of
     that shape."""
@@ -142,28 +131,36 @@ def _s_of(d: int, delta: int, q: int) -> int:
     return (dd // (q - 1)) % (q + 1)
 
 
+def _conjugates(s: int, delta: int, q: int) -> frozenset[int]:
+    """{s, delta - s} mod q+1: the s-values whose exponents share the minimal
+    polynomial of d = s(q-1) + delta, m elements of d's coset for each."""
+    return frozenset((s % (q + 1), (delta - s) % (q + 1)))
+
+
 def minpoly_degree(d: int, delta: int, q: int, m: int) -> int:
     """Degree of the minimal polynomial attached to exponent d: m exactly
-    when delta = 2s mod q+1, else 2m."""
-    s = _s_of(d, delta, q)
-    return m if (2 * s - delta) % (q + 1) == 0 else 2 * m
+    when delta = 2s mod q+1, else 2m.  Exact, as gcd(delta, q-1) = 1: d*p^i
+    keeps d's residue mod q-1 only when q-1 | p^i - 1, that is when m | i,
+    and d*q has parameter delta - s."""
+    return m * len(_conjugates(_s_of(d, delta, q), delta, q))
 
 
 def minpoly_same(d: int, d_prime: int, delta: int, q: int) -> bool:
     """Whether two exponents of the same delta shape share a minimal
-    polynomial: s = s' or s = delta - s' mod q+1."""
-    s = _s_of(d, delta, q)
-    s_prime = _s_of(d_prime, delta, q)
-    return (s - s_prime) % (q + 1) == 0 or (s + s_prime - delta) % (q + 1) == 0
+    polynomial: s = s' or s = delta - s' mod q+1.  Exact, as d's coset meets
+    the delta shape only in d*p^i with m | i (see `minpoly_degree`), that is
+    in d and d*q, whose parameter is delta - s."""
+    return _conjugates(_s_of(d, delta, q), delta, q) == _conjugates(
+        _s_of(d_prime, delta, q), delta, q)
 
 
 def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     """Check every parameter constraint and derive the validated spec.
 
     Raises SpecValidationError naming the first violated constraint.  The
-    dimension is always cross-checked against the actual cyclotomic cosets;
-    a collision is rejected as a degenerate zero set rather than silently
-    producing a smaller code.
+    dimension is cross-checked against the coset sizes that the minimal
+    polynomial rule gives; a collision is rejected as a degenerate zero set
+    rather than silently producing a smaller code.
     """
     if raw.family not in FAMILIES:
         raise SpecValidationError("bad_family", f"family must be one of {FAMILIES}, got {raw.family!r}")
@@ -207,15 +204,16 @@ def validate_spec(raw: CodeSpec) -> ValidatedSpec:
         s_values, exponents = exponents_f2(raw.p, raw.m, raw.h, raw.delta, raw.t)
         dim_formula = 2 * raw.t * raw.m
 
-    n = q * q - 1
-    cosets = [cyclotomic_coset(n, raw.p, d) for d in exponents]
-    for i in range(len(cosets)):
-        for j in range(i + 1, len(cosets)):
-            if cosets[i] == cosets[j]:
-                raise SpecValidationError(
-                    "degenerate_zero_set",
-                    f"exponents {exponents[i]} and {exponents[j]} share a cyclotomic coset")
-    coset_sizes = tuple(len(c) for c in cosets)
+    classes = [_conjugates(s, raw.delta, q) for s in s_values]
+    members: dict[frozenset[int], list[int]] = {}
+    for i, c in enumerate(classes):
+        members.setdefault(c, []).append(i)
+    clash = next((ix for ix in members.values() if len(ix) > 1), None)  # first pair by index
+    if clash:
+        raise SpecValidationError(
+            "degenerate_zero_set",
+            f"exponents {exponents[clash[0]]} and {exponents[clash[1]]} share a cyclotomic coset")
+    coset_sizes = tuple(raw.m * len(c) for c in classes)
     if sum(coset_sizes) != dim_formula:
         raise SpecValidationError(
             "degenerate_zero_set",
@@ -224,5 +222,5 @@ def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     return ValidatedSpec(
         family=raw.family, p=raw.p, m=raw.m, h=raw.h, delta=raw.delta, t=raw.t,
         q=q, e=e, s_values=s_values, exponents=exponents,
-        coset_sizes=coset_sizes, length=n, dimension=dim_formula,
+        coset_sizes=coset_sizes, length=q * q - 1, dimension=dim_formula,
     )

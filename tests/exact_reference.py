@@ -58,13 +58,19 @@ digit by digit.
 
 `n2_closed_form`..`n5_closed_form` are known low-order evaluations of N_r,
 independent cross-checks of `nihocodes.moments.n_r`.
+
+`cyclotomic_coset` enumerates the orbit of an exponent under multiplication
+by p, the reference for the minimal-polynomial rule of `nihocodes.codespec`:
+`minpoly_degree`, `minpoly_same` and the coset sizes and collision check of
+`validate_spec` read the coset structure from s mod q+1 alone, and the tests
+compare that rule with the enumerated cosets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from nihocodes.solver import _lagrange_numerators
 
@@ -328,6 +334,19 @@ def inv(ctx, x: int) -> int:
 
 def frobenius(ctx, x: int, i: int = 1) -> int:
     return power(ctx, x, ctx.p**i)
+
+
+def cyclotomic_coset(modulus: int, p: int, exponent: int) -> frozenset[int]:
+    """Orbit of exponent under multiplication by p mod modulus."""
+    if gcd(p, modulus) != 1:
+        raise ValueError(f"p = {p} shares a factor with modulus {modulus}")
+    exponent %= modulus
+    coset = {exponent}
+    x = exponent * p % modulus
+    while x != exponent:
+        coset.add(x)
+        x = x * p % modulus
+    return frozenset(coset)
 
 
 def moment_rows(nodes) -> list[tuple[int, ...]]:

@@ -13,7 +13,6 @@ import pytest
 from nihocodes.codespec import (
     CodeSpec,
     SpecValidationError,
-    cyclotomic_coset,
     minpoly_degree,
     minpoly_same,
     validate_spec,
@@ -35,6 +34,7 @@ from nihocodes.solver import (
 
 from conftest import field
 from exact_reference import (
+    cyclotomic_coset,
     invert_exact,
     invert_lagrange,
     mds_freq_by_j,

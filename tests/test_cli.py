@@ -312,6 +312,18 @@ def test_sweep_skips_inadmissible(tmp_path):
     assert out.read_text() == ""
 
 
+def test_sweep_logs_no_skip_lines_at_info(tmp_path, capsys, caplog):
+    caplog.set_level("INFO", logger="nihocodes")
+    args = ["sweep", "--family", "f1", "--p", "2", "--m", "2",
+            "--h-range", "1:5", "--delta-range", "1:1", "--t-range", "0:2",
+            "--out", str(tmp_path / "catalog.jsonl")]
+    assert main(args) == 0
+    assert main(args) == 0  # the second run finds every admissible key in the catalog
+    out = capsys.readouterr().out
+    assert "inadmissible skipped" in out and " 0 inadmissible" not in out
+    assert not [r for r in caplog.records if "skip" in r.getMessage()]
+
+
 def test_sweep_unwritable_path():
     assert main(["sweep", "--family", "f1", "--p", "2", "--m", "2",
                  "--h-range", "1:1", "--delta-range", "1:1", "--t-range", "0:0",

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from nihocodes.codespec import (
     CodeSpec,
     SpecValidationError,
-    cyclotomic_coset,
     exponents_f1,
     exponents_f2,
     half_mod,
@@ -15,6 +15,8 @@ from nihocodes.codespec import (
     minpoly_same,
     validate_spec,
 )
+
+from exact_reference import cyclotomic_coset
 
 
 def test_example1_exponents():
@@ -132,10 +134,25 @@ def test_minpoly_same():
     assert cyclotomic_coset(255, 2, d_a) == cyclotomic_coset(255, 2, d_b)
 
 
+def _assert_rule_matches_cosets(vs, pairs=None):
+    """The validated coset sizes and the minimal-polynomial rules against the
+    enumerated cosets; `pairs` limits the O(t^2) minpoly_same check."""
+    q, p, m = vs.q, vs.p, vs.m
+    cosets = [cyclotomic_coset(vs.length, p, d) for d in vs.exponents]
+    assert sum(vs.coset_sizes) == vs.dimension
+    assert len(set(cosets)) == len(cosets)
+    for i, d in enumerate(vs.exponents):
+        assert d % (q - 1) == vs.delta % (q - 1)
+        assert minpoly_degree(d, vs.delta, q, m) == vs.coset_sizes[i] == len(cosets[i])
+    k = len(vs.exponents)
+    for i, j in pairs if pairs is not None else ((i, j) for i in range(k) for j in range(k)):
+        assert minpoly_same(vs.exponents[i], vs.exponents[j], vs.delta, q) == (
+            cosets[i] == cosets[j])
+
+
 def test_dimension_equals_coset_sum_everywhere():
-    for p, m in [(2, 2), (2, 3), (3, 2)]:
+    for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5)]:
         q = p**m
-        n = q * q - 1
         for family in ("f1", "f2"):
             if family == "f1" and p != 2:
                 continue
@@ -144,16 +161,33 @@ def test_dimension_equals_coset_sum_everywhere():
                     for t in range(0, q + 2):
                         try:
                             vs = validate_spec(CodeSpec(family, p, m, h, delta, t))
-                        except SpecValidationError:
+                        except SpecValidationError as exc:
+                            # the t bound keeps every admitted zero set nondegenerate
+                            assert exc.code != "degenerate_zero_set"
                             continue
-                        assert sum(vs.coset_sizes) == vs.dimension
-                        cosets = [cyclotomic_coset(n, p, d) for d in vs.exponents]
-                        for i, d in enumerate(vs.exponents):
-                            assert d % (q - 1) == vs.delta % (q - 1)
-                            assert minpoly_degree(d, vs.delta, q, m) == vs.coset_sizes[i]
-                            for j, d2 in enumerate(vs.exponents):
-                                assert minpoly_same(d, d2, vs.delta, q) == (
-                                    cosets[i] == cosets[j])
+                        _assert_rule_matches_cosets(vs)
+
+    # the analyze-large fields: every t up to the bound for sampled (h, delta);
+    # each t's exponents are a prefix of the largest t's, checked once in full
+    rng = random.Random(14)
+    for family, p, m in [("f1", 2, 10), ("f2", 3, 6), ("f2", 2, 8)]:
+        q = p**m
+        deltas = [d for d in range(1, 40) if math.gcd(d, q - 1) == 1 and (p == 2 or d % 2)]
+        hs = [h for h in range(1, q + 1) if p == 2 or h % 2]
+        for h, delta in zip(rng.sample(hs, 3), rng.sample(deltas, 3)):
+            bound = (q + 1) // (2 * math.gcd(h, q + 1))
+            specs = [validate_spec(CodeSpec(family, p, m, h, delta, t))
+                     for t in range(0 if family == "f1" else 1, bound + 1)]
+            top = specs[-1]
+            for vs in specs:
+                k = len(vs.exponents)
+                assert vs.exponents == top.exponents[:k]
+                assert vs.coset_sizes == top.coset_sizes[:k]
+                assert sum(vs.coset_sizes) == vs.dimension
+            k = len(top.exponents)
+            pairs = [(i, i) for i in range(k)]
+            pairs += [(rng.randrange(k), rng.randrange(k)) for _ in range(2000)]
+            _assert_rule_matches_cosets(top, pairs)
 
 
 def _random_niho_exponent(data, q, p):
