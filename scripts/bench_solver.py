@@ -12,19 +12,19 @@ Run from the repository root.  Two measurements go to one JSON file:
   return the same vector;
 * `niho analyze` in process: the analyze-large ops of
   `perfbench/workloads.py` (seed 1, the first --rounds rounds) run
-  through `cli.main` with stdout captured, --runs times with each solve in
+  through `cli.main` with stdout, stderr and the log captured by the
+  harness of `transcripts.py`, --runs times with each solve in
   `weight_distribution`, alternating which solve goes first.  Every op must
-  exit 0 and print the same stdout under both solves; the script exits 1
-  otherwise.
+  exit 0 and print the same stdout and stderr under both solves; the script
+  exits 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
-import io
 import json
+import logging
 import os
 import platform
 import statistics
@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import transcripts  # noqa: E402
 import workloads  # noqa: E402
 from nihocodes import cli, solver  # noqa: E402
 from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec  # noqa: E402
@@ -58,7 +59,7 @@ def time_solves(sizes, repeats: int) -> list[dict]:
     for size in sizes:
         t = (size - 1) // 2
         nodes = solver.moment_nodes(size, q, e)
-        b = solver.b_vector("f1", t, q, e)
+        b = solver.b_vector(q, e, size)
         if solver.solve_lagrange(nodes, b) != solver.solve_equispaced(nodes, b):
             raise SystemExit(f"the solves differ at size {size}")
         row = {"size": size, "family": "f1", "q": q, "e": e, "t": t}
@@ -68,16 +69,13 @@ def time_solves(sizes, repeats: int) -> list[dict]:
     return rows
 
 
-def run_ops(argvs) -> tuple[float, list]:
-    """Seconds for all ops, and each op's (exit code, stdout)."""
+def run_ops(argvs, log: logging.StreamHandler) -> tuple[float, list]:
+    """Seconds for all ops, and each op's (exit code, stdout, stderr)."""
     outputs = []
     gc.collect()
     started = time.perf_counter()
     for argv in argvs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            rc = cli.main(list(argv))
-        outputs.append((rc, out.getvalue()))
+        outputs.append(transcripts.call(list(argv), log))
     return time.perf_counter() - started, outputs
 
 
@@ -85,24 +83,25 @@ def time_analyze(rounds: int, runs: int) -> dict:
     admit = workloads.Admitter(CodeSpec, validate_spec, SpecValidationError)
     ops = [op for r in workloads.generate("analyze-large", SEED, admit)[:rounds] for op in r]
     argvs = [op.argv for op in ops]
-    run_ops(argvs[:10])  # warm the caches of both paths alike (n_r tables, parser)
     rates = {name: [] for name in SOLVES}
     reference = None
-    for run in range(runs):
-        order = list(SOLVES) if run % 2 == 0 else list(reversed(SOLVES))
-        for name in order:
-            solver.solve_equispaced = SOLVES[name]
-            try:
-                elapsed, outputs = run_ops(argvs)
-            finally:
-                solver.solve_equispaced = SOLVES["equispaced"]
-            if any(rc != 0 for rc, _ in outputs):
-                raise SystemExit(f"an analyze op failed under {name}")
-            if reference is None:
-                reference = outputs
-            elif outputs != reference:
-                raise SystemExit(f"stdout under {name} differs from the first run")
-            rates[name].append(len(argvs) / elapsed)
+    with transcripts.capture_log() as log:
+        run_ops(argvs[:10], log)  # warm the caches of both paths alike (n_r tables, parser)
+        for run in range(runs):
+            order = list(SOLVES) if run % 2 == 0 else list(reversed(SOLVES))
+            for name in order:
+                solver.solve_equispaced = SOLVES[name]
+                try:
+                    elapsed, outputs = run_ops(argvs, log)
+                finally:
+                    solver.solve_equispaced = SOLVES["equispaced"]
+                if any(rc != 0 for rc, _, _ in outputs):
+                    raise SystemExit(f"an analyze op failed under {name}")
+                if reference is None:
+                    reference = outputs
+                elif outputs != reference:
+                    raise SystemExit(f"output under {name} differs from the first run")
+                rates[name].append(len(argvs) / elapsed)
     return {"workload": "analyze-large", "seed": SEED, "rounds": rounds, "ops": len(argvs),
             "runs": runs, "identical_stdout": True,
             **{f"{name}_ops_per_s": values for name, values in rates.items()},

@@ -6,9 +6,10 @@ moment solves.
 
 Run from the repository root.  The catalog-sweep ops of
 `perfbench/workloads.py` (seed 1, the first --rounds rounds) run through
-`cli.main` with stdout, stderr and the log captured, each into a fresh
-catalog, --runs times.  Every op must exit 0, and every run must write the
-same catalogs once `elapsed_s` is dropped; the script exits 1 otherwise.
+`cli.main` with stdout, stderr and the log captured by the harness of
+`transcripts.py`, each into a fresh catalog, --runs times.  Every op must
+exit 0, and every run must write the same catalogs once `elapsed_s` is
+dropped; the script exits 1 otherwise.
 The first run also counts the records written and the calls of
 `cli.weight_distribution`.
 
@@ -21,10 +22,8 @@ point PYTHONPATH at each tree's `src` in turn.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import hashlib
-import io
 import json
 import logging
 import os
@@ -38,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import transcripts  # noqa: E402
 import workloads  # noqa: E402
 from nihocodes import cli  # noqa: E402
 from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec  # noqa: E402
@@ -53,20 +53,15 @@ def run_ops(argvs, catalog: Path, log: logging.StreamHandler) -> tuple[float, st
     gc.collect()
     for argv in argvs:
         catalog.unlink(missing_ok=True)
-        out = io.StringIO()
-        log.setStream(out)
         started = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            rc = cli.main([*argv, "--out", str(catalog)])
+        rc, out, err = transcripts.call([*argv, "--out", str(catalog)], log)
         elapsed += time.perf_counter() - started
         if rc != 0:
-            raise SystemExit(f"exit {rc} from {' '.join(argv)}:\n{out.getvalue()}")
-        lines = catalog.read_text(encoding="utf-8").splitlines()
-        records += len(lines)
+            raise SystemExit(f"exit {rc} from {' '.join(argv)}:\n{out}{err}")
+        written = transcripts.catalog_records(catalog)
+        records += len(written)
         digest.update(f"{rc}\n".encode())
-        for line in lines:
-            record = json.loads(line)
-            del record["elapsed_s"]
+        for record in written:
             digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
     return elapsed, digest.hexdigest(), records
 
@@ -75,16 +70,10 @@ def time_sweeps(rounds: int, runs: int) -> dict:
     admit = workloads.Admitter(CodeSpec, validate_spec, SpecValidationError)
     ops = [op for r in workloads.generate("catalog-sweep", SEED, admit)[:rounds] for op in r]
     argvs = [op.argv for op in ops]
-    # one handler before the first call, so the CLI's basicConfig is a no-op
-    log = logging.StreamHandler(io.StringIO())
-    log.setFormatter(logging.Formatter("%(message)s"))
-    logging.getLogger().addHandler(log)
-    logging.getLogger().setLevel(logging.INFO)
-
     solves = []
     real = cli.weight_distribution
     cli.weight_distribution = lambda vspec: solves.append(vspec.key) or real(vspec)
-    with tempfile.TemporaryDirectory() as tmp:
+    with transcripts.capture_log() as log, tempfile.TemporaryDirectory() as tmp:
         catalog = Path(tmp) / "catalog.jsonl"
         try:
             _, reference, records = run_ops(argvs, catalog, log)  # also warms the caches

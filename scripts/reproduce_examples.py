@@ -37,7 +37,7 @@ def run(name: str, spec: CodeSpec, check_oracle: bool) -> None:
     columns = [solve_equispaced(nodes, [int(i == k) for k in range(size)]) for i in range(size)]
     for row in zip(*columns):
         print("  " + "  ".join(str(x) for x in row))
-    print("b:", b_vector(vs.family, vs.t, vs.q, vs.e))
+    print("b:", b_vector(vs.q, vs.e, vs.moment_size))
     dist = weight_distribution(vs)
     print("frequencies by j:", dist.freq_by_j)
     print("enumerator:", enumerator_string(dist))

@@ -6,8 +6,6 @@ from .codespec import (
     CodeSpec,
     SpecValidationError,
     ValidatedSpec,
-    exponents_f1,
-    exponents_f2,
     minpoly_degree,
     minpoly_same,
     validate_spec,

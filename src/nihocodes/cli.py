@@ -217,7 +217,7 @@ def _check_weights(vspec, ctx):
     Each path evaluates the whole sample in one batch."""
     rng = random.Random(0)
     domains = coefficient_domains(vspec, ctx)
-    predicted = set(theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t))
+    predicted = set(theoretical_weights(vspec.p, vspec.q, vspec.e, vspec.moment_size))
     samples = []
     for _ in range(WEIGHT_SAMPLES):
         a = tuple(int(rng.choice(domain)) for domain in domains)
@@ -269,7 +269,7 @@ def cmd_verify(args) -> int:
                 # one sweep serves every row
                 brute = brute_distribution(vspec, ctx=ctx, budget=budget, path="fast")
             for r in range(1, vspec.moment_size):
-                rep = power_moment_check(vspec, r, ctx=ctx, budget=budget, dist=brute)
+                rep = power_moment_check(vspec, r, brute)
                 if not rep.ok:
                     mismatches.append(
                         f"power moment r={r}: swept {rep.lhs} != predicted {rep.rhs}")

@@ -1,19 +1,20 @@
-"""Parameter validation and exponent structure for the two code families.
+"""Parameter validation and the zero sets of the two code families.
 
 Both families live in GF(q^2), q = p^m, and use zero exponents congruent to
 delta mod q-1 (with gcd(delta, q-1) = 1), so each exponent is determined by
 a residue s mod q+1 through d = s(q-1) + delta mod q^2-1.
 
-family "f1" (binary only):  s_j = j*h + delta/2 mod q+1 for j = 0..t, where
-1/2 is the inverse of 2 mod the odd number q+1.
+The family fixes only the zero set: s_j = j*h + (delta - first*h)/2 mod q+1
+for j = first..t, with first = 0 for "f1" (binary only, t+1 zeroes, the
+leading coefficient in GF(q)) and first = 1 for "f2" (any prime p, t
+zeroes).  For p = 2 the halving is division by 2 mod the odd number q+1;
+for odd p it is exact integer halving, which forces delta and h to be odd.
 
-family "f2" (any prime p):  s_j = j*h + (delta-h)/2 mod q+1 for j = 1..t.
-For p = 2 the halving is again division by 2 mod q+1; for odd p it is exact
-integer halving, which forces delta and h to be odd.
-
-The resulting cyclic codes have length q^2-1 and dimension (2t+1)m ("f1")
-or 2tm ("f2"), provided the exponents land in pairwise distinct p-cyclotomic
-cosets.  validate_spec reads the coset sizes and collisions from the
+The moment system has size n = 2t+1 ("f1") or 2t ("f2"), and the cyclic
+code has length q^2-1 and dimension n*m, provided the exponents land in
+pairwise distinct p-cyclotomic cosets.  Everything downstream (the weights,
+the moment scale q^n = p^dimension, the power moments) reads only
+(p, q, e, n).  validate_spec reads the coset sizes and collisions from the
 s-values by the rule of `minpoly_degree` and `minpoly_same`; the tests check
 that rule against the cosets that tests/exact_reference.py enumerates.
 """
@@ -94,30 +95,19 @@ def half_mod(x: int, modulus: int, p: int) -> int:
     return (x // 2) % modulus
 
 
-def exponents_f1(m: int, h: int, delta: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(s_0..s_t, d_0..d_t) for the binary family, canonical residues."""
-    q = 2**m
-    n = q * q - 1
-    half = half_mod(delta % (q + 1), q + 1, 2)
-    s_values = tuple((j * h + half) % (q + 1) for j in range(t + 1))
-    exponents = tuple((s * (q - 1) + delta) % n for s in s_values)
-    return s_values, exponents
+def _zero_set(family: str, p: int, m: int, h: int, delta: int,
+             t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(s_j, d_j) for j = first..t, canonical residues: s_j = j*h +
+    (delta - first*h)/2 mod q+1, first 0 for f1 and 1 for f2.
 
-
-def exponents_f2(p: int, m: int, h: int, delta: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(s_1..s_t, d_1..d_t) for the p-ary family, canonical residues."""
+    Expects parameters that `validate_spec` has admitted (f1 only with
+    p = 2, odd delta and h when p is odd) and checks none of them beyond
+    `half_mod`'s parity refusal."""
     q = p**m
-    n = q * q - 1
-    if p == 2:
-        half = half_mod((delta - h) % (q + 1), q + 1, 2)
-    else:
-        if delta % 2 == 0:
-            raise SpecValidationError("parity", f"delta must be odd for odd p, got {delta}")
-        if h % 2 == 0:
-            raise SpecValidationError("parity", f"h must be odd for odd p, got {h}")
-        half = half_mod(delta - h, q + 1, p)
-    s_values = tuple((j * h + half) % (q + 1) for j in range(1, t + 1))
-    exponents = tuple((s * (q - 1) + delta) % n for s in s_values)
+    first = 0 if family == "f1" else 1
+    half = half_mod(delta - first * h, q + 1, p)
+    s_values = tuple((j * h + half) % (q + 1) for j in range(first, t + 1))
+    exponents = tuple((s * (q - 1) + delta) % (q * q - 1) for s in s_values)
     return s_values, exponents
 
 
@@ -197,12 +187,8 @@ def validate_spec(raw: CodeSpec) -> ValidatedSpec:
             "t_out_of_range",
             f"t = {raw.t} exceeds (q+1)/(2e) = {(q + 1)}/{2 * e}")
 
-    if raw.family == "f1":
-        s_values, exponents = exponents_f1(raw.m, raw.h, raw.delta, raw.t)
-        dim_formula = (2 * raw.t + 1) * raw.m
-    else:
-        s_values, exponents = exponents_f2(raw.p, raw.m, raw.h, raw.delta, raw.t)
-        dim_formula = 2 * raw.t * raw.m
+    s_values, exponents = _zero_set(raw.family, raw.p, raw.m, raw.h, raw.delta, raw.t)
+    dim_formula = moment_system_size(raw.family, raw.t) * raw.m
 
     classes = [_conjugates(s, raw.delta, q) for s in s_values]
     members: dict[frozenset[int], list[int]] = {}

@@ -230,21 +230,11 @@ def packed_dtype(p: int, k: int) -> np.dtype:
     return np.min_scalar_type((1 << digit_bits(p) * k) - 1)
 
 
-def pack(codes, p: int, k: int) -> np.ndarray:
-    """Base-p codes below p^k in packed form (for odd p in packed_dtype(p, k))."""
-    if p == 2:
-        return np.asarray(codes)
-    rest, out = np.asarray(codes), 0
-    for i in range(k):
-        rest, digit = np.divmod(rest, p)
-        out = out | digit.astype(packed_dtype(p, k)) << digit_bits(p) * i
-    return out
-
-
 def packed_range(p: int, k: int) -> np.ndarray:
-    """pack(arange(p^k)) without a digit pass over the whole range: digit i
-    joins by one broadcast OR, (arange(p) << W i)[:, None] | out[None, :],
-    over an array p times smaller than the result."""
+    """The codes below p^k in packed form, without a digit pass over the
+    whole range: digit i joins by one broadcast OR,
+    (arange(p) << W i)[:, None] | out[None, :], over an array p times
+    smaller than the result."""
     dtype = packed_dtype(p, k)
     if p == 2:
         return np.arange(1 << k, dtype=dtype)
@@ -306,12 +296,13 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
     mod, _ = _find_primitive_modulus(p, degree)
     # A code is top x^(degree-1) + low, so times gamma it is low x, the packed
     # range of p^(degree-1) shifted up one digit, plus top x^degree =
-    # top (-mod[:degree]); the sum is laid out as a (top, low) grid.
-    dtype = packed_dtype(p, degree)
-    low = packed_range(p, degree - 1).astype(dtype) << digit_bits(p)
-    fold = (-np.arange(p)[:, None] * mod[:degree] % p @ p ** np.arange(degree)).astype(dtype)
+    # top (-mod[:degree]), packed by placing digit i at bit W i; the sum is
+    # laid out as a (top, low) grid.
+    dtype, bits = packed_dtype(p, degree), digit_bits(p)
+    low = packed_range(p, degree - 1).astype(dtype) << bits
+    fold = -np.arange(p)[:, None] * mod[:degree] % p @ (1 << bits * np.arange(degree))
     add, _ = adder(p, degree)
-    times_gamma = unpack(add(low, pack(fold, p, degree)[:, None]).ravel(), p, degree)
+    times_gamma = unpack(add(low, fold.astype(dtype)[:, None]).ravel(), p, degree)
 
     n = order - 1
     exp = np.empty(n, dtype=times_gamma.dtype)

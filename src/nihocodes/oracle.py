@@ -40,9 +40,14 @@ n_r_brute counts by meet in the middle: the histogram of the q^2-1
 signatures (an element's exponent powers) is convolved with itself up to
 ceil(r/2) times, and N_r pairs the half-sums s and -s.
 
-Full-space sweeps (brute_distribution, power_moment_check) and the tuple
-counter n_r_brute run under an operation budget; an over-budget request is
-refused outright, never truncated.  The stated cost model charges
+power_moment_check aggregates a swept distribution into the one power
+moment identity of both families, sum over all tuples of
+(S(a) - (p-1))^r = (p-1)^r q^n N_r, n the moment system size (f1 is the
+case p = 2); it sweeps nothing itself.
+
+The full-space sweep brute_distribution and the tuple counter n_r_brute
+run under an operation budget; an over-budget request is refused
+outright, never truncated.  The stated cost model charges
 p^dimension * (q^2-1) for a distribution sweep regardless of path, and
 (q^2-1)^r for counting r-tuples.  These are the costs of plain
 enumeration; the budget charges them even though the orbit reduction and
@@ -68,7 +73,7 @@ import numpy as np
 from .codespec import ValidatedSpec
 from .galois import FieldContext, adder, build_field, digit_bits, unpack
 from .moments import n_r
-from .solver import WeightDistribution, moment_nodes, theoretical_weights, weight_for_index
+from .solver import WeightDistribution, theoretical_weights, weight_for_index
 
 DEFAULT_BUDGET = 10**10
 _BLOCK_ENTRIES = 1 << 22
@@ -159,10 +164,10 @@ def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
 
     Evaluates each tuple's coefficient polynomial at every point of W; each
     root accounts for e unit-circle solutions, giving N = e * roots and the
-    sum q(N-1) for family f1 or (p-1)q(N-1) for f2.  The zero tuple makes
-    the polynomial vanish identically, which yields q^2 resp. (p-1)q^2.
+    sum (p-1)q(N-1), q(N-1) for family f1 (p = 2).  The zero tuple makes
+    the polynomial vanish identically, which yields (p-1)q^2.
     """
-    scale = vspec.q if vspec.family == "f1" else (vspec.p - 1) * vspec.q
+    scale = (vspec.p - 1) * vspec.q
     add, _ = adder(ctx.p, ctx.degree)
     sums = []
     for domains in _columns(vspec, tuples, ctx, (vspec.q + 1) // vspec.e):
@@ -293,7 +298,7 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         add, neg = adder(ctx.p, ctx.degree)
 
         def weight_of(roots):
-            return weight_for_index(vspec.family, vspec.p, vspec.q, vspec.e, roots)
+            return weight_for_index(vspec.p, vspec.q, vspec.e, roots)
     elif path == "slow":
         build = _symbol_tables
         add, neg = adder(vspec.p, 1)
@@ -322,7 +327,7 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     for count, f in enumerate(hist):
         if f:
             counts_by_weight[weight_of(count)] += f
-    weights = theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t)
+    weights = theoretical_weights(vspec.p, vspec.q, vspec.e, vspec.moment_size)
     freq_by_j = tuple(counts_by_weight.get(w, 0) for w in weights)
     stray = any(w not in weights for w in counts_by_weight)
 
@@ -429,31 +434,23 @@ class PowerMomentReport:
     rhs: int
 
 
-def power_moment_check(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
-                       budget: int = DEFAULT_BUDGET,
-                       dist: WeightDistribution | None = None) -> PowerMomentReport:
+def power_moment_check(vspec: ValidatedSpec, r: int,
+                       dist: WeightDistribution) -> PowerMomentReport:
     """Compare the r-th power moment of the character sums, aggregated from
-    a swept distribution, with its predicted value from N_r.
+    a swept distribution, with its predicted value from N_r:
 
-    f1:  sum over all tuples of (S(a)-1)^r        = q^(2t+1) N_r
-    f2:  sum over all tuples of (S(a)-(p-1))^r    = (p-1)^r q^(2t) N_r
+        sum over all tuples of (S(a) - (p-1))^r = (p-1)^r q^n N_r,
+
+    n the moment system size (f1 is the case p = 2).  A tuple of weight w
+    has S(a) = (p-1)q^2 - p w, so its term is (top - p w)^r with
+    top = (p-1)(q^2-1), the zero tuple's term.  Every entry of dist is
+    aggregated, a weight outside the model too, so a stray weight shows as
+    a mismatch.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if dist is None:
-        dist = brute_distribution(vspec, ctx=ctx, budget=budget, path="fast")
-    if dist.freq_by_j is None:
-        raise ValueError("distribution carries weights outside the model; "
-                         "cannot aggregate power moments")
-    q, e, p, t = vspec.q, vspec.e, vspec.p, vspec.t
-    nodes = moment_nodes(vspec.moment_size, q, e)
-    core = (q * q - 1) ** r
-    for node, f in zip(nodes, dist.freq_by_j):
-        core += f * node**r
-    if vspec.family == "f1":
-        lhs = core
-        rhs = q ** (2 * t + 1) * n_r(r, q, e)
-    else:
-        lhs = (p - 1) ** r * core
-        rhs = (p - 1) ** r * q ** (2 * t) * n_r(r, q, e)
+    q, p = vspec.q, vspec.p
+    top = (p - 1) * (q * q - 1)
+    lhs = top**r + sum(f * (top - p * w) ** r for w, f in dist.entries)
+    rhs = (p - 1) ** r * q**vspec.moment_size * n_r(r, q, vspec.e)
     return PowerMomentReport(r=r, ok=lhs == rhs, lhs=lhs, rhs=rhs)

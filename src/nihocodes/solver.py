@@ -1,12 +1,13 @@
 """Exact moment system and weight distribution.
 
 The weight frequencies mu_j solve M mu = b where M is the Vandermonde-type
-matrix with entries (j*e*q - q - 1)^i and b_i = scale * N_i - (q^2-1)^i,
-scale = q^(2t+1) for family f1 and q^(2t) for f2.  M is never built: the
-library holds only its nodes, moment_nodes, and the solve and its check
-below read them alone.  The nodes j*e*q - q - 1 = e(qj - k), k = (q+1)/e,
-are also the support of the binomial measure whose r-th moment is N_r (see
-`moments`); node k is q^2 - 1, the node of the (q^2-1)^i term.
+matrix with entries (j*e*q - q - 1)^i and b_i = q^n N_i - (q^2-1)^i, for
+i, j < n, where n is the moment system size, 2t+1 for family f1 and 2t for
+f2; the scale q^n is p^dimension.  M is never built: the library holds only
+its nodes, moment_nodes, and the solve and its check below read them alone.
+The nodes j*e*q - q - 1 = e(qj - k), k = (q+1)/e, are also the support of
+the binomial measure whose r-th moment is N_r (see `moments`); node k is
+q^2 - 1, the node of the (q^2-1)^i term.
 
 The nodes x_j = a + c*j, a = -(q+1), c = e*q, are equally spaced, and the
 system is solved once in the Newton basis N_i(x) = prod_{r<i} (x - x_r)
@@ -37,7 +38,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .codespec import ValidatedSpec, moment_system_size
+from .codespec import ValidatedSpec
 from .moments import n_r
 
 
@@ -53,33 +54,27 @@ class ModelViolationError(ArithmeticError):
         self.solution = solution
 
 
-def weight_for_index(family: str, p: int, q: int, e: int, j: int) -> int:
-    """w_j, the weight of a codeword whose root-counting polynomial has j
-    roots on W.
-
-    f1: (q^2 - (je-1)q)/2.
-    f2: (p-1)/p * (q^2 - (je-1)q).
-    """
-    if family == "f1":
-        return (q * q - (j * e - 1) * q) // 2
+def weight_for_index(p: int, q: int, e: int, j: int) -> int:
+    """w_j = (p-1)/p * (q^2 - (je-1)q), the weight of a codeword whose
+    root-counting polynomial has j roots on W ((q^2 - (je-1)q)/2 for f1,
+    where p = 2)."""
     return (p - 1) * (q * q - (j * e - 1) * q) // p
 
 
-def theoretical_weights(family: str, p: int, q: int, e: int, t: int) -> tuple[int, ...]:
-    """Possible nonzero weights w_j, j = 0..2t (f1) or 0..2t-1 (f2)
-    ascending (weights descending)."""
-    return tuple(weight_for_index(family, p, q, e, j)
-                 for j in range(moment_system_size(family, t)))
+def theoretical_weights(p: int, q: int, e: int, n: int) -> tuple[int, ...]:
+    """Possible nonzero weights w_j, j = 0..n-1, n the moment system size,
+    ascending in j (weights descending)."""
+    return tuple(weight_for_index(p, q, e, j) for j in range(n))
 
 
 def moment_nodes(size: int, q: int, e: int) -> tuple[int, ...]:
     return tuple(j * e * q - q - 1 for j in range(size))
 
 
-def b_vector(family: str, t: int, q: int, e: int) -> tuple[int, ...]:
-    size = moment_system_size(family, t)
-    scale = q ** (2 * t + 1) if family == "f1" else q ** (2 * t)
-    return tuple(scale * n_r(i, q, e) - (q * q - 1) ** i for i in range(size))
+def b_vector(q: int, e: int, n: int) -> tuple[int, ...]:
+    """b_i = q^n N_i - (q^2-1)^i for i < n, n the moment system size."""
+    scale = q**n
+    return tuple(scale * n_r(i, q, e) - (q * q - 1) ** i for i in range(n))
 
 
 def solve_bareiss(rows, rhs) -> tuple[Fraction, ...]:
@@ -250,7 +245,7 @@ def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
     frequency is then rejected, carrying the solution as Fractions.
     """
     nodes = moment_nodes(vspec.moment_size, vspec.q, vspec.e)
-    b = b_vector(vspec.family, vspec.t, vspec.q, vspec.e)
+    b = b_vector(vspec.q, vspec.e, vspec.moment_size)
     mu = solve_equispaced(nodes, b)
     # The residual in integers, row by row: sum_j x_j^i (mu_j D) = b_i D,
     # D the common denominator of mu, with v_j = x_j^i mu_j D kept as
@@ -266,7 +261,7 @@ def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
             f"frequencies are not non-negative integers for {vspec.key}",
             tuple(map(Fraction, mu)))
     freq_by_j = tuple(int(f) for f in mu)
-    weights = theoretical_weights(vspec.family, vspec.p, vspec.q, vspec.e, vspec.t)
+    weights = theoretical_weights(vspec.p, vspec.q, vspec.e, vspec.moment_size)
     return WeightDistribution.from_freq_by_j(vspec, weights, freq_by_j)
 
 

@@ -64,6 +64,18 @@ by p, the reference for the minimal-polynomial rule of `nihocodes.codespec`:
 `minpoly_degree`, `minpoly_same` and the coset sizes and collision check of
 `validate_spec` read the coset structure from s mod q+1 alone, and the tests
 compare that rule with the enumerated cosets.
+
+`pack` packs base-p codes digit by digit, W bits a digit, the reference for
+`nihocodes.galois.packed_range` and the field's `packed_exp` view, which
+are built by broadcast ORs and gathers.
+
+The paper states its formulas once per family: f1 (p = 2, t+1 zeroes
+from j = 0) and f2 (any p, t zeroes from j = 1).  `exponents_f1` and
+`exponents_f2` derive the zero sets, `weight_f1` and `weight_f2` the
+weights, `moment_scale` the scales q^(2t+1) and q^(2t), and
+`power_moment_by_nodes` the two power-moment identities, aggregated over
+the moment nodes as the paper writes them.  The library writes each once,
+for (p, q, e, n), and the tests check it against these statements.
 """
 
 from __future__ import annotations
@@ -72,6 +84,11 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
+import numpy as np
+
+from nihocodes.codespec import SpecValidationError, half_mod
+from nihocodes.galois import digit_bits, packed_dtype
+from nihocodes.moments import n_r
 from nihocodes.solver import _lagrange_numerators
 
 
@@ -397,3 +414,76 @@ def n4_closed_form(q: int, e: int) -> int:
 def n5_closed_form(q: int, e: int) -> int:
     return (e**4 * (q * q - 1) * (q * q - 2 * q + 2) * (q - 2)
             + 10 * e**3 * (q * q - 1) * (q - 1) * (q - 2) * (q + 1 - e))
+
+
+def pack(codes, p: int, k: int) -> np.ndarray:
+    """Base-p codes below p^k in packed form (for odd p in packed_dtype(p, k))."""
+    if p == 2:
+        return np.asarray(codes)
+    rest, out = np.asarray(codes), 0
+    for i in range(k):
+        rest, digit = np.divmod(rest, p)
+        out = out | digit.astype(packed_dtype(p, k)) << digit_bits(p) * i
+    return out
+
+
+def exponents_f1(m: int, h: int, delta: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(s_0..s_t, d_0..d_t) for the binary family, canonical residues:
+    s_j = j*h + delta/2 mod q+1."""
+    q = 2**m
+    n = q * q - 1
+    half = half_mod(delta % (q + 1), q + 1, 2)
+    s_values = tuple((j * h + half) % (q + 1) for j in range(t + 1))
+    exponents = tuple((s * (q - 1) + delta) % n for s in s_values)
+    return s_values, exponents
+
+
+def exponents_f2(p: int, m: int, h: int, delta: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(s_1..s_t, d_1..d_t) for the p-ary family, canonical residues:
+    s_j = j*h + (delta-h)/2 mod q+1."""
+    q = p**m
+    n = q * q - 1
+    if p == 2:
+        half = half_mod((delta - h) % (q + 1), q + 1, 2)
+    else:
+        if delta % 2 == 0:
+            raise SpecValidationError("parity", f"delta must be odd for odd p, got {delta}")
+        if h % 2 == 0:
+            raise SpecValidationError("parity", f"h must be odd for odd p, got {h}")
+        half = half_mod(delta - h, q + 1, p)
+    s_values = tuple((j * h + half) % (q + 1) for j in range(1, t + 1))
+    exponents = tuple((s * (q - 1) + delta) % n for s in s_values)
+    return s_values, exponents
+
+
+def weight_f1(q: int, e: int, j: int) -> int:
+    """f1: w_j = (q^2 - (je-1)q)/2."""
+    return (q * q - (j * e - 1) * q) // 2
+
+
+def weight_f2(p: int, q: int, e: int, j: int) -> int:
+    """f2: w_j = (p-1)/p * (q^2 - (je-1)q)."""
+    return (p - 1) * (q * q - (j * e - 1) * q) // p
+
+
+def moment_scale(family: str, q: int, t: int) -> int:
+    """The right-hand side's scale: q^(2t+1) for f1, q^(2t) for f2."""
+    return q ** (2 * t + 1) if family == "f1" else q ** (2 * t)
+
+
+def power_moment_by_nodes(vspec, r: int, freq_by_j) -> tuple[int, int]:
+    """(lhs, rhs) of the r-th power moment identity as stated per family,
+
+        f1:  sum over all tuples of (S(a)-1)^r        = q^(2t+1) N_r
+        f2:  sum over all tuples of (S(a)-(p-1))^r    = (p-1)^r q^(2t) N_r
+
+    aggregated over the moment nodes: a tuple with j roots on W has
+    S(a) - (p-1) = (p-1)(jeq - q - 1), and the zero tuple (p-1)(q^2-1).
+    freq_by_j counts the nonzero tuples by j."""
+    q, e, p, t = vspec.q, vspec.e, vspec.p, vspec.t
+    core = (q * q - 1) ** r
+    for j, f in enumerate(freq_by_j):
+        core += f * (j * e * q - q - 1) ** r
+    if vspec.family == "f1":
+        return core, q ** (2 * t + 1) * n_r(r, q, e)
+    return (p - 1) ** r * core, (p - 1) ** r * q ** (2 * t) * n_r(r, q, e)

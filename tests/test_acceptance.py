@@ -121,7 +121,7 @@ def test_criterion_1_example1_golden(capsys):
     assert vs.exponents == (136, 166, 196)
     assert vs.dimension == 20
     assert tuple(n_r(r, vs.q, vs.e) for r in range(5)) == (1, 0, 255, 3570, 237405)
-    assert b_vector("f1", 2, 16, 1) == (1048575, -255, 267321855, 3726834945, 244708934655)
+    assert b_vector(16, 1, 5) == (1048575, -255, 267321855, 3726834945, 244708934655)
     dist = weight_distribution(vs)
     assert dist.freq_by_j == (353700, 377655, 250920, 30600, 35700)
     assert enumerator_string(dist) == EXAMPLE1_ENUM

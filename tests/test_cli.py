@@ -453,6 +453,28 @@ def test_verify_weights_outside_predicted_set_exits_2(capsys, monkeypatch):
     assert line.endswith(" outside predicted set")
 
 
+def test_verify_stray_swept_weight_exits_2(capsys, monkeypatch):
+    """A swept weight outside the predicted set fails the distribution and
+    the power moments that aggregate it, and verify exits 2 with no
+    traceback."""
+    real = cli.brute_distribution
+
+    def stray(vspec, **kwargs):
+        dist = real(vspec, **kwargs)
+        (w, f), *rest = dist.entries
+        return dataclasses.replace(dist, entries=((w + 1, f), *rest), freq_by_j=None)
+
+    monkeypatch.setattr(cli, "brute_distribution", stray)
+    assert main(["verify", *TINY_FLAGS, "--checks", "all"]) == 2
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert "distribution (fast path): FAILED" in out
+    assert "power moment r=1: FAILED" in out and "power moment r=2: FAILED" in out
+    lines = _mismatch_lines(captured.err)
+    assert lines[0].startswith("distribution: brute ((")
+    assert [line.split(":")[0] for line in lines[1:]] == ["power moment r=1", "power moment r=2"]
+
+
 @pytest.mark.parametrize("flag", ["--h-range", "--delta-range", "--t-range"])
 def test_sweep_malformed_range_exits_1(tmp_path, capsys, flag):
     argv = [*SWEEP_TINY, "--out", str(tmp_path / "catalog.jsonl")]

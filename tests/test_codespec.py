@@ -8,51 +8,50 @@ from hypothesis import strategies as st
 from nihocodes.codespec import (
     CodeSpec,
     SpecValidationError,
-    exponents_f1,
-    exponents_f2,
     half_mod,
     minpoly_degree,
     minpoly_same,
     validate_spec,
+    _zero_set,
 )
 
 from exact_reference import cyclotomic_coset
 
 
 def test_example1_exponents():
-    s, d = exponents_f1(4, 2, 1, 2)
+    s, d = _zero_set("f1", 2, 4, 2, 1, 2)
     assert s == (9, 11, 13)
     assert d == (136, 166, 196)
 
 
 def test_exponents_f1_derived_small():
     # q = 4: the inverse of 2 mod 5 is 3, so s_0 = 3, s_1 = 1 + 3 = 4
-    s, d = exponents_f1(2, 1, 1, 1)
+    s, d = _zero_set("f1", 2, 2, 1, 1, 1)
     assert s == (3, 4)
     assert d == (10, 13)
 
 
 def test_exponents_f1_t0_prefix():
-    _, d = exponents_f1(4, 2, 1, 0)
+    _, d = _zero_set("f1", 2, 4, 2, 1, 0)
     assert d == (136,)
 
 
 def test_example2_exponents():
-    s, d = exponents_f2(3, 2, 3, 1, 3)
+    s, d = _zero_set("f2", 3, 2, 3, 1, 3)
     assert s == (2, 5, 8)
     assert d == (17, 41, 65)
 
 
 def test_exponents_f2_binary_halving():
     # p = 2, q = 4: (delta-h)/2 = 0, so s_1 = 1 and d_1 = 1*3 + 1 = 4
-    s, d = exponents_f2(2, 2, 1, 1, 1)
+    s, d = _zero_set("f2", 2, 2, 1, 1, 1)
     assert s == (1,)
     assert d == (4,)
 
 
 def test_exponents_f2_parity_rejection():
     with pytest.raises(SpecValidationError) as exc:
-        exponents_f2(3, 2, 2, 1, 1)
+        _zero_set("f2", 3, 2, 2, 1, 1)
     assert exc.value.code == "parity"
 
 

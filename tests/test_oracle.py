@@ -13,7 +13,6 @@ from nihocodes.galois import (
     FieldContext,
     adder,
     digit_bits,
-    pack,
     packed_dtype,
     packed_range,
     unpack,
@@ -41,6 +40,7 @@ from exact_reference import (
     mul,
     n_r_recursive,
     neg as scalar_neg,
+    pack,
     power,
     symbol_at,
     trace_to_prime,
@@ -125,7 +125,7 @@ def test_paths_agree_everywhere_tiny_f2(tiny_f2_spec):
 def test_paths_agree_on_samples_example1(example1_spec, gf256):
     rng = random.Random(7)
     domains = coefficient_domains(example1_spec, gf256)
-    weights = set(theoretical_weights("f1", 2, 16, 1, 2))
+    weights = set(theoretical_weights(2, 16, 1, 5))
     for _ in range(25):
         a = tuple(rng.choice(d) for d in domains)
         s = char_sum(example1_spec, a, gf256)
@@ -236,7 +236,7 @@ def _unreduced_entries(vs, path):
         add, neg = adder(vs.p, 1)
     by_weight = Counter()
     for count, f in enumerate(oracle._zero_count_histogram(tables, add, neg)):
-        weight = (weight_for_index(vs.family, vs.p, vs.q, vs.e, count) if path == "fast"
+        weight = (weight_for_index(vs.p, vs.q, vs.e, count) if path == "fast"
                   else vs.length - count)
         by_weight[weight] += f
     return tuple(sorted((w, f) for w, f in by_weight.items() if f))
@@ -501,12 +501,12 @@ def test_n_r_brute_rejects_r0(tiny_f1_spec):
 
 def test_power_moment_r1_is_zero(tiny_f1_spec, tiny_f2_spec):
     for vs in (tiny_f1_spec, tiny_f2_spec):
-        rep = power_moment_check(vs, 1)
+        rep = power_moment_check(vs, 1, brute_distribution(vs))
         assert rep.ok and rep.lhs == 0 and rep.rhs == 0
 
 
 def test_power_moment_q4_r2(tiny_f1_spec):
-    rep = power_moment_check(tiny_f1_spec, 2)
+    rep = power_moment_check(tiny_f1_spec, 2, brute_distribution(tiny_f1_spec))
     assert rep.ok
     assert rep.lhs == rep.rhs == 4**3 * 15  # q^(1+2t) N_2
 

@@ -65,3 +65,24 @@ def test_bench_sweep_writes_counts_and_rates(tmp_path):
     assert len(first["ops_per_s"]) == 2 and len(second["ops_per_s"]) == 1
     assert all(rate > 0 for rate in first["ops_per_s"])
     assert result["identical_catalogs"]
+
+
+def test_transcripts_hashes_each_workload_reproducibly(tmp_path, monkeypatch):
+    for name in ("NIHO_BUDGET", "NIHO_TABLE_LIMIT"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import transcripts
+
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    with transcripts.capture_log() as log:
+        digests = {name: transcripts.digest_workload(name, 1, first, log)
+                   for name in transcripts.ROUNDS}
+        # the catalog path is masked, so another scratch directory hashes the same
+        again = transcripts.digest_workload("catalog-sweep", 1, second, log)
+    assert len(list(first.glob("catalog-sweep-*.jsonl"))) == 11
+    assert {name: ops for name, (ops, _) in digests.items()} == {
+        "analyze-large": 45, "verify-oracle": 17, "catalog-sweep": 11}
+    assert all(len(sha) == 64 and int(sha, 16) >= 0 for _, sha in digests.values())
+    assert again == digests["catalog-sweep"]

@@ -64,9 +64,9 @@ INVERSE_Q9_T3 = (
 
 
 def test_theoretical_weights_golden():
-    assert theoretical_weights("f1", 2, 16, 1, 2) == (136, 128, 120, 112, 104)
-    assert theoretical_weights("f2", 3, 9, 1, 3) == (60, 54, 48, 42, 36, 30)
-    assert theoretical_weights("f1", 2, 16, 1, 0) == (136,)
+    assert theoretical_weights(2, 16, 1, 5) == (136, 128, 120, 112, 104)
+    assert theoretical_weights(3, 9, 1, 6) == (60, 54, 48, 42, 36, 30)
+    assert theoretical_weights(2, 16, 1, 1) == (136,)
 
 
 def showcase_nodes(family, t, q, e):
@@ -114,15 +114,15 @@ def test_golden_inverse_q9():
 
 
 def test_b_vector_golden():
-    assert b_vector("f1", 2, 16, 1) == (1048575, -255, 267321855, 3726834945, 244708934655)
-    assert b_vector("f2", 3, 9, 1) == (531440, -80, 42508880, 297094960,
+    assert b_vector(16, 1, 5) == (1048575, -255, 267321855, 3726834945, 244708934655)
+    assert b_vector(9, 1, 6) == (531440, -80, 42508880, 297094960,
                                        11565711440, 230344663600)
 
 
 def test_b_vector_leading_entry_is_code_size():
     # N_0 = 1 and (q^2-1)^0 = 1, so b_0 = scale - 1 = p^dimension - 1
-    assert b_vector("f1", 2, 16, 1)[0] == 2**20 - 1
-    assert b_vector("f2", 3, 9, 1)[0] == 3**12 - 1
+    assert b_vector(16, 1, 5)[0] == 2**20 - 1
+    assert b_vector(9, 1, 6)[0] == 3**12 - 1
 
 
 def test_weight_distribution_example1(example1_spec):
@@ -178,7 +178,7 @@ def test_parse_enumerator_rejects_garbage():
 
 def test_solvers_verify_residual(example1_spec):
     rows = moment_rows(showcase_nodes("f1", 2, 16, 1))
-    b = b_vector("f1", 2, 16, 1)
+    b = b_vector(16, 1, 5)
     mu = solve_bareiss(rows, b)
     for row, target in zip(rows, b):
         assert sum(r * x for r, x in zip(row, mu)) == target
@@ -200,7 +200,7 @@ def test_model_violation_carries_solution(monkeypatch):
     # a doctored right-hand side cannot produce integer frequencies
     vs = validate_spec(CodeSpec("f1", 2, 2, 1, 1, 1))
     bad_b = (63, -15, 736)  # true value is 735
-    monkeypatch.setattr(solver, "b_vector", lambda family, t, q, e: bad_b)
+    monkeypatch.setattr(solver, "b_vector", lambda q, e, n: bad_b)
     with pytest.raises(ModelViolationError) as exc:
         weight_distribution(vs)
     assert any(isinstance(f, Fraction) and f.denominator != 1 for f in exc.value.solution)
@@ -233,7 +233,7 @@ def test_row_one_moment_identity():
         dist = weight_distribution(vs)
         nodes = moment_nodes(vs.moment_size, vs.q, vs.e)
         lhs = sum(f * x for f, x in zip(dist.freq_by_j, nodes))
-        assert lhs == b_vector(vs.family, vs.t, vs.q, vs.e)[1]
+        assert lhs == b_vector(vs.q, vs.e, vs.moment_size)[1]
 
 
 @settings(max_examples=100, deadline=None)
