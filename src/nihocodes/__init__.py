@@ -6,8 +6,6 @@ from .codespec import (
     CodeSpec,
     SpecValidationError,
     ValidatedSpec,
-    minpoly_degree,
-    minpoly_same,
     validate_spec,
 )
 from .galois import (

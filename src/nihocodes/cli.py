@@ -366,6 +366,9 @@ def cmd_sweep(args) -> int:
     try:
         existing, torn = _read_catalog(args.out)
         out_fh = open(args.out, "a", encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"cannot read catalog {args.out}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except OSError as exc:
         print(f"cannot open catalog {args.out}: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -5,18 +5,22 @@ delta mod q-1 (with gcd(delta, q-1) = 1), so each exponent is determined by
 a residue s mod q+1 through d = s(q-1) + delta mod q^2-1.
 
 The family fixes only the zero set: s_j = j*h + (delta - first*h)/2 mod q+1
-for j = first..t, with first = 0 for "f1" (binary only, t+1 zeroes, the
-leading coefficient in GF(q)) and first = 1 for "f2" (any prime p, t
-zeroes).  For p = 2 the halving is division by 2 mod the odd number q+1;
-for odd p it is exact integer halving, which forces delta and h to be odd.
+for j = first..t, with first = 0 for "f1" (binary only, t+1 zeroes) and
+first = 1 for "f2" (any prime p, t zeroes).  For p = 2 the halving is
+division by 2 mod the odd number q+1; for odd p it is exact integer
+halving, which forces delta and h to be odd.  Nothing past this module reads
+the family.
 
-The moment system has size n = 2t+1 ("f1") or 2t ("f2"), and the cyclic
-code has length q^2-1 and dimension n*m, provided the exponents land in
-pairwise distinct p-cyclotomic cosets.  Everything downstream (the weights,
-the moment scale q^n = p^dimension, the power moments) reads only
-(p, q, e, n).  validate_spec reads the coset sizes and collisions from the
-s-values by the rule of `minpoly_degree` and `minpoly_same`; the tests check
-that rule against the cosets that tests/exact_reference.py enumerates.
+Each zero's p-cyclotomic coset is read from its conjugate class
+{s, delta - s} mod q+1 (see `_conjugates`): it has m elements when the
+class is one residue and 2m otherwise.  A slot whose coset has size m
+takes its coefficient from GF(q), which in f1 is the leading slot.  The
+cyclic code has length q^2-1 and dimension the sum of the coset sizes, and
+the moment system has size n = dimension/m, the number of residues in the
+classes: 2t+1 for f1 and 2t for f2.  Everything downstream (the weights,
+the moment scale q^n = p^dimension, the power moments, the oracle's slot
+layout) reads only (p, q, e, n) and the coset sizes.  The tests check the
+class rule against the cosets that tests/exact_reference.py enumerates.
 """
 
 from __future__ import annotations
@@ -39,12 +43,6 @@ class SpecValidationError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-def moment_system_size(family: str, t: int) -> int:
-    """Number of possible nonzero weights, the size of the moment system:
-    2t+1 for f1, 2t for f2."""
-    return 2 * t + 1 if family == "f1" else 2 * t
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,8 @@ class ValidatedSpec(CodeSpec):
 
     @property
     def moment_size(self) -> int:
-        return moment_system_size(self.family, self.t)
+        """Size of the moment system, the number of possible nonzero weights."""
+        return self.dimension // self.m
 
     @property
     def codeword_count(self) -> int:
@@ -111,46 +110,39 @@ def _zero_set(family: str, p: int, m: int, h: int, delta: int,
     return s_values, exponents
 
 
-def _s_of(d: int, delta: int, q: int) -> int:
-    """Recover s with d = s(q-1) + delta mod q^2-1, or fail if d is not of
-    that shape."""
-    n = q * q - 1
-    dd = (d - delta) % n
-    if dd % (q - 1):
-        raise ValueError(f"exponent {d} is not congruent to {delta} mod {q - 1}")
-    return (dd // (q - 1)) % (q + 1)
-
-
 def _conjugates(s: int, delta: int, q: int) -> frozenset[int]:
     """{s, delta - s} mod q+1: the s-values whose exponents share the minimal
-    polynomial of d = s(q-1) + delta, m elements of d's coset for each."""
+    polynomial of d = s(q-1) + delta, m elements of d's coset for each.
+
+    Exact, as gcd(delta, q-1) = 1: d*p^i keeps d's residue delta mod q-1
+    only when q-1 | p^i - 1, that is when m | i, so d's coset meets the
+    delta shape only in d and d*q, and d*q has parameter delta - s.  The
+    coset therefore has m elements when 2s = delta mod q+1 and 2m
+    otherwise, and two exponents of the same delta share a coset exactly
+    when their classes are equal."""
     return frozenset((s % (q + 1), (delta - s) % (q + 1)))
-
-
-def minpoly_degree(d: int, delta: int, q: int, m: int) -> int:
-    """Degree of the minimal polynomial attached to exponent d: m exactly
-    when delta = 2s mod q+1, else 2m.  Exact, as gcd(delta, q-1) = 1: d*p^i
-    keeps d's residue mod q-1 only when q-1 | p^i - 1, that is when m | i,
-    and d*q has parameter delta - s."""
-    return m * len(_conjugates(_s_of(d, delta, q), delta, q))
-
-
-def minpoly_same(d: int, d_prime: int, delta: int, q: int) -> bool:
-    """Whether two exponents of the same delta shape share a minimal
-    polynomial: s = s' or s = delta - s' mod q+1.  Exact, as d's coset meets
-    the delta shape only in d*p^i with m | i (see `minpoly_degree`), that is
-    in d and d*q, whose parameter is delta - s."""
-    return _conjugates(_s_of(d, delta, q), delta, q) == _conjugates(
-        _s_of(d_prime, delta, q), delta, q)
 
 
 def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     """Check every parameter constraint and derive the validated spec.
 
-    Raises SpecValidationError naming the first violated constraint.  The
-    dimension is cross-checked against the coset sizes that the minimal
-    polynomial rule gives; a collision is rejected as a degenerate zero set
-    rather than silently producing a smaller code.
+    Raises SpecValidationError naming the first violated constraint.
+
+    The coset sizes come from the conjugate classes of the s-values, and
+    the t bound 2et <= q+1 keeps those classes pairwise distinct, so the
+    dimension is their sum and nothing is lost to a collision.  With
+    k = (q+1)/e, s_j = j*h + c and 2c = delta - first*h mod q+1,
+
+      * s_i = s_j needs (j-i)h = 0 mod q+1,
+      * s_i = delta - s_j needs (i+j-first)h = 0 mod q+1,
+      * a class of one residue, 2s_j = delta, needs (2j-first)h = 0,
+
+    and as gcd(h/e, k) = 1 each means that k divides j-i, i+j-first or
+    2j-first.  For first <= i < j <= t these lie in 1..2t-1, below
+    k >= 2t, so no two slots collide.  2j-first is 0 at f1's leading slot
+    and otherwise lies in 1..2t without being k: for f1 it is even while k
+    is odd (q+1 is odd for p = 2), and for f2 it is at most 2t-1.  Hence
+    only f1's leading slot has a coset of size m.
     """
     if raw.family not in FAMILIES:
         raise SpecValidationError("bad_family", f"family must be one of {FAMILIES}, got {raw.family!r}")
@@ -188,25 +180,9 @@ def validate_spec(raw: CodeSpec) -> ValidatedSpec:
             f"t = {raw.t} exceeds (q+1)/(2e) = {(q + 1)}/{2 * e}")
 
     s_values, exponents = _zero_set(raw.family, raw.p, raw.m, raw.h, raw.delta, raw.t)
-    dim_formula = moment_system_size(raw.family, raw.t) * raw.m
-
-    classes = [_conjugates(s, raw.delta, q) for s in s_values]
-    members: dict[frozenset[int], list[int]] = {}
-    for i, c in enumerate(classes):
-        members.setdefault(c, []).append(i)
-    clash = next((ix for ix in members.values() if len(ix) > 1), None)  # first pair by index
-    if clash:
-        raise SpecValidationError(
-            "degenerate_zero_set",
-            f"exponents {exponents[clash[0]]} and {exponents[clash[1]]} share a cyclotomic coset")
-    coset_sizes = tuple(raw.m * len(c) for c in classes)
-    if sum(coset_sizes) != dim_formula:
-        raise SpecValidationError(
-            "degenerate_zero_set",
-            f"coset sizes {coset_sizes} sum to {sum(coset_sizes)}, expected {dim_formula}")
-
+    coset_sizes = tuple(raw.m * len(_conjugates(s, raw.delta, q)) for s in s_values)
     return ValidatedSpec(
         family=raw.family, p=raw.p, m=raw.m, h=raw.h, delta=raw.delta, t=raw.t,
         q=q, e=e, s_values=s_values, exponents=exponents,
-        coset_sizes=coset_sizes, length=q * q - 1, dimension=dim_formula,
+        coset_sizes=coset_sizes, length=q * q - 1, dimension=sum(coset_sizes),
     )

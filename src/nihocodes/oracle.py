@@ -6,11 +6,15 @@ once, as a table builder over the field's array views:
   * the positionwise path, _symbol_tables, evaluates the defining trace
     expression of a codeword symbol by symbol over all q^2-1 coordinates,
     as GF(p) symbols read from the trace view;
-  * the root-counting path, _root_tables, evaluates a degree <= 2t
-    polynomial over the small subgroup W of the unit circle (order
-    (q+1)/e) and converts the number of roots into a character-sum value
-    and hence a weight; its values are GF(q^2) elements in the packed form
-    of galois, read from the packed_exp view.
+  * the root-counting path, _root_tables, evaluates a polynomial of
+    degree below the moment system size n over the small subgroup W of
+    the unit circle (order (q+1)/e) and converts the number of roots into
+    a character-sum value and hence a weight; its values are GF(q^2)
+    elements in the packed form of galois, read from the packed_exp view.
+
+The zero set enters through its coset sizes alone: a slot whose coset has
+size m takes GF(q) coefficients and one root-counting term, any other slot
+all of GF(q^2) and a second term for its conjugate (see _slot_terms).
 
 A builder gives, per coefficient slot, one value per entry (W point or
 position) and coefficient of the slot's domain.  A tuple's entry is the sum
@@ -26,15 +30,16 @@ histograms how many entries vanish; brute_distribution maps that count to
 a weight.  n_r_brute sums packed signatures with the same adder.  The
 scalar references both paths are tested against live in the tests.
 
-brute_distribution sweeps one representative per cyclic orbit of the first
-full-field slot j0 (slot 0 for f2, slot 1 for f1 with t >= 1).  A cyclic
+brute_distribution sweeps one representative per cyclic orbit of j0, the
+first slot whose coset has size 2m and whose coefficient therefore ranges
+over all of GF(q^2) (slot 0 for f2, slot 1 for f1 with t >= 1).  A cyclic
 shift by s keeps every weight and maps a_j to a_j * gamma^(d_j s), so the
 nonzero values of a_j0 fall into g = gcd(d_j0, q^2-1) orbits of equal size
 (q^2-1)/g, one through each of gamma^0..gamma^(g-1).  The sweep builds the
 tables of that restricted domain, weights its histogram by (q^2-1)/g and
 adds the a_j0 = 0 slice unweighted.  The rule uses only the cyclicity of
-the code, none of the paper's formulas.  Family f1 with t = 0 has no
-full-field slot and is swept whole.
+the code, none of the paper's formulas.  A zero set with no such slot
+(f1 with t = 0) is swept whole.
 
 n_r_brute counts by meet in the middle: the histogram of the q^2-1
 signatures (an element's exponent powers) is convolved with itself up to
@@ -54,9 +59,9 @@ enumeration; the budget charges them even though the orbit reduction and
 the meet in the middle do less work.
 
 Domains list their coefficients in a fixed order: zero first, then
-ascending generator exponents, with the f1 leading coefficient restricted
-to GF(q).  Results are exact counts and do not depend on the order in which
-the engine walks the tuples.
+ascending generator exponents, over GF(q) for a slot whose coset has size m
+and over GF(q^2) otherwise.  Results are exact counts and do not depend on
+the order in which the engine walks the tuples.
 """
 
 from __future__ import annotations
@@ -102,21 +107,27 @@ def _context_for(vspec: ValidatedSpec, ctx: FieldContext | None) -> FieldContext
 
 def coefficient_domains(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndarray]:
     """Per-coefficient code arrays in sweep order: zero first, then ascending
-    generator exponents.  Family f1 restricts the leading coefficient to the
-    subfield GF(q), reached as zero plus powers of gamma^(q+1)."""
+    generator exponents.  A slot whose coset has size m takes its
+    coefficient from the subfield GF(q), reached as zero plus powers of
+    gamma^(q+1), and every other slot from all of GF(q^2)."""
     full = np.concatenate(([0], ctx.exp))
-    if vspec.family == "f1":
-        return [np.array(ctx.subfield_elements(vspec.m))] + [full] * vspec.t
-    return [full] * vspec.t
+    return [np.array(ctx.subfield_elements(vspec.m)) if size == vspec.m else full
+            for size in vspec.coset_sizes]
 
 
 def _slot_terms(vspec: ValidatedSpec) -> list[list[tuple[bool, int]]]:
-    """Per coefficient: the (conjugate?, W-point exponent) pairs that build
-    the root-counting polynomial."""
-    t = vspec.t
-    if vspec.family == "f1":
-        return [[(False, t)]] + [[(False, t - j), (True, t + j)] for j in range(1, t + 1)]
-    return [[(False, t + j - 1), (True, t - j)] for j in range(1, t + 1)]
+    """Per coefficient slot i, the (conjugate?, W-point exponent) pairs of
+    the root-counting polynomial: (False, t+i), and (True, n-1-t-i) when
+    the slot's coset has size 2m (a GF(q) coefficient is its own
+    conjugate), n the moment system size.
+
+    For f1 this is the reflection Q(u) = u^(n-1) P(1/u) of the polynomial P
+    with slot i's coefficient at u^(t-i) and its conjugate at u^(t+i).
+    Inversion permutes W, so Q and P have the same number of roots on W
+    for every tuple."""
+    t, n = vspec.t, vspec.moment_size
+    return [[(False, t + i)] + ([(True, n - 1 - t - i)] if size > vspec.m else [])
+            for i, size in enumerate(vspec.coset_sizes)]
 
 
 def validate_tuple(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> None:
@@ -126,8 +137,10 @@ def validate_tuple(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) 
     for c in a:
         if not 0 <= c < ctx.order:
             raise ValueError(f"element code {c!r} outside GF({ctx.order})")
-    if vspec.family == "f1" and not ctx.is_subfield_element(a[0], vspec.m):
-        raise ValueError(f"leading coefficient {a[0]} is not in GF({vspec.q})")
+    for c, size in zip(a, vspec.coset_sizes):
+        # only f1's leading slot has a coset of size m (see validate_spec)
+        if size == vspec.m and not ctx.is_subfield_element(c, vspec.m):
+            raise ValueError(f"leading coefficient {c} is not in GF({vspec.q})")
 
 
 # -- batch paths -------------------------------------------------------------
@@ -164,8 +177,8 @@ def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
 
     Evaluates each tuple's coefficient polynomial at every point of W; each
     root accounts for e unit-circle solutions, giving N = e * roots and the
-    sum (p-1)q(N-1), q(N-1) for family f1 (p = 2).  The zero tuple makes
-    the polynomial vanish identically, which yields (p-1)q^2.
+    sum (p-1)q(N-1).  The zero tuple makes the polynomial vanish
+    identically, which yields (p-1)q^2.
     """
     scale = (vspec.p - 1) * vspec.q
     add, _ = adder(ctx.p, ctx.degree)
@@ -224,17 +237,18 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
     of z at position i is Tr(z gamma^(d i)), one read of the trace view at
     exponent (log z + d i) mod n, masked to 0 where z = 0.
 
-    Family f1 takes the leading slot's trace from GF(q) only.  For x in
-    GF(q) that trace is Tr(theta x) down from GF(q^2), where theta =
+    A slot whose coset has size m takes its trace from GF(q) only, since
+    its coefficient and gamma^(d i) both lie in GF(q).  For x in GF(q) that
+    trace is Tr(theta x) down from GF(q^2), where theta =
     gamma / (gamma + gamma^q) has theta + theta^q = 1 (gamma + gamma^q is
     nonzero and lies in GF(q)), so every slot reads the one trace view."""
     n = vspec.length
     positions = np.arange(n)[:, None]
     tables = []
-    for s, (domain, d) in enumerate(zip(domains, vspec.exponents)):
+    for domain, d, size in zip(domains, vspec.exponents, vspec.coset_sizes):
         z = np.asarray(domain)[None, :]
         zlog = ctx.log[z]
-        if vspec.family == "f1" and s == 0:
+        if size == vspec.m:
             add, _ = adder(ctx.p, ctx.degree)
             relative = unpack(add(ctx.packed_exp[1], ctx.packed_exp[vspec.q]),
                               ctx.p, ctx.degree)
@@ -309,8 +323,8 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
 
     domains = coefficient_domains(vspec, ctx)
-    j0 = 1 if vspec.family == "f1" else 0
-    if j0 < len(domains):
+    j0 = next((i for i, size in enumerate(vspec.coset_sizes) if size > vspec.m), None)
+    if j0 is not None:
         # one representative per cyclic orbit of a_j0 (see the module doc)
         n = vspec.length
         g = math.gcd(vspec.exponents[j0], n)
@@ -337,9 +351,8 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         raise AssertionError(f"swept {total} tuples, expected {expected}")
     entries = tuple(sorted(counts_by_weight.items()))
     return WeightDistribution(
-        family=vspec.family, length=vspec.length, dimension=vspec.dimension,
-        entries=entries, weights_by_j=weights,
-        freq_by_j=None if stray else freq_by_j)
+        length=vspec.length, dimension=vspec.dimension, entries=entries,
+        weights_by_j=weights, freq_by_j=None if stray else freq_by_j)
 
 
 # -- tuple counting and power moments --------------------------------------

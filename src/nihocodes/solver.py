@@ -2,8 +2,8 @@
 
 The weight frequencies mu_j solve M mu = b where M is the Vandermonde-type
 matrix with entries (j*e*q - q - 1)^i and b_i = q^n N_i - (q^2-1)^i, for
-i, j < n, where n is the moment system size, 2t+1 for family f1 and 2t for
-f2; the scale q^n is p^dimension.  M is never built: the library holds only
+i, j < n, where n is the moment system size, `ValidatedSpec.moment_size`;
+the scale q^n is p^dimension.  M is never built: the library holds only
 its nodes, moment_nodes, and the solve and its check below read them alone.
 The nodes j*e*q - q - 1 = e(qj - k), k = (q+1)/e, are also the support of
 the binomial measure whose r-th moment is N_r (see `moments`); node k is
@@ -209,7 +209,6 @@ class WeightDistribution:
     diagnostics and excluded from equality.
     """
 
-    family: str
     length: int
     dimension: int
     entries: tuple[tuple[int, int], ...]
@@ -232,8 +231,8 @@ class WeightDistribution:
         if total != expected:
             raise ValueError(f"frequencies sum to {total}, expected {expected}")
         entries = tuple(sorted((w, f) for w, f in zip(weights_by_j, freq_by_j) if f))
-        return cls(family=vspec.family, length=vspec.length, dimension=vspec.dimension,
-                   entries=entries, weights_by_j=tuple(weights_by_j), freq_by_j=freq_by_j)
+        return cls(length=vspec.length, dimension=vspec.dimension, entries=entries,
+                   weights_by_j=tuple(weights_by_j), freq_by_j=freq_by_j)
 
 
 def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:

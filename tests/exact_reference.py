@@ -61,21 +61,22 @@ independent cross-checks of `nihocodes.moments.n_r`.
 
 `cyclotomic_coset` enumerates the orbit of an exponent under multiplication
 by p, the reference for the minimal-polynomial rule of `nihocodes.codespec`:
-`minpoly_degree`, `minpoly_same` and the coset sizes and collision check of
-`validate_spec` read the coset structure from s mod q+1 alone, and the tests
-compare that rule with the enumerated cosets.
+`_conjugates` and the coset sizes of `validate_spec` read the coset
+structure from s mod q+1 alone, and the tests compare that rule with the
+enumerated cosets.
 
 `pack` packs base-p codes digit by digit, W bits a digit, the reference for
 `nihocodes.galois.packed_range` and the field's `packed_exp` view, which
 are built by broadcast ORs and gathers.
 
 The paper states its formulas once per family: f1 (p = 2, t+1 zeroes
-from j = 0) and f2 (any p, t zeroes from j = 1).  `exponents_f1` and
-`exponents_f2` derive the zero sets, `weight_f1` and `weight_f2` the
-weights, `moment_scale` the scales q^(2t+1) and q^(2t), and
-`power_moment_by_nodes` the two power-moment identities, aggregated over
-the moment nodes as the paper writes them.  The library writes each once,
-for (p, q, e, n), and the tests check it against these statements.
+from j = 0) and f2 (any p, t zeroes from j = 1).  `moment_size` gives the
+system sizes 2t+1 and 2t, `exponents_f1` and `exponents_f2` derive the zero
+sets, `weight_f1` and `weight_f2` the weights, `moment_scale` the scales
+q^(2t+1) and q^(2t), and `power_moment_by_nodes` the two power-moment
+identities, aggregated over the moment nodes as the paper writes them.
+The library writes each once, for (p, q, e, n), and the tests check it
+against these statements.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def mds_freq_by_j(family: str, q: int, e: int, t: int) -> tuple[int, ...]:
     w >= d, 0 below.  For K > N every value vector is hit q^(K-N) times.
     """
     n = (q + 1) // e
-    k = 2 * t + 1 if family == "f1" else 2 * t
+    k = moment_size(family, t)
     if k > n:
         return tuple(comb(n, j) * (q - 1) ** (n - j) * q ** (k - n) - (j == n)
                      for j in range(k))
@@ -168,7 +169,7 @@ def newton_freq_by_j(family: str, q: int, e: int, t: int) -> tuple[int, ...]:
     """Nonzero tuples with exactly j roots on W, j = 0..s-1, from the
     closed-form Newton coordinates G_i = C(k,i) (q^(s-i) - 1)."""
     k = (q + 1) // e
-    s = 2 * t + 1 if family == "f1" else 2 * t
+    s = moment_size(family, t)
     g = [comb(k, i) * (q ** (s - i) - 1) for i in range(s)]
     return tuple(sum((-1) ** (i - j) * comb(i, j) * g[i] for i in range(j, s))
                  for j in range(s))
@@ -456,6 +457,12 @@ def exponents_f2(p: int, m: int, h: int, delta: int, t: int) -> tuple[tuple[int,
     return s_values, exponents
 
 
+def moment_size(family: str, t: int) -> int:
+    """The moment system size, the number of possible nonzero weights: 2t+1
+    for f1, 2t for f2."""
+    return 2 * t + 1 if family == "f1" else 2 * t
+
+
 def weight_f1(q: int, e: int, j: int) -> int:
     """f1: w_j = (q^2 - (je-1)q)/2."""
     return (q * q - (j * e - 1) * q) // 2
@@ -468,7 +475,7 @@ def weight_f2(p: int, q: int, e: int, j: int) -> int:
 
 def moment_scale(family: str, q: int, t: int) -> int:
     """The right-hand side's scale: q^(2t+1) for f1, q^(2t) for f2."""
-    return q ** (2 * t + 1) if family == "f1" else q ** (2 * t)
+    return q ** moment_size(family, t)
 
 
 def power_moment_by_nodes(vspec, r: int, freq_by_j) -> tuple[int, int]:
@@ -484,6 +491,7 @@ def power_moment_by_nodes(vspec, r: int, freq_by_j) -> tuple[int, int]:
     core = (q * q - 1) ** r
     for j, f in enumerate(freq_by_j):
         core += f * (j * e * q - q - 1) ** r
+    rhs = moment_scale(vspec.family, q, t) * n_r(r, q, e)
     if vspec.family == "f1":
-        return core, q ** (2 * t + 1) * n_r(r, q, e)
-    return (p - 1) ** r * core, (p - 1) ** r * q ** (2 * t) * n_r(r, q, e)
+        return core, rhs
+    return (p - 1) ** r * core, (p - 1) ** r * rhs

@@ -13,9 +13,8 @@ import pytest
 from nihocodes.codespec import (
     CodeSpec,
     SpecValidationError,
-    minpoly_degree,
-    minpoly_same,
     validate_spec,
+    _conjugates,
 )
 from nihocodes.galois import build_field
 from nihocodes.moments import n_r
@@ -336,9 +335,10 @@ def test_criterion_8_minpoly_rules_match_cosets(capsys):
             d2 = (s2 * (q - 1) + delta) % n
             c1 = cyclotomic_coset(n, p, d1)
             c2 = cyclotomic_coset(n, p, d2)
-            assert minpoly_degree(d1, delta, q, m) == len(c1)
-            assert minpoly_degree(d2, delta, q, m) == len(c2)
-            assert minpoly_same(d1, d2, delta, q) == (c1 == c2)
+            k1, k2 = _conjugates(s1, delta, q), _conjugates(s2, delta, q)
+            assert m * len(k1) == len(c1)
+            assert m * len(k2) == len(c2)
+            assert (k1 == k2) == (c1 == c2)
             exponents_checked += 2
     assert exponents_checked == 1000
     elapsed = time.perf_counter() - started

@@ -508,6 +508,18 @@ def test_sweep_recovers_from_truncated_catalog(tmp_path, caplog):
     assert out.read_text().splitlines() == lines
 
 
+def test_sweep_refuses_catalog_that_is_not_utf8(tmp_path, capsys):
+    out = tmp_path / "catalog.jsonl"
+    garbage = b'{"key": "f1:2:2:1:1:0"}\n\xff\xfe not text\n'
+    out.write_bytes(garbage)
+    assert main([*SWEEP_TINY, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read catalog {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert out.read_bytes() == garbage
+
+
 def _violating(after_calls=0):
     """A weight_distribution stand-in that raises ModelViolationError once it
     has answered `after_calls` times."""

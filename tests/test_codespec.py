@@ -9,9 +9,8 @@ from nihocodes.codespec import (
     CodeSpec,
     SpecValidationError,
     half_mod,
-    minpoly_degree,
-    minpoly_same,
     validate_spec,
+    _conjugates,
     _zero_set,
 )
 
@@ -106,47 +105,45 @@ def test_cyclotomic_cosets():
 
 
 def test_minpoly_degree_example1():
-    # s = 9: 2*9 = 18 = 1 = delta mod 17, so degree m
-    assert minpoly_degree(136, 1, 16, 4) == 4
-    # s = 11: 22 = 5 != 1 mod 17, so degree 2m
-    assert minpoly_degree(166, 1, 16, 4) == 8
-    assert minpoly_degree(196, 1, 16, 4) == 8
+    # the minimal polynomial of d = s*15 + 1 in GF(256) has degree 4|{s, 1-s}|
+    # s = 9 (d = 136): 2*9 = 18 = 1 = delta mod 17, so degree m
+    assert 4 * len(_conjugates(9, 1, 16)) == len(cyclotomic_coset(255, 2, 136)) == 4
+    # s = 11, 13 (d = 166, 196): 22 = 5 != 1 mod 17, so degree 2m
+    assert 4 * len(_conjugates(11, 1, 16)) == len(cyclotomic_coset(255, 2, 166)) == 8
+    assert 4 * len(_conjugates(13, 1, 16)) == len(cyclotomic_coset(255, 2, 196)) == 8
 
 
 def test_minpoly_degree_example2_all_2m():
-    for d in (17, 41, 65):
-        assert minpoly_degree(d, 1, 9, 2) == 4
-
-
-def test_minpoly_degree_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        minpoly_degree(137, 1, 16, 4)  # 137 - 1 is not a multiple of 15
+    # d = s*8 + 1 in GF(81) for s = 2, 5, 8
+    for s, d in zip((2, 5, 8), (17, 41, 65)):
+        assert 2 * len(_conjugates(s, 1, 9)) == len(cyclotomic_coset(80, 3, d)) == 4
 
 
 def test_minpoly_same():
-    assert minpoly_same(166, 166, 1, 16)
-    assert not minpoly_same(166, 196, 1, 16)
+    assert _conjugates(11, 1, 16) != _conjugates(13, 1, 16)
+    assert cyclotomic_coset(255, 2, 166) != cyclotomic_coset(255, 2, 196)
     # s = 5 and s' = 13: delta - s' = -12 = 5 mod 17
     d_a = (5 * 15 + 1) % 255
     d_b = (13 * 15 + 1) % 255
-    assert minpoly_same(d_a, d_b, 1, 16)
+    assert _conjugates(5, 1, 16) == _conjugates(13, 1, 16)
     assert cyclotomic_coset(255, 2, d_a) == cyclotomic_coset(255, 2, d_b)
 
 
 def _assert_rule_matches_cosets(vs, pairs=None):
-    """The validated coset sizes and the minimal-polynomial rules against the
-    enumerated cosets; `pairs` limits the O(t^2) minpoly_same check."""
+    """The validated coset sizes and the conjugate-class rule against the
+    enumerated cosets; `pairs` limits the O(t^2) check of shared cosets."""
     q, p, m = vs.q, vs.p, vs.m
     cosets = [cyclotomic_coset(vs.length, p, d) for d in vs.exponents]
+    classes = [_conjugates(s, vs.delta, q) for s in vs.s_values]
     assert sum(vs.coset_sizes) == vs.dimension
     assert len(set(cosets)) == len(cosets)
-    for i, d in enumerate(vs.exponents):
+    for i, (s, d) in enumerate(zip(vs.s_values, vs.exponents)):
         assert d % (q - 1) == vs.delta % (q - 1)
-        assert minpoly_degree(d, vs.delta, q, m) == vs.coset_sizes[i] == len(cosets[i])
+        assert d == (s * (q - 1) + vs.delta) % vs.length
+        assert m * len(classes[i]) == vs.coset_sizes[i] == len(cosets[i])
     k = len(vs.exponents)
     for i, j in pairs if pairs is not None else ((i, j) for i in range(k) for j in range(k)):
-        assert minpoly_same(vs.exponents[i], vs.exponents[j], vs.delta, q) == (
-            cosets[i] == cosets[j])
+        assert (classes[i] == classes[j]) == (cosets[i] == cosets[j])
 
 
 def test_dimension_equals_coset_sum_everywhere():
@@ -160,9 +157,7 @@ def test_dimension_equals_coset_sum_everywhere():
                     for t in range(0, q + 2):
                         try:
                             vs = validate_spec(CodeSpec(family, p, m, h, delta, t))
-                        except SpecValidationError as exc:
-                            # the t bound keeps every admitted zero set nondegenerate
-                            assert exc.code != "degenerate_zero_set"
+                        except SpecValidationError:
                             continue
                         _assert_rule_matches_cosets(vs)
 
@@ -190,10 +185,11 @@ def test_dimension_equals_coset_sum_everywhere():
 
 
 def _random_niho_exponent(data, q, p):
+    """(s, d = s(q-1) + delta mod q^2-1, delta) for a drawn s and delta."""
     deltas = [d for d in range(1, q) if math.gcd(d, q - 1) == 1]
     delta = data.draw(st.sampled_from(deltas))
     s = data.draw(st.integers(0, q))
-    return (s * (q - 1) + delta) % (q * q - 1), delta
+    return s, (s * (q - 1) + delta) % (q * q - 1), delta
 
 
 @settings(max_examples=300, deadline=None)
@@ -201,17 +197,17 @@ def _random_niho_exponent(data, q, p):
 def test_minpoly_degree_matches_coset_size(qp, data):
     q, p = qp
     m = round(math.log(q, p))
-    d, delta = _random_niho_exponent(data, q, p)
-    assert minpoly_degree(d, delta, q, m) == len(cyclotomic_coset(q * q - 1, p, d))
+    s, d, delta = _random_niho_exponent(data, q, p)
+    assert m * len(_conjugates(s, delta, q)) == len(cyclotomic_coset(q * q - 1, p, d))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([(4, 2), (8, 2), (9, 3), (16, 2), (25, 5)]), st.data())
 def test_minpoly_same_matches_coset_equality(qp, data):
     q, p = qp
-    d, delta = _random_niho_exponent(data, q, p)
+    s, d, delta = _random_niho_exponent(data, q, p)
     s2 = data.draw(st.integers(0, q))
     d2 = (s2 * (q - 1) + delta) % (q * q - 1)
     n = q * q - 1
-    assert minpoly_same(d, d2, delta, q) == (
+    assert (_conjugates(s, delta, q) == _conjugates(s2, delta, q)) == (
         cyclotomic_coset(n, p, d) == cyclotomic_coset(n, p, d2))

@@ -15,6 +15,7 @@ from exact_reference import (
     exponents_f1,
     exponents_f2,
     moment_scale,
+    moment_size,
     power_moment_by_nodes,
     weight_f1,
     weight_f2,
@@ -54,6 +55,10 @@ def test_unified_formulas_match_family_statements():
             ref = (exponents_f1(m, vs.h, vs.delta, vs.t) if f1
                    else exponents_f2(p, m, vs.h, vs.delta, vs.t))
             assert (vs.s_values, vs.exponents) == ref, vs.key
+            assert vs.moment_size == moment_size(vs.family, vs.t), vs.key
+            # the GF(q) slots, those of coset size m, are f1's leading slot alone
+            assert [i for i, size in enumerate(vs.coset_sizes) if size == m] == (
+                [0] if f1 else []), vs.key
             assert moment_scale(vs.family, q, vs.t) == q**vs.moment_size == p**vs.dimension
             checked += 1
             key = (vs.family, p, q, vs.e, vs.t)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nihocodes import solver
-from nihocodes.codespec import CodeSpec, SpecValidationError, moment_system_size, validate_spec
+from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec
 from nihocodes.solver import (
     ModelViolationError,
     WeightDistribution,
@@ -27,6 +27,7 @@ from exact_reference import (
     lagrange_numerators_direct,
     mds_freq_by_j,
     moment_rows,
+    moment_size,
     newton_freq_by_j,
 )
 
@@ -70,7 +71,7 @@ def test_theoretical_weights_golden():
 
 
 def showcase_nodes(family, t, q, e):
-    return moment_nodes(moment_system_size(family, t), q, e)
+    return moment_nodes(moment_size(family, t), q, e)
 
 
 def inverse_by_solve(nodes):
@@ -157,7 +158,7 @@ def test_enumerator_strings(example1_spec, example2_spec):
 
 
 def test_enumerator_empty_distribution():
-    dist = WeightDistribution(family="f1", length=15, dimension=0, entries=(),
+    dist = WeightDistribution(length=15, dimension=0, entries=(),
                               weights_by_j=(), freq_by_j=())
     assert enumerator_string(dist) == "1"
 
