@@ -1,143 +1,87 @@
 #!/usr/bin/env python3
-"""Time the moment-system solve: the Newton-basis `solve_equispaced` that
-`weight_distribution` calls, against the Lagrange `solve_lagrange` it
-replaced.
+"""Time the three stages of `weight_distribution`: the right-hand side
+`b_vector` (N_r by Miller's recurrence), the closed-form solution
+`closed_form_frequencies` and the residual certificate `check_residual`.
 
     PYTHONPATH=src python3 scripts/bench_solver.py --out BENCH_solver.json
 
-Run from the repository root.  Two measurements go to one JSON file:
-
-* the solve alone, best of --repeats, on the f1 systems with q = 1024, e = 1
-  and t = (size - 1) / 2 for each --sizes, after checking that both solves
-  return the same vector;
-* `niho analyze` in process: the analyze-large ops of
-  `perfbench/workloads.py` (seed 1, the first --rounds rounds) run
-  through `cli.main` with stdout, stderr and the log captured by the
-  harness of `transcripts.py`, --runs times with each solve in
-  `weight_distribution`, alternating which solve goes first.  Every op must
-  exit 0 and print the same stdout and stderr under both solves; the script
-  exits 1 otherwise.
+Run from the repository root.  The systems are f1 with q = 1024, e = 1 and
+t = (size - 1) / 2 for each --sizes.  Each stage is timed alone, best of
+--repeats; `b_vector` is timed cold, with the N_r table of (q, e) cleared
+before each run, as a fresh process meets it.  The whole
+`weight_distribution`, also cold, is timed the same way, and its frequencies
+must equal the closed form's; the script exits 1 otherwise.  Byte identity
+of the CLI's output is pinned by `scripts/transcripts.py`.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
-import logging
 import os
 import platform
-import statistics
-import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+from nihocodes import moments, solver
+from nihocodes.codespec import CodeSpec, validate_spec
 
-import transcripts  # noqa: E402
-import workloads  # noqa: E402
-from nihocodes import cli, solver  # noqa: E402
-from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec  # noqa: E402
-
-SOLVES = {"lagrange": solver.solve_lagrange, "equispaced": solver.solve_equispaced}
-SEED = 1
+Q, E = 1024, 1
 
 
-def best_of(repeats: int, fn) -> float:
+def best_of(repeats: int, fn, before=lambda: None) -> float:
     best = float("inf")
     for _ in range(repeats):
+        before()
         started = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - started)
     return best
 
 
-def time_solves(sizes, repeats: int) -> list[dict]:
-    q, e = 1024, 1
-    rows = []
-    for size in sizes:
-        t = (size - 1) // 2
-        nodes = solver.moment_nodes(size, q, e)
-        b = solver.b_vector(q, e, size)
-        if solver.solve_lagrange(nodes, b) != solver.solve_equispaced(nodes, b):
-            raise SystemExit(f"the solves differ at size {size}")
-        row = {"size": size, "family": "f1", "q": q, "e": e, "t": t}
-        for name, solve in SOLVES.items():
-            row[f"{name}_s"] = best_of(repeats, lambda: solve(nodes, b))
-        rows.append(row)
-    return rows
-
-
-def run_ops(argvs, log: logging.StreamHandler) -> tuple[float, list]:
-    """Seconds for all ops, and each op's (exit code, stdout, stderr)."""
-    outputs = []
-    gc.collect()
-    started = time.perf_counter()
-    for argv in argvs:
-        outputs.append(transcripts.call(list(argv), log))
-    return time.perf_counter() - started, outputs
-
-
-def time_analyze(rounds: int, runs: int) -> dict:
-    admit = workloads.Admitter(CodeSpec, validate_spec, SpecValidationError)
-    ops = [op for r in workloads.generate("analyze-large", SEED, admit)[:rounds] for op in r]
-    argvs = [op.argv for op in ops]
-    rates = {name: [] for name in SOLVES}
-    reference = None
-    with transcripts.capture_log() as log:
-        run_ops(argvs[:10], log)  # warm the caches of both paths alike (n_r tables, parser)
-        for run in range(runs):
-            order = list(SOLVES) if run % 2 == 0 else list(reversed(SOLVES))
-            for name in order:
-                solver.solve_equispaced = SOLVES[name]
-                try:
-                    elapsed, outputs = run_ops(argvs, log)
-                finally:
-                    solver.solve_equispaced = SOLVES["equispaced"]
-                if any(rc != 0 for rc, _, _ in outputs):
-                    raise SystemExit(f"an analyze op failed under {name}")
-                if reference is None:
-                    reference = outputs
-                elif outputs != reference:
-                    raise SystemExit(f"output under {name} differs from the first run")
-                rates[name].append(len(argvs) / elapsed)
-    return {"workload": "analyze-large", "seed": SEED, "rounds": rounds, "ops": len(argvs),
-            "runs": runs, "identical_stdout": True,
-            **{f"{name}_ops_per_s": values for name, values in rates.items()},
-            **{f"{name}_ops_per_s_median": statistics.median(values)
-               for name, values in rates.items()}}
+def time_stages(size: int, repeats: int) -> dict:
+    t = (size - 1) // 2
+    vspec = validate_spec(CodeSpec("f1", 2, 10, 1, 1, t))
+    nodes = solver.moment_nodes(size, Q, E)
+    b = solver.b_vector(Q, E, size)
+    mu = solver.closed_form_frequencies(Q, E, size)
+    if solver.weight_distribution(vspec).freq_by_j != tuple(mu):
+        raise SystemExit(f"weight_distribution differs from the closed form at size {size}")
+    cold = moments._G_TABLES.clear
+    return {
+        "size": size, "family": "f1", "q": Q, "e": E, "t": t,
+        "b_vector_s": best_of(repeats, lambda: solver.b_vector(Q, E, size), cold),
+        "closed_form_s": best_of(repeats, lambda: solver.closed_form_frequencies(Q, E, size)),
+        "certificate_s": best_of(repeats, lambda: solver.check_residual(nodes, b, mu)),
+        "weight_distribution_s": best_of(repeats, lambda: solver.weight_distribution(vspec),
+                                         cold),
+    }
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, default=Path("BENCH_solver.json"))
-    parser.add_argument("--sizes", type=int, nargs="+", default=[37, 81, 121],
-                        help="odd system sizes for the solve-alone timing")
-    parser.add_argument("--repeats", type=int, default=5, help="best of this many solves")
-    parser.add_argument("--rounds", type=int, default=20,
-                        help="analyze-large rounds, 45 ops each")
-    parser.add_argument("--runs", type=int, default=5, help="timed loops per solve")
+    parser.add_argument("--sizes", type=int, nargs="+", default=[37, 121, 401],
+                        help="odd system sizes, at most 1025")
+    parser.add_argument("--repeats", type=int, default=5, help="best of this many runs")
     args = parser.parse_args()
-    if any(size < 1 or size % 2 == 0 for size in args.sizes):
-        parser.error("--sizes must be odd and positive (f1 systems have size 2t + 1)")
-    if min(args.repeats, args.rounds, args.runs) < 1:
-        parser.error("--repeats, --rounds and --runs must be positive")
+    if any(size < 1 or size % 2 == 0 or size > Q + 1 for size in args.sizes):
+        parser.error(f"--sizes must be odd and in 1..{Q + 1} (f1 systems have size 2t + 1)")
+    if args.repeats < 1:
+        parser.error("--repeats must be positive")
     result = {
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
-        "solve_alone_best_s": time_solves(args.sizes, args.repeats),
-        "analyze_in_process": time_analyze(args.rounds, args.runs),
+        "repeats": args.repeats,
+        "stages_best_s": [time_stages(size, args.repeats) for size in args.sizes],
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    for row in result["solve_alone_best_s"]:
-        print(f"size {row['size']:4d}: lagrange {row['lagrange_s'] * 1e3:9.3f} ms, "
-              f"equispaced {row['equispaced_s'] * 1e3:9.3f} ms")
-    loop = result["analyze_in_process"]
-    print(f"analyze-large, {loop['ops']} ops x {loop['runs']} runs: "
-          f"lagrange {loop['lagrange_ops_per_s_median']:.0f} ops/s, "
-          f"equispaced {loop['equispaced_ops_per_s_median']:.0f} ops/s (medians)")
+    for row in result["stages_best_s"]:
+        print(f"size {row['size']:4d}: b_vector {row['b_vector_s'] * 1e3:9.3f} ms, "
+              f"closed form {row['closed_form_s'] * 1e3:9.3f} ms, "
+              f"certificate {row['certificate_s'] * 1e3:9.3f} ms, "
+              f"weight_distribution {row['weight_distribution_s'] * 1e3:9.3f} ms")
     print(f"wrote {args.out}")
 
 

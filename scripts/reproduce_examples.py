@@ -14,7 +14,7 @@ from nihocodes.solver import (
     b_vector,
     enumerator_string,
     moment_nodes,
-    solve_equispaced,
+    solve_lagrange,
     weight_distribution,
 )
 
@@ -34,7 +34,7 @@ def run(name: str, spec: CodeSpec, check_oracle: bool) -> None:
     print(f"moment matrix nodes: {nodes}")
     print("inverse:")
     size = len(nodes)
-    columns = [solve_equispaced(nodes, [int(i == k) for k in range(size)]) for i in range(size)]
+    columns = [solve_lagrange(nodes, [int(i == k) for k in range(size)]) for i in range(size)]
     for row in zip(*columns):
         print("  " + "  ".join(str(x) for x in row))
     print("b:", b_vector(vs.q, vs.e, vs.moment_size))

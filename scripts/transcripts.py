@@ -13,7 +13,7 @@ the same digests exactly when their transcripts agree: run the script with
 PYTHONPATH pointing at each tree's `src` and compare the lines.
 
 The in-process harness here (`capture_log`, `call`, `catalog_records`) is
-also what `bench_sweep.py` and `bench_solver.py` time.
+also what `bench_sweep.py` times.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ Subcommands:
   nr       tabulate the tuple counts N_r, optionally with a brute column
   sweep    walk parameter ranges and append reports to a JSONL catalog
 
-Exit codes: 0 success / full agreement, 1 invalid parameters, 2 oracle
-mismatch or a solution outside the frequency model, 3 budget refusal.  Big
+Exit codes: 0 success / full agreement, 1 invalid parameters or a reader
+that closed stdout early (as `| head` does), 2 oracle mismatch or a
+solution outside the frequency model, 3 budget refusal.  Big
 integers are serialized as decimal strings.  Configuration precedence is
 flags, then the NIHO_BUDGET / NIHO_TABLE_LIMIT environment variables, then
 defaults.
@@ -478,11 +479,19 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and map its refusals to exit codes: invalid
-    parameters 1, a model violation 2, a budget or table-limit refusal 3."""
+    parameters or a closed stdout 1, a model violation 2, a budget or
+    table-limit refusal 3."""
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot raise (the recipe of the `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
     except SpecValidationError as exc:
         print(f"invalid parameters [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -4,36 +4,41 @@ The weight frequencies mu_j solve M mu = b where M is the Vandermonde-type
 matrix with entries (j*e*q - q - 1)^i and b_i = q^n N_i - (q^2-1)^i, for
 i, j < n, where n is the moment system size, `ValidatedSpec.moment_size`;
 the scale q^n is p^dimension.  M is never built: the library holds only
-its nodes, moment_nodes, and the solve and its check below read them alone.
-The nodes j*e*q - q - 1 = e(qj - k), k = (q+1)/e, are also the support of
-the binomial measure whose r-th moment is N_r (see `moments`); node k is
-q^2 - 1, the node of the (q^2-1)^i term.
+its nodes, moment_nodes.  The nodes x_j = e(qj - k), k = (q+1)/e, are also
+the support of the binomial measure Bin(k, 1/q) whose r-th moment is N_r
+(see `moments`); node k is q^2 - 1, the node of the (q^2-1)^i term.
 
-The nodes x_j = a + c*j, a = -(q+1), c = e*q, are equally spaced, and the
-system is solved once in the Newton basis N_i(x) = prod_{r<i} (x - x_r)
-(Bjorck and Pereyra, Math. Comp. 24, 1970).  Starting from d = b, sweep i
-replaces d_l by d_{l+1} - x_{i-1} d_l, so that its first entry is
-F_i = sum_j N_i(x_j) mu_j.  On equally spaced nodes N_i(x_j) = c^i i! C(j,i),
-hence G_i = F_i / (c^i i!) = sum_{j>=i} C(j,i) mu_j: G is mu in the basis
-(1 + y)^j, and a Taylor shift by -1 gives mu back.  Each step multiplies a
-big integer by one node at most, O(n^2) small multiplications and
-subtractions in all, with n divisions by c^i i!.
+So the system has a closed-form solution.  Take the Newton basis
+P_i(x) = prod_{l<i} (x - x_l) on the nodes.  Combining the rows of
+M mu = b into P_i gives sum_j P_i(x_j) mu_j = q^n E[P_i(X)] - P_i(x_k),
+X binomial as above, and on the equally spaced nodes
 
-The nodes are distinct, so M is invertible, and an exact residual check
-M mu = b on every row certifies that mu is the unique solution.  It runs in
-integers over the common denominator D of mu and builds no matrix: row i
-sums v_j = x_j^i mu_j D, and v is multiplied by the nodes for the next row,
-O(n^2) in all.  Integrality and non-negativity of the result are checked
-after it.
+    P_i(x_j) = (eq)^i i! C(j,i),  E[P_i(X)] = e^i k!/(k-i)!,
+    P_i(x_k) = (eq)^i k!/(k-i)!.
+
+Dividing by (eq)^i i! leaves
+
+    G_i = sum_{j>=i} C(j,i) mu_j = C(k,i) (q^(n-i) - 1),
+
+mu in the basis (1 + y)^j, and a Taylor shift by -1 gives mu back, an
+integer vector.  `closed_form_frequencies` builds G by running products
+and shifts it: O(n^2) additions, and only exact divisions.
+
+The nodes are distinct, so M is invertible, and an exact residual check of
+M mu = b on every row, `check_residual`, certifies that mu is the unique
+solution.  It builds no matrix: row i sums v_j = x_j^i mu_j, and v is
+multiplied by the nodes for the next row, O(n^2) big x small products in
+all.  The check is independent of the closed form: `b_vector` reads N_r
+from Miller's recurrence for a power of an EGF, not from the binomial
+measure.  Non-negativity of the result is checked after it.
 
 `solve_lagrange` (Lagrange coefficients from one master polynomial) and
 `solve_bareiss` (fraction-free elimination) have no library caller; they are
-the tests' references for the solve.
+the tests' general solves of M mu = b, the references for the closed form.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,13 +48,13 @@ from .moments import n_r
 
 
 class ModelViolationError(ArithmeticError):
-    """The exact solution is not a vector of non-negative integers.
+    """The exact solution has a negative frequency.
 
-    Carries the full rational solution; this signals parameters outside the
+    Carries the full integer solution; this signals parameters outside the
     validity of the frequency model, or a bug.
     """
 
-    def __init__(self, message: str, solution: tuple[Fraction, ...]):
+    def __init__(self, message: str, solution: tuple[int, ...]):
         super().__init__(message)
         self.solution = solution
 
@@ -77,12 +82,46 @@ def b_vector(q: int, e: int, n: int) -> tuple[int, ...]:
     return tuple(scale * n_r(i, q, e) - (q * q - 1) ** i for i in range(n))
 
 
+def closed_form_frequencies(q: int, e: int, n: int) -> list[int]:
+    """mu_j, j < n, from G_i = C(k,i) (q^(n-i) - 1), k = (q+1)/e, and a
+    Taylor shift by -1 (see the module docstring).
+
+    C(k,i) and q^(n-i) are running products, each step one exact division.
+    """
+    k = (q + 1) // e
+    g = []
+    binom, power = 1, q**n
+    for i in range(n):
+        g.append(binom * (power - 1))
+        binom = binom * (k - i) // (i + 1)
+        power //= q
+    # Taylor shift by -1: mu_j = sum_{i>=j} (-1)^(i-j) C(i,j) G_i
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            g[j] -= g[j + 1]
+    return g
+
+
+def check_residual(nodes, rhs, mu) -> None:
+    """Raise AssertionError unless sum_j x_j^i mu_j = rhs_i on every row i.
+
+    Row by row, with v_j = x_j^i mu_j kept as running powers; no matrix is
+    built.
+    """
+    v = list(mu)
+    for i, bi in enumerate(rhs):
+        if sum(v) != bi:
+            raise AssertionError(f"residual nonzero in row {i}")
+        v = list(map(operator.mul, v, nodes))
+
+
 def solve_bareiss(rows, rhs) -> tuple[Fraction, ...]:
     """Exact solve of a square integer system by fraction-free elimination
     (Bareiss) followed by rational back-substitution.
 
-    The tests' independent cross-check of solve_equispaced; nothing in the
-    library calls it, and it stays here while the benchmark traces it.
+    A reference for closed_form_frequencies in the tests, on the matrix
+    built there; nothing in the library calls it, and it stays here while
+    the benchmark traces it.
     """
     n = len(rows)
     aug = [list(map(int, rows[i])) + [int(rhs[i])] for i in range(n)]
@@ -146,8 +185,9 @@ def solve_lagrange(nodes, rhs) -> tuple[Fraction, ...]:
     inverse matrix row for node x_j is the coefficient vector of its basis
     polynomial.
 
-    The tests' reference for solve_equispaced on any distinct nodes; nothing
-    in the library calls it, and it stays here while the benchmark traces it.
+    The tests' reference for closed_form_frequencies, and for the inverse
+    on any distinct nodes; nothing in the library calls it, and it stays
+    here while the benchmark traces it.
     """
     if len(set(nodes)) != len(nodes):
         raise ZeroDivisionError("repeated interpolation nodes")
@@ -156,48 +196,6 @@ def solve_lagrange(nodes, rhs) -> tuple[Fraction, ...]:
         acc = sum(map(operator.mul, num, rhs))
         sol.append(Fraction(acc, den))
     return tuple(sol)
-
-
-def solve_equispaced(nodes, rhs) -> tuple[int | Fraction, ...]:
-    """Exact solve of sum_j x_j^i mu_j = b_i on equally spaced nodes
-    x_j = x_0 + c*j, by Newton-basis sweeps and a Taylor shift by -1 (see
-    the module docstring).
-
-    Returns ints when every division by c^i i! is exact, which makes every
-    mu_j an integer; otherwise Fractions over the common denominator
-    c^(n-1) (n-1)!.  Raises ValueError on nodes that are not equally spaced
-    and ZeroDivisionError on repeated ones.
-    """
-    n = len(nodes)
-    if n < 2:
-        return tuple(rhs)
-    start, step = nodes[0], nodes[1] - nodes[0]
-    if step == 0:
-        raise ZeroDivisionError("repeated interpolation nodes")
-    if any(x != start + step * j for j, x in enumerate(nodes)):
-        raise ValueError(f"nodes are not equally spaced: {tuple(nodes)}")
-    d = list(rhs)
-    newton = [d[0]]
-    for x in nodes[:-1]:
-        d = [nxt - x * cur for cur, nxt in zip(d, d[1:])]
-        newton.append(d[0])
-    scales = [1]
-    for i in range(1, n):
-        scales.append(scales[-1] * step * i)
-    quotients = [divmod(f, s) for f, s in zip(newton, scales)]
-    if any(r for _, r in quotients):
-        den = scales[-1]
-        g = [f * (den // s) for f, s in zip(newton, scales)]
-    else:
-        den = 1
-        g = [quotient for quotient, _ in quotients]
-    # Taylor shift by -1: mu_j = sum_{i>=j} (-1)^(i-j) C(i,j) G_i
-    for i in range(n - 1):
-        for k in range(n - 2, i - 1, -1):
-            g[k] -= g[k + 1]
-    if den == 1:
-        return tuple(g)
-    return tuple(Fraction(x, den) for x in g)
 
 
 @dataclass(frozen=True)
@@ -236,32 +234,22 @@ class WeightDistribution:
 
 
 def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
-    """Solve the moment system exactly and return the distribution.
+    """The moment system's solution in closed form, with the distribution.
 
-    One Newton-basis solve on the equally spaced nodes, certified by the
-    exact residual M mu = b on every row, with no matrix built (the nodes
-    are distinct, so the solution is unique); any non-integral or negative
-    frequency is then rejected, carrying the solution as Fractions.
+    The closed form is certified by the exact residual M mu = b on every
+    row, with no matrix built (the nodes are distinct, so the solution is
+    unique); a negative frequency is then rejected, carrying the solution.
     """
-    nodes = moment_nodes(vspec.moment_size, vspec.q, vspec.e)
-    b = b_vector(vspec.q, vspec.e, vspec.moment_size)
-    mu = solve_equispaced(nodes, b)
-    # The residual in integers, row by row: sum_j x_j^i (mu_j D) = b_i D,
-    # D the common denominator of mu, with v_j = x_j^i mu_j D kept as
-    # running powers.
-    den = math.lcm(*(f.denominator for f in mu))
-    v = [f.numerator * (den // f.denominator) for f in mu]
-    for i, bi in enumerate(b):
-        if sum(v) != bi * den:
-            raise AssertionError(f"residual nonzero in row {i}")
-        v = list(map(operator.mul, v, nodes))
-    if any(f.denominator != 1 or f < 0 for f in mu):
+    q, e, n = vspec.q, vspec.e, vspec.moment_size
+    nodes = moment_nodes(n, q, e)
+    b = b_vector(q, e, n)
+    mu = tuple(closed_form_frequencies(q, e, n))
+    check_residual(nodes, b, mu)
+    if any(f < 0 for f in mu):
         raise ModelViolationError(
-            f"frequencies are not non-negative integers for {vspec.key}",
-            tuple(map(Fraction, mu)))
-    freq_by_j = tuple(int(f) for f in mu)
-    weights = theoretical_weights(vspec.p, vspec.q, vspec.e, vspec.moment_size)
-    return WeightDistribution.from_freq_by_j(vspec, weights, freq_by_j)
+            f"frequencies are not non-negative integers for {vspec.key}", mu)
+    weights = theoretical_weights(vspec.p, q, e, n)
+    return WeightDistribution.from_freq_by_j(vspec, weights, mu)
 
 
 def enumerator_string(dist: WeightDistribution) -> str:

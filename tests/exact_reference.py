@@ -2,8 +2,8 @@
 
 `invert_exact` is Gauss-Jordan inversion on rationals, and `invert_lagrange`
 the inverse from the Lagrange coefficients of `nihocodes.solver`'s
-`_lagrange_numerators`; both are references for the inverse that the
-library's `solve_equispaced` gives on unit vectors.  `invert_exact` treats
+`_lagrange_numerators`; both are references for the inverse that
+`solve_lagrange` gives on unit vectors.  `invert_exact` treats
 the moment matrix, built here by `moment_rows` from the library's nodes (the
 library builds no matrix), as a general square matrix and uses none of its
 Vandermonde structure, so agreement with `invert_lagrange` on the golden
@@ -18,14 +18,8 @@ root-counting polynomial, times a fixed power of u, takes values in GF(q),
 and the tuples form a GF(q)-space of polynomials of degree < K (K = 2t+1
 for f1, 2t for f2) evaluated at the N = (q+1)/e points of W: an MDS code
 of length N, whose words with j zeros are the tuples of weight index j.
-It uses neither N_r nor the moment system, so it checks the solver at any
-q, far past the reach of enumeration.
-
-`newton_freq_by_j` is the same distribution from the Newton-basis
-coordinates of the moment system, G_i = sum_{j>=i} C(j,i) mu_j, in closed
-form: G_i = C(k,i) (q^(s-i) - 1), k = (q+1)/e, s = 2t+1 (f1) or 2t (f2),
-and mu_j = sum_{i>=j} (-1)^(i-j) C(i,j) G_i.  It rests on the binomial form
-of N_r, not on the recurrence of `nihocodes.moments`, and needs no solve.
+It uses neither N_r nor the moment system, so it checks the library's
+closed-form solution at any q, far past the reach of enumeration.
 
 `n_r_recursive` counts the r-tuples behind N_r one tuple at a time, the
 reference for the meet-in-the-middle `nihocodes.oracle.n_r_brute`.  It walks
@@ -163,16 +157,6 @@ def mds_freq_by_j(family: str, q: int, e: int, t: int) -> tuple[int, ...]:
                                 for i in range(w - d + 1))
 
     return tuple(weight_count(n - j) for j in range(k))
-
-
-def newton_freq_by_j(family: str, q: int, e: int, t: int) -> tuple[int, ...]:
-    """Nonzero tuples with exactly j roots on W, j = 0..s-1, from the
-    closed-form Newton coordinates G_i = C(k,i) (q^(s-i) - 1)."""
-    k = (q + 1) // e
-    s = moment_size(family, t)
-    g = [comb(k, i) * (q ** (s - i) - 1) for i in range(s)]
-    return tuple(sum((-1) ** (i - j) * comb(i, j) * g[i] for i in range(j, s))
-                 for j in range(s))
 
 
 def n_r_recursive(vspec, r: int, ctx) -> int:

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +39,21 @@ def test_analyze_invalid_exits_1(capsys):
                  "--h", "2", "--delta", "1", "--t", "1"])
     assert code == 1
     assert "parity" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the N_r line alone is about 480 KB, far past a pipe's buffer, so the
+    # CLI is still writing when the reader closes the pipe after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "nihocodes.cli", "analyze", "--family", "f1", "--p", "2",
+            "--m", "10", "--h", "1", "--delta", "1", "--t", "200"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        assert proc.stdout.readline().startswith("family f1")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_analyze_json_round_trip(capsys):

@@ -36,16 +36,15 @@ def test_bench_solver_writes_timings(tmp_path):
     out = tmp_path / "bench.json"
     done = subprocess.run(
         [sys.executable, "scripts/bench_solver.py", "--out", str(out), "--sizes", "5", "9",
-         "--repeats", "1", "--rounds", "1", "--runs", "1"],
+         "--repeats", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(out.read_text())
-    assert [row["size"] for row in result["solve_alone_best_s"]] == [5, 9]
-    assert all(row["lagrange_s"] > 0 and row["equispaced_s"] > 0
-               for row in result["solve_alone_best_s"])
-    loop = result["analyze_in_process"]
-    assert loop["ops"] == 45 and loop["identical_stdout"]
-    assert len(loop["lagrange_ops_per_s"]) == len(loop["equispaced_ops_per_s"]) == 1
+    rows = result["stages_best_s"]
+    assert [row["size"] for row in rows] == [5, 9]
+    assert [row["t"] for row in rows] == [2, 4]
+    stages = ("b_vector_s", "closed_form_s", "certificate_s", "weight_distribution_s")
+    assert all(row[stage] > 0 for row in rows for stage in stages)
 
 
 def test_bench_sweep_writes_counts_and_rates(tmp_path):

@@ -15,7 +15,6 @@ from nihocodes.solver import (
     moment_nodes,
     parse_enumerator,
     solve_bareiss,
-    solve_equispaced,
     solve_lagrange,
     theoretical_weights,
     weight_distribution,
@@ -28,7 +27,6 @@ from exact_reference import (
     mds_freq_by_j,
     moment_rows,
     moment_size,
-    newton_freq_by_j,
 )
 
 F = Fraction
@@ -77,7 +75,7 @@ def showcase_nodes(family, t, q, e):
 def inverse_by_solve(nodes):
     """The inverse of [node_j^i], column i solved from the unit vector e_i."""
     n = len(nodes)
-    columns = [solve_equispaced(nodes, [int(i == k) for k in range(n)]) for i in range(n)]
+    columns = [solve_lagrange(nodes, [int(i == k) for k in range(n)]) for i in range(n)]
     return tuple(zip(*columns))
 
 
@@ -187,24 +185,28 @@ def test_solvers_verify_residual(example1_spec):
 
 def test_residual_certificate_rejects_a_wrong_solve(monkeypatch, example1_spec):
     # the true example-1 frequencies with one codeword moved from weight 104
-    # to weight 136, and with half a codeword moved from weight 128 to
-    # weight 136 (common denominator 2): row 0 (the total) still holds in
-    # both, row 1 does not
-    for wrong in [tuple(F(f) for f in (353701, 377655, 250920, 30600, 35699)),
-                  (F(707401, 2), F(755309, 2), F(250920), F(30600), F(35700))]:
-        monkeypatch.setattr(solver, "solve_equispaced", lambda nodes, rhs, mu=wrong: mu)
+    # to weight 136, and with one moved from weight 128 to weight 120: row 0
+    # (the total) still holds in both, row 1 does not
+    for wrong in [[353701, 377655, 250920, 30600, 35699],
+                  [353700, 377654, 250921, 30600, 35700]]:
+        monkeypatch.setattr(solver, "closed_form_frequencies", lambda q, e, n, mu=wrong: mu)
         with pytest.raises(AssertionError, match="residual nonzero in row 1"):
             weight_distribution(example1_spec)
 
 
 def test_model_violation_carries_solution(monkeypatch):
-    # a doctored right-hand side cannot produce integer frequencies
+    # a doctored system whose exact solution has a negative frequency: the
+    # residual certificate passes, the sign check does not
     vs = validate_spec(CodeSpec("f1", 2, 2, 1, 1, 1))
-    bad_b = (63, -15, 736)  # true value is 735
-    monkeypatch.setattr(solver, "b_vector", lambda q, e, n: bad_b)
-    with pytest.raises(ModelViolationError) as exc:
+    negative = [70, -10, 3]
+    rows = moment_rows(moment_nodes(vs.moment_size, vs.q, vs.e))
+    doctored_b = tuple(sum(r * f for r, f in zip(row, negative)) for row in rows)
+    monkeypatch.setattr(solver, "b_vector", lambda q, e, n: doctored_b)
+    monkeypatch.setattr(solver, "closed_form_frequencies", lambda q, e, n: negative)
+    with pytest.raises(ModelViolationError,
+                       match="frequencies are not non-negative integers for f1:2:2:1:1:1") as exc:
         weight_distribution(vs)
-    assert any(isinstance(f, Fraction) and f.denominator != 1 for f in exc.value.solution)
+    assert exc.value.solution == (70, -10, 3)
 
 
 def test_weight_distribution_large_parameters():
@@ -249,38 +251,6 @@ def test_bareiss_matches_lagrange_on_random_vandermonde(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_equispaced_matches_lagrange_and_bareiss(data):
-    # random right-hand sides, whose solutions are mostly non-integral, and
-    # right-hand sides M mu of integer mu, which take the all-integer path
-    n = data.draw(st.integers(1, 40))
-    start = data.draw(st.integers(-60, 60))
-    step = data.draw(st.integers(-30, 30).filter(bool))
-    nodes = [start + step * j for j in range(n)]
-    rows = [[x**i for x in nodes] for i in range(n)]
-    if data.draw(st.booleans()):
-        rhs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
-    else:
-        mu = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
-        rhs = [sum(r * m for r, m in zip(row, mu)) for row in rows]
-        assert solve_equispaced(nodes, rhs) == tuple(mu)
-    solved = solve_equispaced(nodes, rhs)
-    assert solved == solve_lagrange(nodes, rhs)
-    assert solved == solve_bareiss(rows, rhs)
-
-
-@pytest.mark.parametrize("nodes", [(0, 1, 3), (-17, -1, 15, 31, 48), (2, 4, 6, 8, 9)])
-def test_equispaced_rejects_unequal_spacing(nodes):
-    with pytest.raises(ValueError, match="not equally spaced"):
-        solve_equispaced(nodes, [1] * len(nodes))
-
-
-def test_equispaced_rejects_repeated_nodes():
-    with pytest.raises(ZeroDivisionError):
-        solve_equispaced((5, 5, 5), (1, 2, 3))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
 def test_exact_inverse_agrees_with_lagrange(data):
     n = data.draw(st.integers(1, 5))
     nodes = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
@@ -320,8 +290,8 @@ def test_residual_certificate_checks_the_last_row(monkeypatch, example1_spec):
     n = len(nodes)
     rows = [sum(x**i * vj for x, vj in zip(nodes, v)) for i in range(n)]
     assert rows == [0] * (n - 1) + [common]
-    wrong = tuple(F(f + vj) for f, vj in zip(true, v))
-    monkeypatch.setattr(solver, "solve_equispaced", lambda nodes, rhs: wrong)
+    wrong = [f + vj for f, vj in zip(true, v)]
+    monkeypatch.setattr(solver, "closed_form_frequencies", lambda q, e, n: wrong)
     with pytest.raises(AssertionError, match="residual nonzero in row 4"):
         weight_distribution(example1_spec)
 
@@ -376,8 +346,9 @@ def test_solver_matches_mds_enumerator_on_small_fields():
 
 
 def test_solver_matches_newton_closed_form_at_large_q():
-    # every admissible h < 60 at delta = 1 on the analyze-large fields
-    checked = 0
+    # every admissible h < 60 at delta = 1 on the analyze-large fields: the
+    # closed form against a general solve of M mu = b, once per (q, e, n)
+    checked, solved = 0, {}
     for family, p, m, _ in ANALYZE_STRATA:
         for t in range(0 if family == "f1" else 1, 19):
             for h in range(1, 60):
@@ -385,10 +356,13 @@ def test_solver_matches_newton_closed_form_at_large_q():
                     vs = validate_spec(CodeSpec(family, p, m, h, 1, t))
                 except SpecValidationError:
                     continue
-                assert weight_distribution(vs).freq_by_j == newton_freq_by_j(
-                    family, vs.q, vs.e, t)
+                q, e, n = key = vs.q, vs.e, vs.moment_size
+                if key not in solved:
+                    solved[key] = solve_lagrange(moment_nodes(n, q, e), b_vector(q, e, n))
+                assert weight_distribution(vs).freq_by_j == solved[key]
                 checked += 1
     assert checked == 2717
+    assert len(solved) == 124
 
 
 def test_solver_matches_mds_enumerator_q4096_t60():
