@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the three stages of `weight_distribution`: the right-hand side
-`b_vector` (N_r by Miller's recurrence), the closed-form solution
+`b_vector` (N_r by the factorial-moment triangle), the closed-form solution
 `closed_form_frequencies` and the residual certificate `check_residual`.
 
     PYTHONPATH=src python3 scripts/bench_solver.py --out BENCH_solver.json
@@ -47,7 +47,7 @@ def time_stages(size: int, repeats: int) -> dict:
     mu = solver.closed_form_frequencies(Q, E, size)
     if solver.weight_distribution(vspec).freq_by_j != tuple(mu):
         raise SystemExit(f"weight_distribution differs from the closed form at size {size}")
-    cold = moments._G_TABLES.clear
+    cold = moments._N_TABLES.clear
     return {
         "size": size, "family": "f1", "q": Q, "e": E, "t": t,
         "b_vector_s": best_of(repeats, lambda: solver.b_vector(Q, E, size), cold),

@@ -15,7 +15,7 @@ from .galois import (
     TableLimitExceeded,
     build_field,
 )
-from .moments import b_count, n_r
+from .moments import n_r
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,

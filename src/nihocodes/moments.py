@@ -1,68 +1,51 @@
 """Exact evaluation of the tuple counts N_r.
 
 N_r counts r-tuples of nonzero GF(q^2) elements whose defining power sums
-all vanish.  With k = (q+1)/e it is a power-series coefficient,
-
-    N_r = e^r G_r,   G_r = r! [x^r] (1 + f(x))^k,
-
-where 1 + f(x) = (e^{(q-1)x} + (q-1)e^{-x})/q is the exponential generating
-function of 1, 0, B_2, B_3, ...: B_j counts j-tuples of nonzero GF(q)
-elements summing to zero (there is no such 1-tuple).  J.C.P. Miller's rule
-for a power of a power series (Knuth, TAOCP vol. 2, 4.7), written for EGF
-coefficients, gives the G_n in exact integers:
-
-    G_0 = 1,   G_n = (1/n) sum_{j=2..n} ((k+1)j - n) C(n, j) B_j G_{n-j}.
-
-Every G_n is an integer, so the division by n must be exact; a remainder
-raises ArithmeticError instead of being rounded.  One table G_0..G_R per
-(q, e) is kept and extended on demand, so all N_r of one (q, e) cost
-O(R^2) integer operations in total.
-
-Expanding the power binomially gives the closed form
+all vanish.  With k = (q+1)/e it has the binomial form
 
     N_r = q^{-k} sum_{i=0..k} C(k, i) (q-1)^{k-i} (e(qi - k))^r,
 
-and e(qi - k) = eqi - (q+1) is the solver's moment node i, with node k
+and e(qi - k) = eqi - (q+1) is the solver's moment node x_i, with node k
 equal to q^2 - 1.  N_r is thus the r-th moment of a binomial measure,
-Bin(k, 1/q), carried on the same nodes as the moment system.
+Bin(k, 1/q), carried on the same nodes as the moment system.  (Its
+derivation as an EGF power, and Miller's recurrence for it, are the tests'
+reference in `exact_reference`.)
+
+In the Newton basis P_j(x) = prod_{l<j} (x - x_l) on those nodes the
+measure's factorial moments are E[P_j(X)] = e^j k!/(k-j)!.  Write
+x^r = sum_j T_{r,j} P_j(x) and keep u_j = e^j k!/(k-j)! T_{r,j}; then
+
+    N_r = sum_j u_j,   u_j <- x_j u_j + e(k-j+1) u_{j-1}   (r -> r+1),
+
+for j <= min(r+1, k), from u = [1] at r = 0, since x P_j = P_{j+1} + x_j P_j.
+Every product has one small factor and nothing is divided.  One table per
+(q, e) keeps N_0..N_R and the last row u, extended on demand, so all N_r of
+one (q, e) cost O(R k) big x small operations in total.
 """
 
 from __future__ import annotations
 
-from math import comb
+from operator import add, mul
 
-# (q, e) -> [G_0, G_1, ...], extended by n_r as larger r is asked for.
-_G_TABLES: dict[tuple[int, int], list[int]] = {}
-
-
-def b_count(j: int, q: int) -> int:
-    """Number of j-tuples of nonzero GF(q) elements summing to zero:
-    ((q-1)^j + (-1)^j (q-1)) / q, always an integer."""
-    if j < 2:
-        raise ValueError(f"b_count needs j >= 2, got {j}")
-    num = (q - 1) ** j + (-1) ** j * (q - 1)
-    if num % q:
-        raise ArithmeticError(f"b_count({j}, {q}) is not integral")
-    return num // q
+# (q, e) -> ([N_0, N_1, ...], u of the last row), extended by n_r as larger
+# r is asked for.
+_N_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
 
 def n_r(r: int, q: int, e: int) -> int:
-    """N_r for the given q and divisor e of q+1, from Miller's recurrence.
-    N_0 = 1 and N_1 = 0."""
+    """N_r for the given q and divisor e of q+1, by the factorial-moment
+    triangle.  N_0 = 1 and N_1 = 0."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if e < 1 or (q + 1) % e:
         raise ValueError(f"e = {e} does not divide q+1 = {q + 1}")
-    g = _G_TABLES.setdefault((q, e), [1])
-    if r >= len(g):
+    values, u = _N_TABLES.setdefault((q, e), ([1], [1]))
+    if r >= len(values):
         k = (q + 1) // e
-        b = [0, 0] + [b_count(j, q) for j in range(2, r + 1)]
-        for n in range(len(g), r + 1):
-            total = sum(((k + 1) * j - n) * comb(n, j) * b[j] * g[n - j]
-                        for j in range(2, n + 1))
-            value, rem = divmod(total, n)
-            if rem:
-                raise ArithmeticError(f"G_{n}(q={q}, e={e}) is not integral: {total}/{n}")
-            g.append(value)
-    return e**r * g[r]
-
+        top = min(r, k) + 1  # u_j = 0 for j > k
+        nodes = [e * q * j - q - 1 for j in range(top)]
+        steps = [e * (k - j + 1) for j in range(top)]
+        for _ in range(len(values), r + 1):
+            u[:] = map(add, map(mul, nodes, u + [0]), map(mul, steps, [0] + u))
+            values.append(sum(u))
+    return values[r]

@@ -28,9 +28,13 @@ The nodes are distinct, so M is invertible, and an exact residual check of
 M mu = b on every row, `check_residual`, certifies that mu is the unique
 solution.  It builds no matrix: row i sums v_j = x_j^i mu_j, and v is
 multiplied by the nodes for the next row, O(n^2) big x small products in
-all.  The check is independent of the closed form: `b_vector` reads N_r
-from Miller's recurrence for a power of an EGF, not from the binomial
-measure.  Non-negativity of the result is checked after it.
+all.  `b_vector` reads N_r from the factorial-moment triangle of `moments`,
+so the check compares two computations that share one identity,
+E[P_i(X)] = e^i k!/(k-i)!: the closed form (running binomials and a Taylor
+shift) and the triangle (running powers in the Newton basis).  A fault in
+either is caught on every row; the identity itself is checked by the tests
+against Miller's recurrence, the partition sum, the binomial form and the
+brute count.  Non-negativity of the result is checked after it.
 
 `solve_lagrange` (Lagrange coefficients from one master polynomial) and
 `solve_bareiss` (fraction-free elimination) have no library caller; they are

@@ -51,7 +51,26 @@ route.  `mul` and `power` read the field's exp/log tables, and `add` works
 digit by digit.
 
 `n2_closed_form`..`n5_closed_form` are known low-order evaluations of N_r,
-independent cross-checks of `nihocodes.moments.n_r`.
+independent cross-checks of `nihocodes.moments.n_r`.  `n_r_miller` is a
+second derivation of the whole row, the reference for the library's
+factorial-moment triangle.  With k = (q+1)/e, N_r is a power-series
+coefficient,
+
+    N_r = e^r G_r,   G_r = r! [x^r] (1 + f(x))^k,
+
+where 1 + f(x) = (e^{(q-1)x} + (q-1)e^{-x})/q is the exponential generating
+function of 1, 0, B_2, B_3, ...: B_j, `b_count`, counts j-tuples of nonzero
+GF(q) elements summing to zero (there is no such 1-tuple).  J.C.P. Miller's
+rule for a power of a power series (Knuth, TAOCP vol. 2, 4.7), written for
+EGF coefficients, gives the G_n in exact integers:
+
+    G_0 = 1,   G_n = (1/n) sum_{j=2..n} ((k+1)j - n) C(n, j) B_j G_{n-j}.
+
+Every G_n is an integer, so the division by n must be exact; a remainder
+raises ArithmeticError instead of being rounded.  Expanding the power
+binomially gives the library's binomial form, but the recurrence never
+reads the moment nodes or the measure's factorial moments, which the
+library's triangle and closed-form solution share.
 
 `cyclotomic_coset` enumerates the orbit of an exponent under multiplication
 by p, the reference for the minimal-polynomial rule of `nihocodes.codespec`:
@@ -382,6 +401,33 @@ def char_sum_direct(vspec, a, ctx) -> int:
         if symbol_at(vspec, a, ctx, i) == 0:
             zeros += 1
     return vspec.p * zeros - vspec.q * vspec.q
+
+
+def b_count(j: int, q: int) -> int:
+    """Number of j-tuples of nonzero GF(q) elements summing to zero:
+    ((q-1)^j + (-1)^j (q-1)) / q, always an integer."""
+    if j < 2:
+        raise ValueError(f"b_count needs j >= 2, got {j}")
+    num = (q - 1) ** j + (-1) ** j * (q - 1)
+    if num % q:
+        raise ArithmeticError(f"b_count({j}, {q}) is not integral")
+    return num // q
+
+
+def n_r_miller(q: int, e: int, rmax: int) -> list[int]:
+    """N_0..N_rmax for the given q and divisor e of q+1, from Miller's
+    recurrence (see the module docstring)."""
+    k = (q + 1) // e
+    b = [0, 0] + [b_count(j, q) for j in range(2, rmax + 1)]
+    g = [1]
+    for n in range(1, rmax + 1):
+        total = sum(((k + 1) * j - n) * comb(n, j) * b[j] * g[n - j]
+                    for j in range(2, n + 1))
+        value, rem = divmod(total, n)
+        if rem:
+            raise ArithmeticError(f"G_{n}(q={q}, e={e}) is not integral: {total}/{n}")
+        g.append(value)
+    return [e**r * gr for r, gr in enumerate(g)]
 
 
 def n2_closed_form(q: int, e: int) -> int:

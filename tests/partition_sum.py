@@ -1,5 +1,6 @@
 """The partition sum for N_r, kept as an independent reference for the
-recurrence in `nihocodes.moments`.
+factorial-moment triangle in `nihocodes.moments`, next to Miller's
+recurrence in `exact_reference`.
 
 It sums over integer partitions of r with all parts >= 2 (size-1 blocks
 would force a zero coordinate):
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
-from nihocodes.moments import b_count
+from exact_reference import b_count
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,26 @@ def test_closed_stdout_exits_1_without_traceback():
     assert err == ""
 
 
+def test_big_integers_print_in_full():
+    # 2^20000 - 1 nonzero codewords: the frequencies run past the
+    # interpreter's default limit of 4300 digits for int -> str
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "nihocodes.cli", "analyze", "--family", "f2", "--p", "2",
+            "--m", "2000", "--h", "1", "--delta", "1", "--t", "5", "--json"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    frequencies = [w["frequency"] for w in json.loads(done.stdout)["weights"]]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        total = sum(map(int, frequencies))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert total == 2**20000 - 1
+
+
 def test_analyze_json_round_trip(capsys):
     assert main(["analyze", *EXAMPLE1_FLAGS, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -262,6 +282,17 @@ def test_nr_brute_column(capsys):
     out = capsys.readouterr().out
     last = out.strip().splitlines()[-1].split()
     assert last == ["2", "15", "15", "ok"]
+
+
+def test_nr_brute_compares_only_moment_rows(capsys):
+    # the formula is claimed for r <= n = 3; past it the brute count differs
+    # wherever |W| > n, and its rows carry no verdict
+    assert main(["nr", "--p", "2", "--m", "2", "--e", "1", "--rmax", "6",
+                 "--brute", *TINY_FLAGS]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split()[-1] for row in rows[:4]] == ["ok"] * 4
+    assert [row.split(maxsplit=2)[-1] for row in rows[4:]] == [
+        "1005  -", "11100  -", "182715  -"]
 
 
 def test_nr_non_prime_p_exits_1(capsys):

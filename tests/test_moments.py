@@ -7,10 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nihocodes import cli, moments
-from nihocodes.moments import b_count, n_r
+from nihocodes.moments import n_r
 
+import exact_reference
 from conftest import field
-from exact_reference import add, n2_closed_form, n3_closed_form, n4_closed_form, n5_closed_form
+from exact_reference import (
+    add,
+    b_count,
+    n2_closed_form,
+    n3_closed_form,
+    n4_closed_form,
+    n5_closed_form,
+    n_r_miller,
+)
 from partition_sum import PartitionVector, n_r_partition_sum, partitions_min2
 
 
@@ -156,8 +165,8 @@ def divisors_of_q_plus_1(q):
 
 def binomial_n_r(q, e, rmax):
     """N_0..N_rmax from N_r = e^r q^-k sum_i C(k,i) (q-1)^(k-i) (qi-k)^r,
-    k = (q+1)/e: the binomial expansion of (1 + f)^k, independent of the
-    recurrence."""
+    k = (q+1)/e: the binomial expansion of (1 + f)^k, by plain powers of the
+    nodes, independent of the triangle's Newton basis."""
     k = (q + 1) // e
     weights = [comb(k, i) * (q - 1) ** (k - i) for i in range(k + 1)]
     nodes = [e * (q * i - k) for i in range(k + 1)]
@@ -174,6 +183,8 @@ def binomial_n_r(q, e, rmax):
 PARTITION_SUM_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64]
 
 
+# "recurrence" in the next two names is the library's factorial-moment
+# triangle, a recurrence in r; Miller's recurrence is `n_r_miller`.
 @pytest.mark.parametrize("q", PARTITION_SUM_QS)
 def test_recurrence_matches_partition_sum(q):
     for e in divisors_of_q_plus_1(q):
@@ -187,14 +198,22 @@ def test_recurrence_matches_binomial_form(q, rmax):
         assert [n_r(r, q, e) for r in range(rmax + 1)] == binomial_n_r(q, e, rmax), e
 
 
+@pytest.mark.parametrize("e", [1, 5, 41])
+def test_triangle_matches_miller_at_large_q(e):
+    # the triangle and the closed-form solution share E[P_j(X)]; Miller's
+    # recurrence over B_j does not read it, so it checks that identity
+    moments._N_TABLES.clear()
+    assert [n_r(r, 1024, e) for r in range(121)] == n_r_miller(1024, e, 120)
+
+
 def test_table_fill_order_does_not_matter():
     cases = [(1024, 1), (1024, 41), (729, 5)]
-    moments._G_TABLES.clear()
+    moments._N_TABLES.clear()
     descending = {}
     for q, e in cases:
         for r in (36, 5, 4, 3, 2, 1, 0):
             descending[q, e, r] = n_r(r, q, e)
-    moments._G_TABLES.clear()
+    moments._N_TABLES.clear()
     for q, e in cases:
         ascending = [n_r(r, q, e) for r in range(37)]
         assert ascending == binomial_n_r(q, e, 36)
@@ -210,10 +229,9 @@ def test_n_r_rejects_negative_r():
 def test_recurrence_refuses_inexact_division(monkeypatch):
     # integral B_j always give integral G_n; a B_j that is not an integer
     # must surface as an error, not be rounded away by the division by n
-    monkeypatch.setattr(moments, "_G_TABLES", {})
-    monkeypatch.setattr(moments, "b_count", lambda j, q: Fraction(1, 2))
+    monkeypatch.setattr(exact_reference, "b_count", lambda j, q: Fraction(1, 2))
     with pytest.raises(ArithmeticError):
-        n_r(3, 16, 1)
+        n_r_miller(16, 1, 3)
 
 
 def test_nr_cli_prints_binomial_values_to_r60(capsys):
