@@ -14,7 +14,9 @@ integers are printed and serialized as decimal strings of any length.
 the formula is claimed; later rows print the brute count with `-` in the
 match column.  Configuration precedence is
 flags, then the NIHO_BUDGET / NIHO_TABLE_LIMIT environment variables, then
-defaults.
+defaults.  A budget, table limit or --verify-small below 0 exits 1, as does
+a sweep range A:B with A > B; a budget or limit of 0 refuses every sweep
+(exit 3).
 """
 
 from __future__ import annotations
@@ -177,15 +179,21 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise SystemExit(f"environment variable {name} must be an integer, got {raw!r}")
+    if value < 0:
+        raise SystemExit(f"environment variable {name} must be >= 0, got {value}")
+    return value
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    return _env_int("NIHO_BUDGET", DEFAULT_BUDGET)
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        return _env_int("NIHO_BUDGET", DEFAULT_BUDGET)
+    if budget < 0:
+        raise SystemExit(f"--budget must be >= 0, got {budget}")
+    return budget
 
 
 def _resolve_table_limit() -> int:
@@ -335,9 +343,12 @@ def cmd_nr(args) -> int:
 def _parse_range(flag: str, text: str) -> range:
     lo, sep, hi = text.partition(":")
     try:
-        return range(int(lo), int(hi if sep else lo) + 1)
+        values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
-        raise ValueError(f"{flag} must be A:B or a single integer, got {text!r}") from None
+        values = range(0)
+    if not values:  # malformed, or A > B
+        raise ValueError(f"{flag} must be A:B or a single integer, got {text!r}")
+    return values
 
 
 def _read_catalog(path: str) -> tuple[set[str], bool]:
@@ -363,6 +374,8 @@ def _read_catalog(path: str) -> tuple[set[str], bool]:
 
 def cmd_sweep(args) -> int:
     budget = _resolve_budget(args)
+    if args.verify_small is not None and args.verify_small < 0:
+        raise SystemExit(f"--verify-small must be >= 0, got {args.verify_small}")
     try:
         grid = itertools.product(_parse_range("--h-range", args.h_range),
                                  _parse_range("--delta-range", args.delta_range),

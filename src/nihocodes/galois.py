@@ -43,6 +43,11 @@ built by one broadcast OR per digit with no digit pass over the range.  The
 read-only packed_exp view is one gather from it, built on first use like the
 trace; build_field makes its "times gamma" map with the adder on the packed
 range one degree down.
+
+numpy is imported by the functions that use it, on the first field build or
+array call, not with this module: codespec reads is_prime from here, and
+the commands that run no oracle (analyze, nr without --brute, sweep without
+--verify-small) never load numpy.
 """
 
 from __future__ import annotations
@@ -50,8 +55,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TABLE_LIMIT = 1 << 24
 
@@ -187,6 +194,7 @@ class FieldContext:
     def trace(self) -> np.ndarray:
         """Tr(gamma^i) down to GF(p) for every exponent i, by GF(p)-linearity
         from the basis traces."""
+        import numpy as np
         rest = self.exp.astype(np.int64)
         acc = np.zeros(self.order - 1, dtype=np.int64)
         for s in _basis_traces(self.modulus_poly, self.p):
@@ -227,6 +235,7 @@ def digit_bits(p: int) -> int:
 
 def packed_dtype(p: int, k: int) -> np.dtype:
     """The smallest unsigned dtype that holds a packed GF(p^k) element."""
+    import numpy as np
     return np.min_scalar_type((1 << digit_bits(p) * k) - 1)
 
 
@@ -235,6 +244,7 @@ def packed_range(p: int, k: int) -> np.ndarray:
     whole range: digit i joins by one broadcast OR,
     (arange(p) << W i)[:, None] | out[None, :], over an array p times
     smaller than the result."""
+    import numpy as np
     dtype = packed_dtype(p, k)
     if p == 2:
         return np.arange(1 << k, dtype=dtype)
@@ -247,6 +257,7 @@ def packed_range(p: int, k: int) -> np.ndarray:
 def unpack(packed, p: int, k: int) -> np.ndarray:
     """Packed GF(p^k) elements as base-p codes, in the smallest unsigned
     dtype that holds p^k - 1."""
+    import numpy as np
     if p == 2:
         return np.asarray(packed)
     bits, dtype, out = digit_bits(p), np.min_scalar_type(p**k - 1), 0
@@ -259,6 +270,7 @@ def adder(p: int, k: int):
     """(add, neg) on packed GF(p^k) elements, elementwise on broadcastable
     arrays.  For odd p they compute in packed_dtype(p, k), so narrower
     operands (GF(p) symbols in one byte for p > 128) are widened first."""
+    import numpy as np
     if p == 2:
         return np.bitwise_xor, lambda x: x  # -x = x in characteristic 2
     bits, dtype = digit_bits(p), packed_dtype(p, k)
@@ -284,6 +296,7 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
     (coefficient tuples compared from the highest degree down), so repeated
     builds are bit-identical.
     """
+    import numpy as np
     if not is_prime(p):
         raise FieldBuildError(f"p must be prime, got {p}")
     if degree < 1:

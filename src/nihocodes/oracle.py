@@ -58,6 +58,9 @@ p^dimension * (q^2-1) for a distribution sweep regardless of path, and
 enumeration; the budget charges them even though the orbit reduction and
 the meet in the middle do less work.
 
+Like galois, this module imports numpy inside the functions that use it,
+so importing it (as the CLI does) costs no numpy import.
+
 Domains list their coefficients in a fixed order: zero first, then
 ascending generator exponents, over GF(q) for a slot whose coset has size m
 and over GF(q^2) otherwise.  Results are exact counts and do not depend on
@@ -72,13 +75,15 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .codespec import ValidatedSpec
 from .galois import FieldContext, adder, build_field, digit_bits, unpack
 from .moments import n_r
 from .solver import WeightDistribution, theoretical_weights, weight_for_index
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 10**10
 _BLOCK_ENTRIES = 1 << 22
@@ -110,6 +115,7 @@ def coefficient_domains(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndar
     generator exponents.  A slot whose coset has size m takes its
     coefficient from the subfield GF(q), reached as zero plus powers of
     gamma^(q+1), and every other slot from all of GF(q^2)."""
+    import numpy as np
     full = np.concatenate(([0], ctx.exp))
     return [np.array(ctx.subfield_elements(vspec.m)) if size == vspec.m else full
             for size in vspec.coset_sizes]
@@ -163,6 +169,7 @@ def codeword_weights(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
     trace expression, in input order; independent of the root-counting
     shortcut.  Column i of the slot tables is tuple i, so the symbols are
     the slot tables summed elementwise."""
+    import numpy as np
     add, _ = adder(vspec.p, 1)
     weights = []
     for domains in _columns(vspec, tuples, ctx, vspec.length):
@@ -180,6 +187,7 @@ def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
     sum (p-1)q(N-1).  The zero tuple makes the polynomial vanish
     identically, which yields (p-1)q^2.
     """
+    import numpy as np
     scale = (vspec.p - 1) * vspec.q
     add, _ = adder(ctx.p, ctx.degree)
     sums = []
@@ -217,6 +225,7 @@ def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
     shape (|W|, |domain|).  A term z * u^k is gamma^((log z + k log u) mod n)
     and its conjugate z^q * u^k is gamma^((q log z + k log u) mod n), both
     read from the packed_exp view and masked to 0 where z = 0."""
+    import numpy as np
     q, n = vspec.q, ctx.order - 1
     add, _ = adder(ctx.p, ctx.degree)
     wlog = np.arange(0, n, (q - 1) * vspec.e)[:, None]  # W = <gamma^((q-1)e)>
@@ -242,6 +251,7 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
     trace is Tr(theta x) down from GF(q^2), where theta =
     gamma / (gamma + gamma^q) has theta + theta^q = 1 (gamma + gamma^q is
     nonzero and lies in GF(q)), so every slot reads the one trace view."""
+    import numpy as np
     n = vspec.length
     positions = np.arange(n)[:, None]
     tables = []
@@ -271,6 +281,7 @@ def _zero_count_histogram(tables: list[np.ndarray], add, neg) -> list[int]:
     one flat index, and an outer tuple's partial sum is matched against
     every negated block column at once.
     """
+    import numpy as np
     n_entries = tables[0].shape[0]
     split, cols = len(tables) - 1, tables[-1].shape[1]
     while split > 0 and n_entries * cols * tables[split - 1].shape[1] <= _BLOCK_ENTRIES:
@@ -366,6 +377,7 @@ def _row_ids(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     column would not fit, the key built so far is first replaced by its
     rank, which is below R, and if it still would not, so is the column.
     """
+    import numpy as np
     ids = np.zeros(len(rows), dtype=np.int64)
     bound = 1
     for col in rows.T:
@@ -384,6 +396,7 @@ def _row_ids(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _merge_rows(keys: np.ndarray, counts: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of keys, each with the sum of its rows' counts."""
+    import numpy as np
     ids, first = _row_ids(keys, base)
     merged = np.zeros(len(first), dtype=counts.dtype)
     np.add.at(merged, ids, counts)
@@ -404,6 +417,7 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     while n^ceil(r/2) fits and Python ints beyond; the final sum is taken
     in Python ints.  Charged (q^2-1)^r against the budget.
     """
+    import numpy as np
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     n = vspec.length

@@ -56,6 +56,41 @@ def test_closed_stdout_exits_1_without_traceback():
     assert err == ""
 
 
+NUMPY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import nihocodes
+import nihocodes.cli
+from nihocodes.cli import main
+from spans import Tracer
+
+spec = ["--family", "f1", "--p", "2", "--m", "10", "--h", "1", "--delta", "1", "--t", "18"]
+assert main(["analyze", "--json", *spec]) == 0
+assert main(["nr", "--p", "2", "--m", "10", "--e", "1", "--rmax", "6"]) == 0
+assert main(["sweep", "--family", "f1", "--p", "2", "--m", "4", "--h-range", "1:3",
+             "--delta-range", "1:2", "--t-range", "0:3", "--out", sys.argv[2]]) == 0
+tracer = Tracer()
+tracer.install()  # reads every traced module from sys.modules
+tracer.uninstall()
+assert "numpy" not in sys.modules, "numpy loaded by a command that runs no oracle"
+assert main(["verify", "--family", "f1", "--p", "2", "--m", "2", "--h", "1", "--delta", "1",
+             "--t", "1"]) == 0
+assert "numpy" in sys.modules, "verify ran without numpy"
+"""
+
+
+def test_numpy_stays_off_the_closed_form_path(tmp_path):
+    # analyze, nr without --brute and sweep without --verify-small read no
+    # field table, so they must not pay for importing numpy
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, str(root / "perfbench"),
+                           str(tmp_path / "catalog.jsonl")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert len((tmp_path / "catalog.jsonl").read_text().splitlines()) > 0
+
+
 def test_big_integers_print_in_full():
     # 2^20000 - 1 nonzero codewords: the frequencies run past the
     # interpreter's default limit of 4300 digits for int -> str
@@ -444,6 +479,36 @@ def test_sweep_table_limit_env_exits_3(tmp_path, capsys, monkeypatch):
     assert "table limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra, env, code, name", [
+    ("verify", ["--budget", "-5"], {}, 1, "--budget"),
+    ("nr", ["--budget", "-5"], {}, 1, "--budget"),
+    ("sweep", ["--budget", "-5"], {}, 1, "--budget"),
+    ("sweep", ["--verify-small", "-1"], {}, 1, "--verify-small"),
+    ("verify", [], {"NIHO_BUDGET": "-1"}, 1, "NIHO_BUDGET"),
+    ("verify", [], {"NIHO_TABLE_LIMIT": "-1"}, 1, "NIHO_TABLE_LIMIT"),
+    ("sweep", ["--verify-small", "100000"], {"NIHO_TABLE_LIMIT": "-1"}, 1, "NIHO_TABLE_LIMIT"),
+    # 0 is a budget and a limit like any other: it refuses every sweep
+    ("verify", ["--budget", "0"], {}, 3, "budget refusal"),
+    ("sweep", ["--verify-small", "0", "--budget", "0"], {}, 0, "4 written"),
+    ("verify", [], {"NIHO_TABLE_LIMIT": "0"}, 3, "table limit refusal"),
+], ids=["verify-budget", "nr-budget", "sweep-budget", "sweep-verify-small", "env-budget",
+        "env-table-limit", "sweep-env-table-limit", "budget-0", "sweep-0", "table-limit-0"])
+def test_negative_budgets_and_limits_exit_1(tmp_path, command, extra, env, code, name):
+    argv = {"verify": ["verify", *TINY_FLAGS, "--checks", "distribution"],
+            "nr": ["nr", "--p", "2", "--m", "2", "--e", "1", "--rmax", "2"],
+            "sweep": [*SWEEP_TINY, "--out", str(tmp_path / "catalog.jsonl")]}[command]
+    environ = {k: v for k, v in os.environ.items() if not k.startswith("NIHO_")}
+    environ.update(env, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "nihocodes.cli", *argv, *extra], env=environ,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    assert name in (done.stderr if code else done.stdout)
+    if code == 1:
+        assert "Traceback" not in done.stderr
+        catalog = tmp_path / "catalog.jsonl"
+        assert not catalog.exists() or not catalog.read_text()
+
+
 def test_sweep_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     def wrong_distribution(vspec, **kwargs):
         return dataclasses.replace(weight_distribution(vspec), entries=())
@@ -532,6 +597,17 @@ def test_sweep_malformed_range_exits_1(tmp_path, capsys, flag):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert flag in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "catalog.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag", ["--h-range", "--delta-range", "--t-range"])
+def test_sweep_reversed_range_exits_1(tmp_path, capsys, flag):
+    argv = [*SWEEP_TINY, "--out", str(tmp_path / "catalog.jsonl")]
+    argv[argv.index(flag) + 1] = "3:1"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be A:B" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "catalog.jsonl").exists()
 

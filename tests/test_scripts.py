@@ -66,6 +66,25 @@ def test_bench_sweep_writes_counts_and_rates(tmp_path):
     assert result["identical_catalogs"]
 
 
+def test_bench_startup_times_fresh_processes(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NIHO_")}
+    env["PYTHONPATH"] = "src"
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, "scripts/bench_startup.py", "--out", str(out), "--runs", "1"]
+    for label in ("first", "first", "second"):
+        done = subprocess.run([*argv, "--label", label], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(out.read_text())
+    first, second = result["trees"]["first"], result["trees"]["second"]
+    walls = ("python_pass_s", "analyze_s", "import_s")
+    assert [len(first[wall]) for wall in walls] == [2, 2, 2]
+    assert [len(second[wall]) for wall in walls] == [1, 1, 1]
+    assert all(v > 0 for tree in (first, second) for wall in walls for v in tree[wall])
+    assert first["summary"]["analyze_s"]["q1"] <= first["summary"]["analyze_s"]["q3"]
+    assert not first["numpy_loaded"] and result["identical_outputs"]
+
+
 def test_transcripts_hashes_each_workload_reproducibly(tmp_path, monkeypatch):
     for name in ("NIHO_BUDGET", "NIHO_TABLE_LIMIT"):
         monkeypatch.delenv(name, raising=False)
