@@ -174,6 +174,11 @@ def _print_report_text(report: AnalysisReport, out) -> None:
     print(f"weight enumerator: {report.enumerator}", file=out)
 
 
+class UsageError(ValueError):
+    """A flag or environment value outside its range; main prints the
+    message and exits 1."""
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -181,9 +186,9 @@ def _env_int(name: str, default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SystemExit(f"environment variable {name} must be an integer, got {raw!r}")
+        raise UsageError(f"environment variable {name} must be an integer, got {raw!r}")
     if value < 0:
-        raise SystemExit(f"environment variable {name} must be >= 0, got {value}")
+        raise UsageError(f"environment variable {name} must be >= 0, got {value}")
     return value
 
 
@@ -192,7 +197,7 @@ def _resolve_budget(args) -> int:
     if budget is None:
         return _env_int("NIHO_BUDGET", DEFAULT_BUDGET)
     if budget < 0:
-        raise SystemExit(f"--budget must be >= 0, got {budget}")
+        raise UsageError(f"--budget must be >= 0, got {budget}")
     return budget
 
 
@@ -375,7 +380,9 @@ def _read_catalog(path: str) -> tuple[set[str], bool]:
 def cmd_sweep(args) -> int:
     budget = _resolve_budget(args)
     if args.verify_small is not None and args.verify_small < 0:
-        raise SystemExit(f"--verify-small must be >= 0, got {args.verify_small}")
+        raise UsageError(f"--verify-small must be >= 0, got {args.verify_small}")
+    # read before the catalog is opened, so a bad value leaves no file behind
+    table_limit = _resolve_table_limit() if args.verify_small is not None else None
     try:
         grid = itertools.product(_parse_range("--h-range", args.h_range),
                                  _parse_range("--delta-range", args.delta_range),
@@ -421,8 +428,7 @@ def cmd_sweep(args) -> int:
                     cost = vspec.codeword_count * vspec.length
                     if cost <= args.verify_small:
                         if ctx is None:
-                            ctx = build_field(vspec.p, 2 * vspec.m,
-                                              table_limit=_resolve_table_limit())
+                            ctx = build_field(vspec.p, 2 * vspec.m, table_limit=table_limit)
                         brute = brute_distribution(vspec, ctx=ctx, budget=budget)
                         status = "oracle-verified" if brute == dist else "mismatch"
                 record = {
@@ -515,6 +521,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except SpecValidationError as exc:
         print(f"invalid parameters [{exc.code}]: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_INVALID
     except ModelViolationError as exc:
         print(f"model violation: {exc}", file=sys.stderr)

@@ -25,25 +25,61 @@ The batch evaluators codeword_weights and char_sums give slot s the s-th
 coefficients of a list of tuples as its domain, so column i of every table
 is tuple i, in chunks of at most _BATCH_ENTRIES entries per slot;
 codeword_weight and char_sum are batches of one.  Full-space sweeps hand
-the tables of whole domains to one engine, _zero_count_histogram, which
-histograms how many entries vanish; brute_distribution maps that count to
-a weight.  n_r_brute sums packed signatures with the same adder.  The
-scalar references both paths are tested against live in the tests.
+their tables to one engine, _zero_count_histogram, which histograms how
+many entries vanish, each column of the first table weighted by the number
+of tuples it stands for; brute_distribution maps that count to a weight.
+n_r_brute sums packed signatures with the same adder.  The scalar
+references both paths are tested against live in the tests.
 
-brute_distribution sweeps one representative per cyclic orbit of j0, the
-first slot whose coset has size 2m and whose coefficient therefore ranges
-over all of GF(q^2) (slot 0 for f2, slot 1 for f1 with t >= 1).  A cyclic
-shift by s keeps every weight and maps a_j to a_j * gamma^(d_j s), so the
-nonzero values of a_j0 fall into g = gcd(d_j0, q^2-1) orbits of equal size
-(q^2-1)/g, one through each of gamma^0..gamma^(g-1).  The sweep builds the
-tables of that restricted domain, weights its histogram by (q^2-1)/g and
-adds the a_j0 = 0 slice unweighted.  The rule uses only the cyclicity of
-the code, none of the paper's formulas.  A zero set with no such slot
-(f1 with t = 0) is swept whole.
+brute_distribution sweeps orbit representatives of the group H that the
+cyclic shift, Frobenius and GF(p)* scaling generate: the multipliers of
+MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 8 §5.  Each
+keeps every weight.  On the exponent x of a nonzero coefficient
+a_j = gamma^x, H acts slot by slot as
 
-n_r_brute counts by meet in the middle: the histogram of the q^2-1
-signatures (an element's exponent powers) is convolved with itself up to
-ceil(r/2) times, and N_r pairs the half-sums s and -s.
+    x -> p^k (x + d_j s) + L  (mod n = q^2-1),  L a multiple of n/(p-1),
+
+with one shift s, Frobenius power k and scalar gamma^L of GF(p)* for all
+slots; a zero coefficient stays zero.  Only the code's cyclicity,
+GF(p)-linearity and Frobenius are used, none of the paper's formulas.
+
+The full slots (coset size 2m, coefficients in all of GF(q^2)) are taken two
+at a time.  Level i sweeps the tuples whose earlier full slots are zero and
+whose i-th pair (a_j, a_j') is not, by one engine call over a head: the
+H-orbit representatives of the nonzero pairs, each column weighted by its
+orbit's size, with the later full slots and the GF(q) slot free.  H maps the
+tuples with head (a_j, a_j') one to one onto those with the image head,
+weights kept, so every pair of an orbit has the same histogram.  The last
+level, which may hold one full slot, also carries the zero column with
+weight 1, for the tuples whose full slots are all zero; so up to two full
+slots take one engine call.  A zero set with no full slot (f1 with t = 0) is
+swept whole.
+
+_head_orbits finds the representatives with Python integers on small
+moduli:
+
+  * a_j: the shifts and scalings move x through g Z_n,
+    g = gcd(d_j, n/(p-1)), so the orbits of a_j are the p-orbits of Z_g;
+    one of size c stands for c n/g exponents.  (a_j, 0) and (0, a_j') are
+    such orbits of one coordinate.
+  * a_j' given a_j = gamma^x, x a representative: the stabiliser of x is
+    made of the shifts and scalings that fix x, which move the exponent x'
+    of a_j' through D Z_n, and of the powers of one map x' -> p^c x' + b,
+    c the size of x's p-orbit: Frobenius to the power c, then the shift and
+    scaling that take p^c x back to x.  The representatives of x' are the
+    cycles of that map on Z_D; a cycle of length l stands for l n/D
+    exponents, so (x, x') for c n/g * l n/D pairs.
+
+n_r_brute counts by meet in the middle.  Every exponent has
+d_j = delta mod q-1, so lambda in GF(q)* maps a solution (x_1, .., x_r) to
+the solution (lambda x_1, .., lambda x_r), every power sum scaled by
+lambda^delta, and GF(q)* acts freely; Frobenius maps solutions to
+solutions too.  The ceil(r/2) half therefore starts from the signatures (an
+element's exponent powers) of x_1 = gamma^i, one i per p-orbit of
+Z_(q+1), each counted (q-1) times its orbit's size, since the cosets of
+GF(q)* are the gamma^i GF(q)*.  It and the floor(r/2) half, grown from the
+zero signature, are histograms convolved with the q^2-1 signatures one
+coordinate at a time, and N_r pairs the half-sums s and -s.
 
 power_moment_check aggregates a swept distribution into the one power
 moment identity of both families, sum over all tuples of
@@ -55,8 +91,10 @@ run under an operation budget; an over-budget request is refused
 outright, never truncated.  The stated cost model charges
 p^dimension * (q^2-1) for a distribution sweep regardless of path, and
 (q^2-1)^r for counting r-tuples.  These are the costs of plain
-enumeration; the budget charges them even though the orbit reduction and
-the meet in the middle do less work.
+enumeration; the budget charges them even though the orbit reductions and
+the meet in the middle do far less work.  f1 at q = 8, t = 4 is charged
+2^27 * 63, about 8.5e9, and sweeps 491,656 tuples; showcase 1's N_3 is
+charged 255^3 and its larger half holds 765 sums.
 
 Like galois, this module imports numpy inside the functions that use it,
 so importing it (as the CLI does) costs no numpy import.
@@ -160,7 +198,7 @@ def _columns(vspec: ValidatedSpec, tuples: list[tuple[int, ...]], ctx: FieldCont
         validate_tuple(vspec, a, ctx)
     size = max(1, _BATCH_ENTRIES // rows)
     for start in range(0, len(tuples), size):
-        yield list(zip(*tuples[start:start + size]))
+        yield dict(enumerate(zip(*tuples[start:start + size])))
 
 
 def codeword_weights(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
@@ -219,32 +257,35 @@ def weight_from_char_sum(vspec: ValidatedSpec, s: int) -> int:
 # -- the sweep engine -----------------------------------------------------
 
 def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
-                 domains: list) -> list[np.ndarray]:
-    """Per coefficient slot, its term of the root-counting polynomial at
-    every W point for every coefficient of its domain, as packed elements:
-    shape (|W|, |domain|).  A term z * u^k is gamma^((log z + k log u) mod n)
-    and its conjugate z^q * u^k is gamma^((q log z + k log u) mod n), both
-    read from the packed_exp view and masked to 0 where z = 0."""
+                 domains: dict) -> list[np.ndarray]:
+    """Per coefficient slot s of domains, in their order, its term of the
+    root-counting polynomial at every W point for every coefficient of its
+    domain, as packed elements: shape (|W|, |domain|).  A term z * u^k is
+    gamma^((log z + k log u) mod n) and its conjugate z^q * u^k is
+    gamma^((q log z + k log u) mod n), both read from the packed_exp view;
+    their sum is masked to 0 where z = 0."""
     import numpy as np
     q, n = vspec.q, ctx.order - 1
     add, _ = adder(ctx.p, ctx.degree)
     wlog = np.arange(0, n, (q - 1) * vspec.e)[:, None]  # W = <gamma^((q-1)e)>
+    slot_terms = _slot_terms(vspec)
     tables = []
-    for slot, domain in zip(_slot_terms(vspec), domains):
+    for slot, domain in domains.items():
         z = np.asarray(domain)[None, :]
         zlog, nonzero = ctx.log[z], z != 0
-        terms = [ctx.packed_exp[((q if conjugate else 1) * zlog + uexp * wlog) % n] * nonzero
-                 for conjugate, uexp in slot]
-        tables.append(reduce(add, terms))
+        terms = [ctx.packed_exp[((q * zlog if conjugate else zlog) + uexp * wlog) % n]
+                 for conjugate, uexp in slot_terms[slot]]
+        tables.append(reduce(add, terms) * nonzero)
     return tables
 
 
 def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
-                   domains: list) -> list[np.ndarray]:
-    """Per coefficient slot, its trace symbol at every codeword position for
-    every coefficient of its domain: shape (q^2-1, |domain|).  The symbol
-    of z at position i is Tr(z gamma^(d i)), one read of the trace view at
-    exponent (log z + d i) mod n, masked to 0 where z = 0.
+                   domains: dict) -> list[np.ndarray]:
+    """Per coefficient slot s of domains, in their order, its trace symbol
+    at every codeword position for every coefficient of its domain: shape
+    (q^2-1, |domain|).  The symbol of z at position i is Tr(z gamma^(d i)),
+    one read of the trace view at exponent (log z + d i) mod n, masked to 0
+    where z = 0.
 
     A slot whose coset has size m takes its trace from GF(q) only, since
     its coefficient and gamma^(d i) both lie in GF(q).  For x in GF(q) that
@@ -255,19 +296,20 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
     n = vspec.length
     positions = np.arange(n)[:, None]
     tables = []
-    for domain, d, size in zip(domains, vspec.exponents, vspec.coset_sizes):
+    for slot, domain in domains.items():
         z = np.asarray(domain)[None, :]
         zlog = ctx.log[z]
-        if size == vspec.m:
+        if vspec.coset_sizes[slot] == vspec.m:
             add, _ = adder(ctx.p, ctx.degree)
             relative = unpack(add(ctx.packed_exp[1], ctx.packed_exp[vspec.q]),
                               ctx.p, ctx.degree)
             zlog = zlog + 1 - ctx.log[relative]
-        tables.append(ctx.trace[(zlog + d * positions) % n] * (z != 0))
+        tables.append(ctx.trace[(zlog + vspec.exponents[slot] * positions) % n] * (z != 0))
     return tables
 
 
-def _zero_count_histogram(tables: list[np.ndarray], add, neg) -> list[int]:
+def _zero_count_histogram(tables: list[np.ndarray], add, neg,
+                          weights: list[int] | None = None) -> list[int]:
     """How many coefficient tuples make exactly c of the L summed entries
     zero, for c = 0..L, the all-zero tuple removed.
 
@@ -277,9 +319,15 @@ def _zero_count_histogram(tables: list[np.ndarray], add, neg) -> list[int]:
     zero coefficient holds it first, as an all-zero column; when every
     domain does, the all-zero tuple (count L) is swept and removed.  The
     trailing slots are folded into one block of at most _BLOCK_ENTRIES
-    entries, which is then negated; the leading (outer) slots are walked as
-    one flat index, and an outer tuple's partial sum is matched against
-    every negated block column at once.
+    entries; the leading (outer) slots are walked as one flat index, and an
+    outer tuple's partial sum is matched against every column of the
+    negated block at once.  With no outer slot the block's zeros are
+    counted as they are.
+
+    With weights, column i of tables[0] stands for weights[i] tuples (an
+    all-zero column for the zero tuple alone, weight 1): the counts are
+    binned per column of tables[0] and the rows summed with those integer
+    weights, in int64 like the counts themselves.
     """
     import numpy as np
     n_entries = tables[0].shape[0]
@@ -290,20 +338,94 @@ def _zero_count_histogram(tables: list[np.ndarray], add, neg) -> list[int]:
     block = tables[split]
     for nxt in tables[split + 1:]:
         block = add(block[:, :, None], nxt[:, None, :]).reshape(n_entries, -1)
-    block = neg(block)
+    if split:  # with no outer slot the partial sums are 0, and neg keeps 0
+        block = neg(block)
 
     outer_sizes = [t.shape[1] for t in tables[:split]]
     count_dtype = np.min_scalar_type(n_entries)
-    hist = np.zeros(n_entries + 1, dtype=np.int64)
+    bins = n_entries + 1
+    weighted = weights is not None
+    rows = tables[0].shape[1] if weighted else 1
+    hist = np.zeros((rows, bins), dtype=np.int64)
+    if weighted and not split:
+        # a block column's leading digit is its column of tables[0]; an
+        # offset moves its count into that row
+        offsets = np.arange(0, hist.size, bins)[:, None]
     for outer in itertools.product(*map(range, outer_sizes)):
-        partial = np.zeros(n_entries, dtype=block.dtype)
+        partial = 0
         for table, zi in zip(tables, outer):
-            partial = add(partial, table[:, zi])
-        counts = (block == partial[:, None]).sum(axis=0, dtype=count_dtype)
-        hist += np.bincount(counts, minlength=n_entries + 1)
+            partial = add(partial, table[:, zi, None])
+        counts = (block == partial).sum(axis=0, dtype=count_dtype)
+        if weighted and not split:
+            keys = (counts.reshape(rows, -1) + offsets).ravel()
+            hist += np.bincount(keys, minlength=hist.size).reshape(rows, bins)
+        else:  # when weighted, the outer index leads with the column of tables[0]
+            hist[outer[0] if weighted else 0] += np.bincount(counts, minlength=bins)
     if not any(table[:, 0].any() for table in tables):
-        hist[n_entries] -= 1
-    return [int(c) for c in hist]
+        hist[0, n_entries] -= 1
+    return (np.asarray(weights, dtype=np.int64) @ hist if weighted else hist[0]).tolist()
+
+
+def _cycles(mult: int, shift: int, modulus: int) -> list[tuple[int, int]]:
+    """(least element, length) of each cycle of y -> mult*y + shift on
+    Z_modulus, ascending; mult is a unit mod modulus, so the map permutes
+    Z_modulus."""
+    seen = bytearray(modulus)
+    cycles = []
+    for start in range(modulus):
+        if seen[start]:
+            continue
+        y, length = start, 0
+        while True:
+            seen[y] = 1
+            length += 1
+            y = (mult * y + shift) % modulus
+            if y == start:
+                break
+        cycles.append((start, length))
+    return cycles
+
+
+def _head_orbits(vspec: ValidatedSpec, head: list[int],
+                 zero: bool) -> tuple[list[list[int]], list[int]]:
+    """One representative per H-orbit of the nonzero coefficients of the
+    one or two full slots in head, and the orbit sizes.  A representative
+    is given per head slot by its index in the slot's full domain: 0 for
+    the zero coefficient, 1 + x for gamma^x.  With zero, the zero column
+    comes first, of weight 1.  See the module doc for H and the orbits."""
+    n, p = vspec.length, vspec.p
+    scale = n // (p - 1)  # GF(p)* = <gamma^scale>
+    firsts, seconds, sizes = ([0], [0], [1]) if zero else ([], [], [])
+    d = vspec.exponents[head[0]]
+    g = math.gcd(d, scale)
+    pair = len(head) == 2
+    if pair:
+        d2 = vspec.exponents[head[1]]
+        # the shifts and scalings that fix a_j translate a_j' by D Z_n, and
+        # d s + L = g for s = alpha, L = beta * scale
+        D = math.gcd(d2 * (scale // g) - d // g * scale, n)
+        alpha = pow(d // g, -1, scale // g)
+        beta = (g - d * alpha) // scale
+    for x, size in _cycles(p, 0, g):
+        orbit = size * (n // g)
+        firsts.append(1 + x)
+        seconds.append(0)
+        sizes.append(orbit)
+        if pair:
+            # x's stabiliser acts on a_j' mod D by its Frobenius power p^size
+            # and the shift and scaling that take p^size x back to x
+            shift = (d2 * alpha + beta * scale) * (x * (1 - p**size) // g) % D
+            for y, length in _cycles(p**size % D, shift, D):
+                firsts.append(1 + x)
+                seconds.append(1 + y)
+                sizes.append(orbit * length * (n // D))
+    if pair:
+        g2 = math.gcd(d2, scale)
+        for y, size in _cycles(p, 0, g2):
+            firsts.append(0)
+            seconds.append(1 + y)
+            sizes.append(size * (n // g2))
+    return [firsts, seconds][:len(head)], sizes
 
 
 def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
@@ -311,8 +433,10 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     """Exact weight distribution over all nonzero coefficient tuples.
 
     path "fast" counts W-roots per tuple; path "slow" evaluates every
-    codeword position.  Both are charged p^dimension * (q^2-1) against the
-    budget and refused, not truncated, when it does not fit.
+    codeword position.  Either sweeps orbit representatives, one engine
+    call per pair of full slots (see the module doc).  Both are charged
+    p^dimension * (q^2-1) against the budget and refused, not truncated,
+    when it does not fit.
     """
     required = vspec.codeword_count * vspec.length
     if required > budget:
@@ -334,22 +458,24 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
         raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
 
     domains = coefficient_domains(vspec, ctx)
-    j0 = next((i for i, size in enumerate(vspec.coset_sizes) if size > vspec.m), None)
-    if j0 is not None:
-        # one representative per cyclic orbit of a_j0 (see the module doc)
-        n = vspec.length
-        g = math.gcd(vspec.exponents[j0], n)
-        domains[j0] = ctx.exp[:g]
-        tables = build(vspec, ctx, domains)
-        rest = tables[:j0] + tables[j0 + 1:]
-        hist = [n // g * c for c in _zero_count_histogram([tables[j0]] + rest, add, neg)]
-        if rest:
-            hist = [a + b for a, b in zip(hist, _zero_count_histogram(rest, add, neg))]
-    else:
-        hist = _zero_count_histogram(build(vspec, ctx, domains), add, neg)
+    full = [i for i, size in enumerate(vspec.coset_sizes) if size > vspec.m]
+    heads = [full[i:i + 2] for i in range(0, len(full), 2)] or [[]]
+    hists = []
+    for level, head in enumerate(heads):
+        # the earlier full slots are zero; the later ones and the GF(q) slot are free
+        done = full[:2 * level + len(head)]
+        free = {i: domains[i] for i in range(len(domains)) if i not in done}
+        if head:
+            columns, sizes = _head_orbits(vspec, head, zero=level == len(heads) - 1)
+            tables = build(vspec, ctx, {**{j: domains[j][c] for j, c in zip(head, columns)},
+                                        **free})
+            tables[:len(head)] = [reduce(add, tables[:len(head)])]
+        else:  # no full slot: the GF(q) slot alone, swept whole
+            tables, sizes = build(vspec, ctx, free), None
+        hists.append(_zero_count_histogram(tables, add, neg, sizes))
 
     counts_by_weight = Counter()
-    for count, f in enumerate(hist):
+    for count, f in enumerate(reduce(lambda a, b: [x + y for x, y in zip(a, b)], hists)):
         if f:
             counts_by_weight[weight_of(count)] += f
     weights = theoretical_weights(vspec.p, vspec.q, vspec.e, vspec.moment_size)
@@ -408,14 +534,16 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     """Number of r-tuples of nonzero GF(q^2) elements that satisfy every
     defining power-sum equation, by meet in the middle.
 
-    An element's signature is the vector of its exponent powers, packed.  The
-    histogram of the n = q^2-1 signatures is convolved with itself
-    ceil(r/2) and floor(r/2) times, equal sums merged after each step, into
-    the histograms A and B of signature sums over ceil(r/2)- and
-    floor(r/2)-tuples; N_r = sum_s A[s] B[-s].  That is O(n^ceil(r/2))
-    work.  The counts of an h-fold sum add up to n^h, so they are int64
-    while n^ceil(r/2) fits and Python ints beyond; the final sum is taken
-    in Python ints.  Charged (q^2-1)^r against the budget.
+    An element's signature is the vector of its exponent powers, packed.  A
+    histogram is convolved with the n = q^2-1 signatures one coordinate at
+    a time, equal sums merged after each step, into the histograms A and B
+    of signature sums over ceil(r/2)- and floor(r/2)-tuples;
+    N_r = sum_s A[s] B[-s].  A starts from one x_1 per orbit of GF(q)*
+    scaling and Frobenius, at most q+1 of them (see the module doc), so it
+    takes O((q+1) n^(ceil(r/2)-1)) work and B O(n^floor(r/2)).
+    The counts of an h-fold sum add up to n^h, so they are int64 while
+    n^ceil(r/2) fits and Python ints beyond; the final sum is taken in
+    Python ints.  Charged (q^2-1)^r against the budget.
     """
     import numpy as np
     if r < 1:
@@ -440,11 +568,16 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
         return _merge_rows(sums.reshape(-1, width), (counts[:, None] * one_counts).reshape(-1),
                            base)
 
-    high = low = (np.zeros((1, width), dtype=sigs.dtype), np.ones(1, dtype=count_dtype))
-    for size in range(1, (r + 1) // 2 + 1):
+    # x_1 runs over one gamma^i per p-orbit of i in Z_(q+1), standing for
+    # its orbit's cosets of GF(q)*
+    reps = _cycles(ctx.p, 0, vspec.q + 1)
+    high = (sigs[[i for i, _ in reps]],
+            np.array([(vspec.q - 1) * size for _, size in reps], dtype=count_dtype))
+    for _ in range((r - 1) // 2):
         high = plus_one(*high)
-        if size == r // 2:
-            low = high
+    low = (np.zeros((1, width), dtype=sigs.dtype), np.ones(1, dtype=count_dtype))
+    for _ in range(r // 2):
+        low = plus_one(*low)
     keys_a, counts_a = high
     keys_b, counts_b = low
     ids, _ = _row_ids(np.concatenate([keys_a, neg(keys_b)]), base)

@@ -25,7 +25,11 @@ closed-form solution at any q, far past the reach of enumeration.
 reference for the meet-in-the-middle `nihocodes.oracle.n_r_brute`.  It walks
 the first r-1 coordinates in plain Python, with no histograms and no numpy,
 so agreement checks the halving, the convolutions and the matching of the
-library's counter.
+library's counter.  `n_r_unreduced` is the plain meet in the middle: both
+halves start from the zero signature and add every one of the q^2-1
+signatures at each step.  It is the reference for the library's counter,
+whose larger half starts from one first coordinate per orbit of GF(q)*
+scaling and Frobenius, weighted by the orbit's size.
 
 `symbol_at` evaluates one codeword symbol with this module's scalar `add`,
 `mul` and `trace_to_prime`, taking the f1 leading term's trace from GF(q) directly, and
@@ -101,7 +105,7 @@ from math import comb, gcd
 import numpy as np
 
 from nihocodes.codespec import SpecValidationError, half_mod
-from nihocodes.galois import digit_bits, packed_dtype
+from nihocodes.galois import adder, digit_bits, packed_dtype
 from nihocodes.moments import n_r
 from nihocodes.solver import _lagrange_numerators
 
@@ -221,6 +225,33 @@ def n_r_recursive(vspec, r: int, ctx) -> int:
         return sum(count_below(add_sig(partial, s), depth - 1) for s in sigs)
 
     return sum(count_below(s, r - 2) for s in sigs)
+
+
+def n_r_unreduced(vspec, r: int, ctx) -> int:
+    """N_r by the plain meet in the middle: the histograms A and B of the
+    sums of ceil(r/2) and floor(r/2) signatures of nonzero elements, each
+    grown from the zero signature one whole set of q^2-1 signatures at a
+    time, and N_r = sum_s A[s] B[-s]."""
+    n = vspec.length
+    add_sig, neg_sig = adder(ctx.p, ctx.degree)
+    powers = np.arange(n)
+    sigs = np.stack([ctx.packed_exp[d * powers % n] for d in vspec.exponents], axis=1)
+
+    def plus_one(keys, counts):
+        sums = add_sig(keys[:, None, :], sigs[None, :, :]).reshape(-1, sigs.shape[1])
+        keys, ids = np.unique(sums, axis=0, return_inverse=True)
+        merged = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(merged, ids.ravel(), np.repeat(counts, n))
+        return keys, merged
+
+    halves = [(np.zeros((1, sigs.shape[1]), dtype=sigs.dtype), np.ones(1, dtype=np.int64))]
+    while len(halves) <= (r + 1) // 2:
+        halves.append(plus_one(*halves[-1]))
+    keys_a, counts_a = halves[(r + 1) // 2]
+    keys_b, counts_b = halves[r // 2]
+    count_b = dict(zip(map(tuple, neg_sig(keys_b).tolist()), counts_b.tolist()))
+    return sum(c * count_b.get(k, 0) for k, c in zip(map(tuple, keys_a.tolist()),
+                                                        counts_a.tolist()))
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:

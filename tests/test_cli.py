@@ -259,6 +259,16 @@ def test_verify_moments_sweeps_once(capsys, monkeypatch, flags, rows):
     assert len(sweeps) == 1
 
 
+def test_showcase1_n4_refused_at_the_benchmark_budget(capsys):
+    """N_r is charged (q^2-1)^r: showcase 1's N_4 costs 255^4, about 4.2e9,
+    so --budget 10^9 runs N_1..N_3 and refuses N_4 with exit 3."""
+    assert main(["verify", *EXAMPLE1_FLAGS, "--checks", "nr", "--budget", "1000000000"]) == 3
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["N_1", "N_2", "N_3"]
+    assert captured.err == ("budget refusal: operation requires a budget of 4228250625, "
+                            "only 1000000000 allowed\n")
+
+
 def test_verify_moments_budget_refusal_prints_no_row(capsys):
     code = main(["verify", *EXAMPLE1_FLAGS, "--checks", "moments", "--budget", "1000"])
     assert code == 3
@@ -505,8 +515,32 @@ def test_negative_budgets_and_limits_exit_1(tmp_path, command, extra, env, code,
     assert name in (done.stderr if code else done.stdout)
     if code == 1:
         assert "Traceback" not in done.stderr
-        catalog = tmp_path / "catalog.jsonl"
-        assert not catalog.exists() or not catalog.read_text()
+        assert not (tmp_path / "catalog.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, env, message", [
+    (["verify", *TINY_FLAGS, "--budget", "-5"], {}, "--budget must be >= 0, got -5"),
+    (["verify", *TINY_FLAGS], {"NIHO_BUDGET": "abc"},
+     "environment variable NIHO_BUDGET must be an integer, got 'abc'"),
+    (["nr", "--p", "2", "--m", "2", "--e", "1", "--rmax", "2", "--brute", "--family", "f1",
+      "--h", "1", "--delta", "1", "--t", "1"], {"NIHO_TABLE_LIMIT": "-1"},
+     "environment variable NIHO_TABLE_LIMIT must be >= 0, got -1"),
+    ([*SWEEP_TINY, "--verify-small", "-1"], {}, "--verify-small must be >= 0, got -1"),
+    ([*SWEEP_TINY, "--verify-small", "100000"], {"NIHO_TABLE_LIMIT": "abc"},
+     "environment variable NIHO_TABLE_LIMIT must be an integer, got 'abc'"),
+], ids=["budget", "env-budget", "nr-env-table-limit", "verify-small", "sweep-env-table-limit"])
+def test_usage_errors_return_1_in_process(tmp_path, capsys, monkeypatch, command, env, message):
+    """main returns 1 with the message alone on stderr, and raises nothing."""
+    for name in ("NIHO_BUDGET", "NIHO_TABLE_LIMIT"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    catalog = tmp_path / "catalog.jsonl"
+    argv = [*command, "--out", str(catalog)] if command[0] == "sweep" else command
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert not catalog.exists()
 
 
 def test_sweep_mismatch_exits_2(tmp_path, capsys, monkeypatch):

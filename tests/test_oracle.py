@@ -39,6 +39,7 @@ from exact_reference import (
     mds_freq_by_j,
     mul,
     n_r_recursive,
+    n_r_unreduced,
     neg as scalar_neg,
     pack,
     power,
@@ -227,7 +228,7 @@ def _unreduced_entries(vs, path):
     """The weight distribution from the engine on full-domain tables,
     without the orbit reduction."""
     ctx = field(vs.p, 2 * vs.m)
-    domains = coefficient_domains(vs, ctx)
+    domains = dict(enumerate(coefficient_domains(vs, ctx)))
     if path == "fast":
         tables = oracle._root_tables(vs, ctx, domains)
         add, neg = adder(ctx.p, ctx.degree)
@@ -242,11 +243,24 @@ def _unreduced_entries(vs, path):
     return tuple(sorted((w, f) for w, f in by_weight.items() if f))
 
 
-# (key, g = gcd(d_j0, q^2-1) of the reduced slot j0, or None for f1 t = 0)
+def full_slots(vs):
+    return [i for i, size in enumerate(vs.coset_sizes) if size > vs.m]
+
+
+# (key, g = gcd(d_j, (q^2-1)/(p-1)) of the first full slot j, the modulus
+# of its orbit representatives, or None for f1 t = 0, which has no full
+# slot).  The sweep takes the full slots two at a time: 2 full slots make
+# one pair level, 3 a pair and an odd last level, 4 two pair levels.
+# f1:2:3:1:1:3 has g = 3 on its odd last level, f2:3:2:1:1:3 has g = 5
+# there, f2:3:2:1:1:4 has g = 5 and D = 16 on its second pair level, and
+# f2:11:1:3:1:2 has g = 3 on its only pair level.
 ORBIT_SPECS = [
     ("f1:2:2:1:1:2", 1), ("f2:2:2:1:1:2", 1), ("f2:3:2:1:1:2", 1), ("f2:3:2:1:1:1", 1),
     ("f1:2:3:3:1:1", 3), ("f2:2:3:3:1:1", 3), ("f2:3:2:5:1:1", 5),
     ("f1:2:3:1:1:0", None), ("f1:2:3:3:1:0", None),
+    ("f1:2:3:1:1:2", 1), ("f1:2:3:1:1:3", 1), ("f2:2:3:1:1:4", 1),
+    ("f2:3:2:1:1:3", 1), ("f2:3:2:1:1:4", 1),
+    ("f2:5:2:1:1:2", 1), ("f2:5:2:1:7:2", 1), ("f2:11:1:3:1:2", 3),
 ]
 
 
@@ -254,15 +268,55 @@ ORBIT_SPECS = [
 @pytest.mark.parametrize("key, g", ORBIT_SPECS)
 def test_orbit_reduction_matches_unreduced_sweep(key, g, path):
     vs = spec_of(key)
-    j0 = 1 if vs.family == "f1" else 0
+    full = full_slots(vs)
     if g is None:
-        assert j0 == len(vs.exponents)
+        assert not full
     else:
-        assert g == math.gcd(vs.exponents[j0], vs.length)
+        assert g == math.gcd(vs.exponents[full[0]], vs.length // (vs.p - 1))
     ctx = field(vs.p, 2 * vs.m)
     expected = _unreduced_entries(vs, path)
     assert brute_distribution(vs, ctx=ctx, path=path).entries == expected
     assert expected == weight_distribution(vs).entries
+
+
+def h_orbit(vs, head, start):
+    """The orbit of a tuple of exponents (-1 for a zero coefficient) of the
+    slots in head under the cyclic shift, GF(p)* scaling and Frobenius,
+    by a walk over those three generators."""
+    n, p = vs.length, vs.p
+    scale = n // (p - 1)
+    ds = [vs.exponents[j] for j in head]
+    moves = [lambda x, d: (x + d) % n, lambda x, d: (x + scale) % n, lambda x, d: p * x % n]
+    orbit, todo = {start}, [start]
+    while todo:
+        point = todo.pop()
+        for move in moves:
+            image = tuple(-1 if x < 0 else move(x, d) for x, d in zip(point, ds))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+@pytest.mark.parametrize("key, level", [
+    ("f1:2:3:1:1:4", 0), ("f1:2:3:1:1:4", 1), ("f1:2:3:1:1:3", 1), ("f2:3:2:1:1:4", 1),
+    ("f2:3:2:1:1:3", 1), ("f2:11:1:3:1:2", 0), ("f2:17:1:15:11:2", 0), ("f2:5:1:1:1:3", 1),
+])
+def test_head_orbits_partition_the_head_tuples(key, level):
+    """One representative per orbit of the head's nonzero tuples, with the
+    orbit's size as weight, the zero tuple first with weight 1: the walked
+    orbits of the representatives are disjoint, have those sizes and cover
+    every tuple.  f1:2:3:1:1:4's second level has g = 3 and D = 21 < n."""
+    vs = spec_of(key)
+    head = full_slots(vs)[2 * level:2 * level + 2]
+    columns, sizes = oracle._head_orbits(vs, head, zero=True)
+    assert [c[0] for c in columns] == [0] * len(head) and sizes[0] == 1
+    covered = set()
+    for rep, size in zip(zip(*columns), sizes):
+        orbit = h_orbit(vs, head, tuple(i - 1 for i in rep))
+        assert len(orbit) == size and not orbit & covered
+        covered |= orbit
+    assert len(covered) == (vs.length + 1) ** len(head)
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 7])
@@ -422,6 +476,27 @@ def test_budget_refusal():
         n_r_brute(validate_spec(CodeSpec("f1", 2, 4, 2, 1, 2)), 4, budget=10**6)
 
 
+@pytest.mark.parametrize("key", ["f1:2:3:1:1:0", "f1:2:2:1:1:2", "f2:3:2:1:1:2", "f2:5:1:1:1:3"])
+def test_charges_are_the_plain_enumeration_costs(key):
+    """The orbit reductions leave the charges as they were: a sweep costs
+    p^dimension * (q^2-1) on either path and an r-tuple count (q^2-1)^r,
+    refused one operation short of that and run at exactly that budget."""
+    vs = spec_of(key)
+    ctx = field(vs.p, 2 * vs.m)
+    sweep = vs.p ** vs.dimension * (vs.q ** 2 - 1)
+    for path in ("fast", "slow"):
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_distribution(vs, ctx=ctx, budget=sweep - 1, path=path)
+        assert (exc.value.required, exc.value.budget) == (sweep, sweep - 1)
+        assert brute_distribution(vs, ctx=ctx, budget=sweep, path=path) == weight_distribution(vs)
+    for r in (1, 2, 3):
+        count = (vs.q ** 2 - 1) ** r
+        with pytest.raises(BudgetExceeded) as exc:
+            n_r_brute(vs, r, ctx=ctx, budget=count - 1)
+        assert (exc.value.required, exc.value.budget) == (count, count - 1)
+        assert n_r_brute(vs, r, ctx=ctx, budget=count) == n_r_unreduced(vs, r, ctx)
+
+
 def test_n_r_brute_golden(tiny_f1_spec, tiny_f2_spec):
     assert n_r_brute(tiny_f1_spec, 1) == 0
     assert n_r_brute(tiny_f1_spec, 2) == 15  # e (q^2 - 1)
@@ -441,6 +516,22 @@ def test_n_r_brute_matches_recursive_counter(key, rmax):
     ctx = field(vs.p, 2 * vs.m)
     for r in range(1, rmax + 1):
         assert n_r_brute(vs, r, ctx=ctx) == n_r_recursive(vs, r, ctx), (key, r)
+
+
+@pytest.mark.parametrize("key, rmax", [
+    ("f1:2:2:1:1:1", 4), ("f2:2:2:1:1:2", 4), ("f1:2:3:1:1:2", 4), ("f1:2:3:3:1:1", 4),
+    ("f2:2:3:1:1:1", 4), ("f2:3:2:1:1:2", 4), ("f2:3:2:5:1:1", 4), ("f2:5:2:1:1:2", 3),
+    ("f2:5:2:13:1:1", 4), ("f1:2:4:2:1:2", 3),
+])
+def test_n_r_brute_matches_unreduced_meet_in_the_middle(key, rmax):
+    """The counter whose larger half starts from one x_1 per orbit of
+    GF(q)* scaling and Frobenius against the plain meet in the middle,
+    r = 1..rmax, at q = 4, 8, 9, 25 and on showcase 1 (q = 16)."""
+    vs = spec_of(key)
+    ctx = field(vs.p, 2 * vs.m)
+    for r in range(1, rmax + 1):
+        got = n_r_brute(vs, r, ctx=ctx, budget=vs.length**r)
+        assert got == n_r_unreduced(vs, r, ctx), (key, r)
 
 
 @pytest.mark.parametrize("order", [4, 256, 1 << 20, 1 << 52, 1 << 62])

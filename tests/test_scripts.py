@@ -108,3 +108,30 @@ def test_transcripts_hashes_each_workload_reproducibly(tmp_path, monkeypatch):
         "verify-oracle": (17, "e7d975f1e5348ce0e84c26c4a54bdcafb0d0487e962b3b28346af00220b20968"),
         "catalog-sweep": (11, "6fa9003de6e8f7011d09d3e0eb1c5695f1b74532ace94802d02e145b644fe1b9"),
     }
+
+
+def test_bench_verify_times_stages_and_catalog_calls(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NIHO_")}
+    env["PYTHONPATH"] = "src"
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, "scripts/bench_verify.py", "--out", str(out), "--rounds", "1",
+            "--sweep-rounds", "1", "--runs", "1"]
+    for label in ("first", "first", "second"):
+        done = subprocess.run([*argv, "--label", label], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(out.read_text())
+    first, second = result["trees"]["first"], result["trees"]["second"]
+    assert result["identical_outputs"]
+    # one verify-oracle round: 17 ops in 14 strata, both showcases among them
+    assert first["verify_ops"] == 17 and sum(s["ops"] for s in first["strata"].values()) == 17
+    assert {"showcase 1", "showcase 2", "f2 q=8 t=4"} <= set(first["strata"])
+    assert len(first["verify_ops_per_s"]) == 2 and len(second["verify_ops_per_s"]) == 1
+    showcase = first["strata"]["showcase 1"]
+    stages = [showcase[k] for k in ("brute_s", "n_r_brute_s", "weights_s")]
+    assert all(len(walls) == 2 and min(walls) > 0 for walls in (showcase["op_s"], *stages))
+    # the stages run inside the op
+    assert all(sum(parts) < op for op, *parts in zip(showcase["op_s"], *stages))
+    # one catalog-sweep round: 11 sweeps, each verifying its tiny specs
+    assert first["catalog_ops"] == 11 and first["brute_calls"] > 11
+    assert len(first["brute_call_mean_s"]) == 2 and min(first["brute_call_mean_s"]) > 0
