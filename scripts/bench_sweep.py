@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time `niho sweep` in process on the catalog-sweep workload and count its
-moment solves.
+moment solves and oracle sweeps.
 
     PYTHONPATH=src python3 scripts/bench_sweep.py --out BENCH_sweep.json --label change
 
@@ -11,7 +11,7 @@ Run from the repository root.  The catalog-sweep ops of
 exit 0, and every run must write the same catalogs once `elapsed_s` is
 dropped; the script exits 1 otherwise.
 The first run also counts the records written and the calls of
-`cli.weight_distribution`.
+`cli.weight_distribution` and `cli.brute_distribution`.
 
 The results go under --label in the JSON file.  A rerun with a label that
 is already there adds its rates to that label's list after checking that
@@ -70,15 +70,16 @@ def time_sweeps(rounds: int, runs: int) -> dict:
     admit = workloads.Admitter(CodeSpec, validate_spec, SpecValidationError)
     ops = [op for r in workloads.generate("catalog-sweep", SEED, admit)[:rounds] for op in r]
     argvs = [op.argv for op in ops]
-    solves = []
-    real = cli.weight_distribution
-    cli.weight_distribution = lambda vspec: solves.append(vspec.key) or real(vspec)
+    solves, sweeps = [], []
+    solve, sweep = cli.weight_distribution, cli.brute_distribution
+    cli.weight_distribution = lambda vspec: solves.append(vspec.key) or solve(vspec)
+    cli.brute_distribution = lambda vspec, **kw: sweeps.append(vspec.key) or sweep(vspec, **kw)
     with transcripts.capture_log() as log, tempfile.TemporaryDirectory() as tmp:
         catalog = Path(tmp) / "catalog.jsonl"
         try:
             _, reference, records = run_ops(argvs, catalog, log)  # also warms the caches
         finally:
-            cli.weight_distribution = real
+            cli.weight_distribution, cli.brute_distribution = solve, sweep
         rates = []
         for _ in range(runs):
             elapsed, digest, _ = run_ops(argvs, catalog, log)
@@ -86,8 +87,8 @@ def time_sweeps(rounds: int, runs: int) -> dict:
                 raise SystemExit("a run's catalogs differ from the first run's")
             rates.append(len(argvs) / elapsed)
     return {"ops": len(argvs), "records": records, "weight_distribution_calls": len(solves),
-            "reused_frac": 1 - len(solves) / records, "catalog_sha256": reference,
-            "ops_per_s": rates}
+            "reused_frac": 1 - len(solves) / records, "brute_distribution_calls": len(sweeps),
+            "catalog_sha256": reference, "ops_per_s": rates}
 
 
 def main() -> None:
@@ -111,7 +112,8 @@ def main() -> None:
     entry = time_sweeps(args.rounds, args.runs)
     previous = result["trees"].get(args.label)
     if previous is not None:
-        same = ("ops", "records", "weight_distribution_calls", "catalog_sha256")
+        same = ("ops", "records", "weight_distribution_calls", "brute_distribution_calls",
+                "catalog_sha256")
         if any(previous[k] != entry[k] for k in same):
             raise SystemExit(f"catalogs or counts differ from the runs already under "
                              f"{args.label!r}")
@@ -123,6 +125,7 @@ def main() -> None:
     for label, tree in result["trees"].items():
         print(f"{label}: {tree['records']} records from {tree['ops']} ops, "
               f"{tree['weight_distribution_calls']} solves ({tree['reused_frac']:.0%} reused), "
+              f"{tree['brute_distribution_calls']} oracle sweeps, "
               f"{tree['ops_per_s_median']:.1f} ops/s median of {len(tree['ops_per_s'])}")
     print(f"catalogs identical across {len(result['trees'])} trees: "
           f"{result['identical_catalogs']}")

@@ -6,8 +6,9 @@ Subcommands:
   nr       tabulate the tuple counts N_r, optionally with a brute column
   sweep    walk parameter ranges and append reports to a JSONL catalog
 
-Exit codes: 0 success / full agreement, 1 invalid parameters or a reader
-that closed stdout early (as `| head` does), 2 oracle mismatch or a
+Exit codes: 0 success / full agreement, 1 invalid parameters (a command
+line argparse rejects among them) or a reader that closed stdout early
+(as `| head` does), 2 oracle mismatch or a
 solution outside the frequency model, 3 budget refusal.  Big
 integers are printed and serialized as decimal strings of any length.
 `nr --brute` compares the rows r <= n, the spec's moment system size, where
@@ -42,6 +43,7 @@ from .oracle import (
     char_sums,
     codeword_weights,
     coefficient_domains,
+    multiplier_class,
     n_r_brute,
     power_moment_check,
     weight_from_char_sum,
@@ -175,8 +177,16 @@ def _print_report_text(report: AnalysisReport, out) -> None:
 
 
 class UsageError(ValueError):
-    """A flag or environment value outside its range; main prints the
-    message and exits 1."""
+    """A flag or environment value outside its range, or a command line
+    argparse rejects; main prints the message and exits 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subcommands' parsers too, whose errors raise
+    UsageError with argparse's usage and message, in place of exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -235,11 +245,12 @@ def _check_weights(vspec, ctx):
     rng = random.Random(0)
     domains = coefficient_domains(vspec, ctx)
     predicted = set(theoretical_weights(vspec.p, vspec.q, vspec.e, vspec.moment_size))
-    samples = []
-    for _ in range(WEIGHT_SAMPLES):
-        a = tuple(int(rng.choice(domain)) for domain in domains)
-        if any(a):
-            samples.append(a)
+    # rng.choice(domain) is domain[rng.randrange(len(domain))]: the same
+    # draws, gathered once per slot
+    draws = [[rng.randrange(len(domain)) for domain in domains]
+             for _ in range(WEIGHT_SAMPLES)]
+    columns = [domain[list(index)].tolist() for domain, index in zip(domains, zip(*draws))]
+    samples = [a for a in zip(*columns) if any(a)]
     failures = []
     for a, w_direct, s in zip(samples, codeword_weights(vspec, samples, ctx),
                               char_sums(vspec, samples, ctx)):
@@ -326,10 +337,10 @@ def cmd_nr(args) -> int:
         if vspec.e != args.e:
             print(f"spec has e = {vspec.e}, flag says {args.e}", file=sys.stderr)
             return EXIT_INVALID
-    header = "r  N_r" + ("  brute  match" if vspec else "")
-    print(header)
-    mismatch = False
+    # a bad or too small table limit refuses before the header is printed
     ctx = build_field(args.p, 2 * args.m, table_limit=_resolve_table_limit()) if vspec else None
+    print("r  N_r" + ("  brute  match" if vspec else ""))
+    mismatch = False
     for r in range(args.rmax + 1):
         value = n_r(r, q, args.e)
         line = f"{r}  {value}"
@@ -403,6 +414,7 @@ def cmd_sweep(args) -> int:
     code = EXIT_OK
     ctx = None
     solved = {}  # (e, t) -> Solution: h and delta enter the distribution only through e
+    swept = {}  # multiplier class -> brute distribution, one sweep per class
     try:  # the summary is printed after a refusal too
         with out_fh:
             if torn:
@@ -427,9 +439,13 @@ def cmd_sweep(args) -> int:
                 if args.verify_small is not None:
                     cost = vspec.codeword_count * vspec.length
                     if cost <= args.verify_small:
-                        if ctx is None:
-                            ctx = build_field(vspec.p, 2 * vspec.m, table_limit=table_limit)
-                        brute = brute_distribution(vspec, ctx=ctx, budget=budget)
+                        key = multiplier_class(vspec)
+                        brute = swept.get(key)
+                        if brute is None:
+                            if ctx is None:
+                                ctx = build_field(vspec.p, 2 * vspec.m, table_limit=table_limit)
+                            brute = swept[key] = brute_distribution(vspec, ctx=ctx,
+                                                                    budget=budget)
                         status = "oracle-verified" if brute == dist else "mismatch"
                 record = {
                     "key": spec.key,
@@ -454,7 +470,7 @@ def cmd_sweep(args) -> int:
 def make_parser() -> argparse.ArgumentParser:
     """The `niho` parser, built once per process: parse_args keeps no state
     between calls, and a build costs more than a small analyze call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="niho",
         description="Closed-form weight distributions of generalized-Niho cyclic "
                     "codes, with brute-force verification.")
@@ -504,13 +520,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and map its refusals to exit codes: invalid
-    parameters or a closed stdout 1, a model violation 2, a budget or
-    table-limit refusal 3."""
+    parameters, a command line argparse rejects or a closed stdout 1, a
+    model violation 2, a budget or table-limit refusal 3.  -h exits 0
+    through argparse."""
     if hasattr(sys, "set_int_max_str_digits"):  # the digit limit, from Python 3.10.7
         sys.set_int_max_str_digits(0)
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

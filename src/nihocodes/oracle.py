@@ -70,6 +70,15 @@ moduli:
     cycles of that map on Z_D; a cycle of length l stands for l n/D
     exponents, so (x, x') for c n/g * l n/D pairs.
 
+Multipliers outside H relate different specs.  multiplier_class scales a
+spec's exponents by the unit u of Z_n that makes them 1 mod q-1 and keeps
+them mod q+1.  Two specs with equal classes have codes that the position
+map i -> v i, v a unit, carries onto each other, so their distributions are
+equal and one sweep serves both; its docstring has the proof.  `niho sweep`
+keys its oracle sweeps by it.  The class reads each spec's own exponents;
+it does not rest on the paper's claim that the distribution depends on
+(e, t) alone.
+
 n_r_brute counts by meet in the middle.  Every exponent has
 d_j = delta mod q-1, so lambda in GF(q)* maps a solution (x_1, .., x_r) to
 the solution (lambda x_1, .., lambda x_r), every power sum scaled by
@@ -490,6 +499,37 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     return WeightDistribution(
         length=vspec.length, dimension=vspec.dimension, entries=entries,
         weights_by_j=weights, freq_by_j=None if stray else freq_by_j)
+
+
+def multiplier_class(vspec: ValidatedSpec) -> tuple[int, int, tuple[int, ...]]:
+    """(e, t, sorted u*d mod n over the exponents d), n = q^2-1 and u the
+    least unit of Z_n with u = delta^-1 (mod q-1) and u = 1 (mod q+1).
+    Specs of one p and m with equal classes have equal brute_distribution
+    results, so one sweep serves them all.
+
+    Proof.  Let specs A and B have equal classes, so u_A d_j^A = u_B d_pi(j)^B
+    (mod n) for a bijection pi of the slots, and put v = u_A u_B^-1, a unit
+    with v d_j^A = d_pi(j)^B.  Multiplying by a unit keeps d q = d (mod n),
+    so slot j of A and slot pi(j) of B have cosets of one size and take
+    coefficients from one domain; coset sizes, dimension, length and the
+    tuple count p^dimension agree.  For a tuple a of A, give B's slot pi(j)
+    the coefficient a_j: B's symbol at position i is the sum of the traces
+    of a_j gamma^(v d_j^A i), A's symbol at position v i.  So the position
+    map i -> u_A^-1 u_B i, a permutation of Z_n (the multipliers of
+    MacWilliams & Sloane ch. 8 §5), carries A's codeword of a onto B's
+    codeword of the relabelled tuple, one to one, and keeps its weight.  The
+    distributions agree as counts, and e and t fix the weight list they are
+    read against.
+
+    Such a u exists: when q is odd the two moduli share the factor 2, and
+    both conditions ask for an odd u, as delta is then odd.  Since
+    d_j = delta (mod q-1) and d_j = h (first - 2j) (mod q+1) whatever
+    delta, u d_j is 1 (mod q-1) and h (first - 2j) (mod q+1); for p = 2
+    the class therefore depends on the family, h and t, and not on delta.
+    The paper's formulas are not used."""
+    q, n = vspec.q, vspec.length
+    u = next(u for u in range(1, n, q + 1) if (u * vspec.delta - 1) % (q - 1) == 0)
+    return vspec.e, vspec.t, tuple(sorted(u * d % n for d in vspec.exponents))
 
 
 # -- tuple counting and power moments --------------------------------------

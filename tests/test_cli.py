@@ -142,7 +142,7 @@ def test_verify_all_checks_example1(capsys):
 
 def test_cached_parser_gives_what_a_fresh_parser_gives(capsys, monkeypatch):
     """main parses with one parser per process; a parse that argparse
-    rejects (exit 2) leaves it as it was for the next call."""
+    rejects (exit 1) leaves it as it was for the next call."""
     assert cli.make_parser() is cli.make_parser()
     argvs = [["analyze", *TINY_FLAGS, "--json"],
              ["analyze", *TINY_FLAGS, "--t", "one"],
@@ -162,9 +162,35 @@ def test_cached_parser_gives_what_a_fresh_parser_gives(capsys, monkeypatch):
     cached = run_all()
     monkeypatch.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
     fresh = run_all()
-    assert [code for code, _, _ in cached] == [0, 2, 0]
+    assert [code for code, _, _ in cached] == [0, 1, 0]
     assert "invalid int value" in cached[1][2]
     assert cached == fresh
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", *TINY_FLAGS, "--t", "one"],
+     "niho analyze: error: argument --t: invalid int value: 'one'"),
+    (["verify", *TINY_FLAGS, "--checks", "some"], "niho verify: error: argument --checks"),
+    (["analyze", *TINY_FLAGS, "--extra"], "niho: error: unrecognized arguments: --extra"),
+    (["bogus"], "niho: error: argument command: invalid choice: 'bogus'"),
+    ([], "niho: error: the following arguments are required: command"),
+], ids=["bad-int", "bad-choice", "unrecognized", "bad-command", "no-command"])
+def test_argparse_errors_return_1_with_usage(capsys, argv, message):
+    """A command line argparse rejects, at the top or in a subcommand, is an
+    invalid parameter like any other: exit 1, argparse's usage and message
+    on stderr, nothing on stdout."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: niho")
+    assert message in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "-h"])
+    assert exc.value.code == 0
+    assert "--verify-small" in capsys.readouterr().out
 
 
 def test_verify_distribution_slow_path(capsys):
@@ -279,14 +305,19 @@ def test_verify_moments_budget_refusal_prints_no_row(capsys):
 
 @pytest.mark.parametrize("spec", [CodeSpec("f1", 2, 4, 2, 1, 2), CodeSpec("f2", 3, 2, 3, 1, 3)])
 def test_weight_samples_match_list_domains(monkeypatch, spec):
-    """The weight check draws from array domains the tuples the same
-    generator draws from the domains written as Python lists, as ints."""
+    """The weight check's index draws, gathered per slot, give the tuples
+    that random.choice draws from the domains, as ints: from the domains
+    written as Python lists, and from the oracle's arrays themselves."""
     vs = validate_spec(spec)
     ctx = build_field(vs.p, 2 * vs.m)
     full = [0] + ctx.exp.tolist()
     domains = ([ctx.subfield_elements(vs.m)] if vs.family == "f1" else []) + [full] * vs.t
     rng = random.Random(0)
     draws = [tuple(rng.choice(d) for d in domains) for _ in range(cli.WEIGHT_SAMPLES)]
+    rng = random.Random(0)
+    arrays = oracle.coefficient_domains(vs, ctx)
+    assert draws == [tuple(int(rng.choice(d)) for d in arrays)
+                     for _ in range(cli.WEIGHT_SAMPLES)]
     seen = []
     real = cli.codeword_weights
     monkeypatch.setattr(cli, "codeword_weights",
@@ -338,6 +369,21 @@ def test_nr_brute_compares_only_moment_rows(capsys):
     assert [row.split()[-1] for row in rows[:4]] == ["ok"] * 4
     assert [row.split(maxsplit=2)[-1] for row in rows[4:]] == [
         "1005  -", "11100  -", "182715  -"]
+
+
+@pytest.mark.parametrize("limit, code, message", [
+    ("-1", 1, "environment variable NIHO_TABLE_LIMIT must be >= 0, got -1\n"),
+    ("8", 3, "table limit refusal: field order 16 exceeds table limit 8\n"),
+])
+def test_nr_brute_refusal_prints_no_header(capsys, monkeypatch, limit, code, message):
+    """The table limit is read and the field built before the first line,
+    so a refusal leaves stdout empty."""
+    monkeypatch.setenv("NIHO_TABLE_LIMIT", limit)
+    assert main(["nr", "--p", "2", "--m", "2", "--e", "1", "--rmax", "2",
+                 "--brute", *TINY_FLAGS]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_nr_non_prime_p_exits_1(capsys):
@@ -555,6 +601,58 @@ def test_sweep_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.err.count("MISMATCH") == 4
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["status"] for r in records] == ["mismatch"] * 4
+
+
+# q = 8, every delta: for p = 2 a multiplier class depends on h and t but not
+# on delta, and at t = 0 not on h either while e is kept, so the 48 records
+# (h = 3 has e = 3 and t <= 1) fall into 7 classes
+SWEEP_SHARED = ["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:3",
+                "--delta-range", "1:6", "--t-range", "0:2", "--verify-small", "10000000"]
+
+
+def _records(path):
+    return [{k: v for k, v in json.loads(line).items() if k != "elapsed_s"}
+            for line in path.read_text().splitlines()]
+
+
+def test_sweep_verifies_each_multiplier_class_once(tmp_path, monkeypatch):
+    """One brute sweep per multiplier class, and the catalog a sweep per
+    spec writes, elapsed_s aside."""
+    calls, real = [], cli.brute_distribution
+    monkeypatch.setattr(cli, "brute_distribution",
+                        lambda vspec, **kwargs: calls.append(vspec) or real(vspec, **kwargs))
+    shared = tmp_path / "shared.jsonl"
+    assert main([*SWEEP_SHARED, "--out", str(shared)]) == 0
+    records = _records(shared)
+    classes = {oracle.multiplier_class(validate_spec(CodeSpec(**r["report"]["spec"])))
+               for r in records}
+    assert (len(records), len(classes)) == (48, 7)
+    assert sorted(map(oracle.multiplier_class, calls)) == sorted(classes)
+    assert all(r["status"] == "oracle-verified" for r in records)
+
+    calls.clear()
+    monkeypatch.setattr(cli, "multiplier_class", lambda vspec: vspec.key)
+    per_spec = tmp_path / "per-spec.jsonl"
+    assert main([*SWEEP_SHARED, "--out", str(per_spec)]) == 0
+    assert len(calls) == 48
+    assert _records(per_spec) == records
+
+
+def test_sweep_shared_class_mismatch_marks_every_member(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def wrong_distribution(vspec, **kwargs):
+        calls.append(vspec.key)
+        return dataclasses.replace(weight_distribution(vspec), entries=())
+
+    monkeypatch.setattr(cli, "brute_distribution", wrong_distribution)
+    out = tmp_path / "catalog.jsonl"
+    assert main([*SWEEP_SHARED, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"catalog {out}: 48 written, 6 inadmissible skipped"]
+    assert len(calls) == 7
+    assert captured.err.count("MISMATCH") == 48
+    assert [r["status"] for r in _records(out)] == ["mismatch"] * 48
 
 
 def _corrupt_one(real, index, delta, seen):

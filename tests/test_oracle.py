@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nihocodes import oracle
-from nihocodes.codespec import CodeSpec, validate_spec
+from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec
 from nihocodes.galois import (
     FieldContext,
     adder,
@@ -495,6 +495,70 @@ def test_charges_are_the_plain_enumeration_costs(key):
             n_r_brute(vs, r, ctx=ctx, budget=count - 1)
         assert (exc.value.required, exc.value.budget) == (count, count - 1)
         assert n_r_brute(vs, r, ctx=ctx, budget=count) == n_r_unreduced(vs, r, ctx)
+
+
+def multiplier_classes():
+    """Every admissible spec at q = 4, 8 and 9, both families, h up to q+1,
+    delta below 2q and t <= 2, grouped by (family, p, m, multiplier
+    class): 649 specs in 65 classes, every class with two members or more."""
+    classes = {}
+    for p, m in ((2, 2), (2, 3), (3, 2)):
+        q = p**m
+        for family, h, delta, t in itertools.product(
+                ("f1", "f2") if p == 2 else ("f2",), range(1, q + 2), range(1, 2 * q), range(3)):
+            try:
+                vs = validate_spec(CodeSpec(family, p, m, h, delta, t))
+            except SpecValidationError:
+                continue
+            classes.setdefault((family, p, m, oracle.multiplier_class(vs)), []).append(vs)
+    return list(classes.values())
+
+
+def test_multiplier_classes_carry_codewords_onto_each_other():
+    """Within a class, some unit v of Z_n (found by search, not from the
+    class's own u) maps the first member's exponents onto each other
+    member's; giving the member's slot of exponent v d the first member's
+    coefficient at d, the member's symbol at i is the first member's symbol
+    at v i, by the scalar reference, on sampled tuples."""
+    rng = random.Random(21)
+    classes = multiplier_classes()
+    assert sum(map(len, classes)) == 649 and len(classes) == 65
+    assert all(len(members) > 1 for members in classes)
+    for first, *rest in classes:
+        n = first.length
+        ctx = field(first.p, 2 * first.m)
+        domains = coefficient_domains(first, ctx)
+        for vs in rest:
+            v = next(v for v in range(1, n) if math.gcd(v, n) == 1
+                     and sorted(v * d % n for d in first.exponents) == sorted(vs.exponents))
+            slot_of = [vs.exponents.index(v * d % n) for d in first.exponents]
+            for _ in range(2):
+                a = [int(rng.choice(domain)) for domain in domains]
+                b = [0] * len(a)
+                for j, c in zip(slot_of, a):
+                    b[j] = c
+                assert [symbol_at(vs, b, ctx, i) for i in range(n)] == [
+                    symbol_at(first, a, ctx, v * i % n) for i in range(n)], (first.key, vs.key)
+
+
+def test_brute_distribution_agrees_within_each_multiplier_class():
+    for first, *rest in multiplier_classes():
+        ctx = field(first.p, 2 * first.m)
+        expected = brute_distribution(first, ctx=ctx)
+        assert all(brute_distribution(vs, ctx=ctx) == expected for vs in rest), first.key
+
+
+def test_multiplier_class_joins_deltas_and_keeps_e_and_t():
+    """For p = 2 the class does not depend on delta; the specs it joins have
+    equal e, t, coset sizes and charge."""
+    keys = {oracle.multiplier_class(spec_of(f"f1:2:3:1:{delta}:2")) for delta in range(1, 7)}
+    assert len(keys) == 1
+    [(e, t, exponents)] = keys
+    assert (e, t, len(exponents)) == (1, 2, 3)
+    assert oracle.multiplier_class(spec_of("f1:2:3:1:1:1")) not in keys
+    for members in multiplier_classes():
+        assert len({(vs.e, vs.t, vs.coset_sizes, vs.codeword_count * vs.length)
+                    for vs in members}) == 1
 
 
 def test_n_r_brute_golden(tiny_f1_spec, tiny_f2_spec):

@@ -59,8 +59,10 @@ def test_bench_sweep_writes_counts_and_rates(tmp_path):
     result = json.loads(out.read_text())
     first, second = result["trees"]["first"], result["trees"]["second"]
     assert first["ops"] == 11 and first["records"] == 254
-    # one round of seed 1 holds 42 distinct (e, t) pairs across its 11 sweeps
+    # one round of seed 1 holds 42 distinct (e, t) pairs across its 11 sweeps,
+    # and its 106 oracle-verified records fall into 24 multiplier classes
     assert first["weight_distribution_calls"] == 42
+    assert first["brute_distribution_calls"] == 24
     assert len(first["ops_per_s"]) == 2 and len(second["ops_per_s"]) == 1
     assert all(rate > 0 for rate in first["ops_per_s"])
     assert result["identical_catalogs"]
