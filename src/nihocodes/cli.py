@@ -33,16 +33,22 @@ import random
 import sys
 import time
 
-from .codespec import CodeSpec, SpecValidationError, ValidatedSpec, validate_spec
-from .galois import DEFAULT_TABLE_LIMIT, TableLimitExceeded, build_field, is_prime
+from .codespec import (
+    CodeSpec,
+    SpecValidationError,
+    ValidatedSpec,
+    validate_field,
+    validate_spec,
+)
+from .galois import DEFAULT_TABLE_LIMIT, TableLimitExceeded, build_field
 from .moments import n_r
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     brute_distribution,
-    char_sums,
-    codeword_weights,
     coefficient_domains,
+    column_char_sums,
+    column_weights,
     multiplier_class,
     n_r_brute,
     power_moment_check,
@@ -241,7 +247,8 @@ def cmd_analyze(args) -> int:
 def _check_weights(vspec, ctx):
     """Spot-check path equivalence on a deterministic pseudo-random sample
     of coefficient tuples, and containment in the predicted weight set.
-    Each path evaluates the whole sample in one batch."""
+    Each path evaluates the whole sample in one batch, slot by slot."""
+    import numpy as np
     rng = random.Random(0)
     domains = coefficient_domains(vspec, ctx)
     predicted = set(theoretical_weights(vspec.p, vspec.q, vspec.e, vspec.moment_size))
@@ -249,16 +256,16 @@ def _check_weights(vspec, ctx):
     # draws, gathered once per slot
     draws = [[rng.randrange(len(domain)) for domain in domains]
              for _ in range(WEIGHT_SAMPLES)]
-    columns = [domain[list(index)].tolist() for domain, index in zip(domains, zip(*draws))]
-    samples = [a for a in zip(*columns) if any(a)]
+    columns = np.stack([domain[list(index)] for domain, index in zip(domains, zip(*draws))])
+    columns = columns[:, columns.any(axis=0)]  # the zero tuple has no weight to check
     failures = []
-    for a, w_direct, s in zip(samples, codeword_weights(vspec, samples, ctx),
-                              char_sums(vspec, samples, ctx)):
+    for a, w_direct, s in zip(columns.T.tolist(), column_weights(vspec, columns, ctx),
+                              column_char_sums(vspec, columns, ctx)):
         w_roots = weight_from_char_sum(vspec, s)
         if w_direct != w_roots:
-            failures.append(f"tuple {a}: positionwise {w_direct} != root path {w_roots}")
+            failures.append(f"tuple {tuple(a)}: positionwise {w_direct} != root path {w_roots}")
         elif w_direct not in predicted:
-            failures.append(f"tuple {a}: weight {w_direct} outside predicted set")
+            failures.append(f"tuple {tuple(a)}: weight {w_direct} outside predicted set")
     return failures
 
 
@@ -312,18 +319,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nr(args) -> int:
-    if not is_prime(args.p):
-        print(f"p must be prime, got {args.p}", file=sys.stderr)
-        return EXIT_INVALID
-    if args.m < 1:
-        print(f"m must be >= 1, got {args.m}", file=sys.stderr)
-        return EXIT_INVALID
-    if args.rmax < 0:
-        print(f"rmax must be >= 0, got {args.rmax}", file=sys.stderr)
-        return EXIT_INVALID
-    q = args.p**args.m
-    if args.e < 1 or (q + 1) % args.e:
-        print(f"e = {args.e} does not divide q+1 = {q + 1}", file=sys.stderr)
+    # validate_field and n_r own their checks' messages; nr prints them bare
+    try:
+        validate_field(args.p, args.m)
+        if args.rmax < 0:
+            raise UsageError(f"rmax must be >= 0, got {args.rmax}")
+        q = args.p**args.m
+        n_r(0, q, args.e)  # refuses an e that does not divide q+1
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_INVALID
     budget = _resolve_budget(args)
     vspec = None
@@ -421,13 +425,14 @@ def cmd_sweep(args) -> int:
                 out_fh.write("\n")  # keep the next record off the fragment's line
             for h, delta, t in grid:
                 spec = CodeSpec(args.family, args.p, args.m, h, delta, t)
-                if spec.key in existing:
-                    log.debug("skip %s: already in catalog", spec.key)
+                key = spec.key
+                if key in existing:
+                    log.debug("skip %s: already in catalog", key)
                     continue
                 try:
                     vspec = validate_spec(spec)
                 except SpecValidationError as exc:
-                    log.debug("skip %s: %s (%s)", spec.key, exc, exc.code)
+                    log.debug("skip %s: %s (%s)", key, exc, exc.code)
                     skipped += 1
                     continue
                 started = time.perf_counter()
@@ -439,26 +444,26 @@ def cmd_sweep(args) -> int:
                 if args.verify_small is not None:
                     cost = vspec.codeword_count * vspec.length
                     if cost <= args.verify_small:
-                        key = multiplier_class(vspec)
-                        brute = swept.get(key)
+                        cls = multiplier_class(vspec)
+                        brute = swept.get(cls)
                         if brute is None:
                             if ctx is None:
                                 ctx = build_field(vspec.p, 2 * vspec.m, table_limit=table_limit)
-                            brute = swept[key] = brute_distribution(vspec, ctx=ctx,
+                            brute = swept[cls] = brute_distribution(vspec, ctx=ctx,
                                                                     budget=budget)
                         status = "oracle-verified" if brute == dist else "mismatch"
                 record = {
-                    "key": spec.key,
+                    "key": key,
                     "status": status,
                     "elapsed_s": round(time.perf_counter() - started, 6),
                     "report": build_report(vspec, solution).to_json_dict(),
                 }
                 out_fh.write(json.dumps(record, sort_keys=True) + "\n")
                 out_fh.flush()
-                existing.add(spec.key)
+                existing.add(key)
                 written += 1
                 if status == "mismatch":
-                    print(f"MISMATCH {spec.key}: brute {brute.entries} != solver {dist.entries}",
+                    print(f"MISMATCH {key}: brute {brute.entries} != solver {dist.entries}",
                           file=sys.stderr)
                     code = EXIT_MISMATCH
     finally:

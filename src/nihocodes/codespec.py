@@ -123,6 +123,15 @@ def _conjugates(s: int, delta: int, q: int) -> frozenset[int]:
     return frozenset((s % (q + 1), (delta - s) % (q + 1)))
 
 
+def validate_field(p: int, m: int) -> None:
+    """Check the constraints on q = p^m alone: p prime and m >= 1.  Raises
+    SpecValidationError, as validate_spec does."""
+    if not is_prime(p):
+        raise SpecValidationError("p_not_prime", f"p must be prime, got {p}")
+    if m < 1:
+        raise SpecValidationError("bad_m", f"m must be >= 1, got {m}")
+
+
 def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     """Check every parameter constraint and derive the validated spec.
 
@@ -146,10 +155,7 @@ def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     """
     if raw.family not in FAMILIES:
         raise SpecValidationError("bad_family", f"family must be one of {FAMILIES}, got {raw.family!r}")
-    if not is_prime(raw.p):
-        raise SpecValidationError("p_not_prime", f"p must be prime, got {raw.p}")
-    if raw.m < 1:
-        raise SpecValidationError("bad_m", f"m must be >= 1, got {raw.m}")
+    validate_field(raw.p, raw.m)
     if raw.h < 1:
         raise SpecValidationError("bad_h", f"h must be >= 1, got {raw.h}")
     if raw.delta < 1:

@@ -21,13 +21,16 @@ position) and coefficient of the slot's domain.  A tuple's entry is the sum
 of its slots under the (add, neg) pair of galois.adder, for GF(q^2) or
 GF(p); zero packs to 0, so roots and zero symbols are counted without
 unpacking, and domains, validation and log lookups stay on base-p codes.
-The batch evaluators codeword_weights and char_sums give slot s the s-th
-coefficients of a list of tuples as its domain, so column i of every table
-is tuple i, in chunks of at most _BATCH_ENTRIES entries per slot;
-codeword_weight and char_sum are batches of one.  Full-space sweeps hand
-their tables to one engine, _zero_count_histogram, which histograms how
-many entries vanish, each column of the first table weighted by the number
-of tuples it stands for; brute_distribution maps that count to a weight.
+The batch evaluators column_weights and column_char_sums take the
+coefficients slot by slot, one column per slot, and give slot s its column
+as its domain, so column i of every table is tuple i, in chunks of at most
+_BATCH_ENTRIES entries per slot; they trust the coefficients, as the CLI's
+weight check draws them from the domains.  codeword_weights and char_sums
+validate a list of tuples and hand over its columns; codeword_weight and
+char_sum are batches of one.  Full-space sweeps hand their tables to one
+engine, _zero_count_histogram, which histograms how many entries vanish,
+each column of the first table weighted by the number of tuples it stands
+for; brute_distribution maps that count to a weight.
 n_r_brute sums packed signatures with the same adder.  The scalar
 references both paths are tested against live in the tests.
 
@@ -88,7 +91,17 @@ element's exponent powers) of x_1 = gamma^i, one i per p-orbit of
 Z_(q+1), each counted (q-1) times its orbit's size, since the cosets of
 GF(q)* are the gamma^i GF(q)*.  It and the floor(r/2) half, grown from the
 zero signature, are histograms convolved with the q^2-1 signatures one
-coordinate at a time, and N_r pairs the half-sums s and -s.
+coordinate at a time, and N_r pairs the half-sums s and -s.  A signature is
+packed whole elements to a 64-bit lane, so one lane holds it whenever
+W * 2m * (number of exponents) <= 64, as at every spec of the benchmark's
+verify workload (at most 48 bits), and lanes add by the adder.  Equal
+sums merge by one sort of the rows, cut where the row changes, and the
+halves pair as the equal neighbours of one sort of A and -B.  The halves
+of the last spec are kept, so the calls for r = 1..4 that verify makes
+share the signatures and every level grown.  The floor(r/2) half stays
+unreduced: keyed by GF(q)*-orbits too, it measured 1.5-2 times slower at
+r <= 3 for q = 8 and 9 and won only at q = 16 with r = 4, which the
+benchmark refuses by budget.
 
 power_moment_check aggregates a swept distribution into the one power
 moment identity of both families, sum over all tuples of
@@ -121,11 +134,11 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING
 
 from .codespec import ValidatedSpec
-from .galois import FieldContext, adder, build_field, digit_bits, unpack
+from .galois import FieldContext, adder, build_field, digit_bits, packed_dtype, unpack
 from .moments import n_r
 from .solver import WeightDistribution, theoretical_weights, weight_for_index
 
@@ -198,36 +211,36 @@ def validate_tuple(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) 
 
 # -- batch paths -------------------------------------------------------------
 
-def _columns(vspec: ValidatedSpec, tuples: list[tuple[int, ...]], ctx: FieldContext,
-             rows: int):
-    """Validate every tuple, then yield them in chunks of at most
-    _BATCH_ENTRIES // rows tuples, each chunk as per-slot domains: slot s
-    holds the chunk's s-th coefficients, in input order."""
-    for a in tuples:
-        validate_tuple(vspec, a, ctx)
+def _chunks(columns, rows: int):
+    """The per-slot coefficient columns, all of one length, in chunks of at
+    most _BATCH_ENTRIES // rows tuples, each chunk as per-slot domains:
+    slot s holds the chunk's part of columns[s], in input order."""
     size = max(1, _BATCH_ENTRIES // rows)
-    for start in range(0, len(tuples), size):
-        yield dict(enumerate(zip(*tuples[start:start + size])))
+    for start in range(0, len(columns[0]), size):
+        yield {slot: column[start:start + size] for slot, column in enumerate(columns)}
 
 
-def codeword_weights(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
-                     ctx: FieldContext) -> list[int]:
+def column_weights(vspec: ValidatedSpec, columns, ctx: FieldContext) -> list[int]:
     """Hamming weights by direct positionwise evaluation of the defining
-    trace expression, in input order; independent of the root-counting
-    shortcut.  Column i of the slot tables is tuple i, so the symbols are
-    the slot tables summed elementwise."""
+    trace expression, independent of the root-counting shortcut, of the
+    tuples whose s-th coefficients are columns[s], in column order.  The
+    coefficients must lie in their slots' domains, as draws from
+    coefficient_domains do; nothing is validated.  Column i of the slot
+    tables is tuple i, so the symbols are the slot tables summed
+    elementwise."""
     import numpy as np
     add, _ = adder(vspec.p, 1)
     weights = []
-    for domains in _columns(vspec, tuples, ctx, vspec.length):
+    for domains in _chunks(columns, vspec.length):
         symbols = reduce(add, _symbol_tables(vspec, ctx, domains))
         weights += np.count_nonzero(symbols, axis=0).tolist()
     return weights
 
 
-def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
-              ctx: FieldContext) -> list[int]:
-    """Character sums via root counting over W, in input order.
+def column_char_sums(vspec: ValidatedSpec, columns, ctx: FieldContext) -> list[int]:
+    """Character sums via root counting over W of the tuples whose s-th
+    coefficients are columns[s], in column order, unvalidated as in
+    column_weights.
 
     Evaluates each tuple's coefficient polynomial at every point of W; each
     root accounts for e unit-circle solutions, giving N = e * roots and the
@@ -238,11 +251,31 @@ def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
     scale = (vspec.p - 1) * vspec.q
     add, _ = adder(ctx.p, ctx.degree)
     sums = []
-    for domains in _columns(vspec, tuples, ctx, (vspec.q + 1) // vspec.e):
+    for domains in _chunks(columns, (vspec.q + 1) // vspec.e):
         values = reduce(add, _root_tables(vspec, ctx, domains))
         sums += [scale * (vspec.e * roots - 1)
                  for roots in np.count_nonzero(values == 0, axis=0).tolist()]
     return sums
+
+
+def _slot_columns(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
+                  ctx: FieldContext) -> list[tuple[int, ...]]:
+    """Validate every tuple, then return their coefficients slot by slot."""
+    for a in tuples:
+        validate_tuple(vspec, a, ctx)
+    return list(zip(*tuples)) or [()] * len(vspec.exponents)
+
+
+def codeword_weights(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
+                     ctx: FieldContext) -> list[int]:
+    """column_weights of a list of tuples, each validated first, in input order."""
+    return column_weights(vspec, _slot_columns(vspec, tuples, ctx), ctx)
+
+
+def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
+              ctx: FieldContext) -> list[int]:
+    """column_char_sums of a list of tuples, each validated first, in input order."""
+    return column_char_sums(vspec, _slot_columns(vspec, tuples, ctx), ctx)
 
 
 def codeword_weight(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
@@ -534,39 +567,94 @@ def multiplier_class(vspec: ValidatedSpec) -> tuple[int, int, tuple[int, ...]]:
 
 # -- tuple counting and power moments --------------------------------------
 
-def _row_ids(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of the rows of a (R, k) array of unsigned entries below
-    `base` (packed elements below 2^(W k) in n_r_brute), equal rows sharing
-    an id, and the index of each id's first row.
-
-    The columns are combined base `base` into one int64 key; when the next
-    column would not fit, the key built so far is first replaced by its
-    rank, which is below R, and if it still would not, so is the column.
-    """
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of keys, an (R, L) array of packed
+    lanes, and for each pair of neighbours in that order whether their rows
+    differ.  One lane sorts by argsort: lexsort, which more lanes need, took
+    4-5 times as long on one uint64 key of 4,000 to 65,000 rows."""
     import numpy as np
-    ids = np.zeros(len(rows), dtype=np.int64)
-    bound = 1
-    for col in rows.T:
-        width = base
-        if bound * width > 1 << 63:
-            _, ids = np.unique(ids, return_inverse=True)
-            bound = len(rows)
-        if bound * width > 1 << 63:
-            _, col = np.unique(col, return_inverse=True)
-            width = len(rows)
-        ids = ids * width + col.astype(np.int64)
-        bound *= width
-    _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
-    return ids, first
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    return order, (ranked[1:] != ranked[:-1]).any(axis=1)
 
 
-def _merge_rows(keys: np.ndarray, counts: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of keys, each with the sum of its rows' counts."""
+def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of keys, ascending, each with the sum of its rows'
+    counts (int64 or Python ints): one sort, cut where the row changes."""
     import numpy as np
-    ids, first = _row_ids(keys, base)
-    merged = np.zeros(len(first), dtype=counts.dtype)
-    np.add.at(merged, ids, counts)
-    return keys[first], merged
+    order, differs = _runs(keys)
+    starts = np.flatnonzero(np.concatenate(([True], differs)))
+    return keys[order[starts]], np.add.reduceat(counts[order], starts)
+
+
+def _pair(keys_a: np.ndarray, counts_a: np.ndarray,
+          keys_b: np.ndarray, counts_b: np.ndarray) -> int:
+    """sum over rows s of A[s] B[s], the rows of keys_a distinct and those
+    of keys_b too, in Python ints: sorted together, an equal row of A and
+    one of B are neighbours."""
+    import numpy as np
+    order, differs = _runs(np.concatenate([keys_a, keys_b]))
+    same = np.flatnonzero(~differs)
+    left, right = order[same], order[same + 1]
+    a, b = np.minimum(left, right), np.maximum(left, right) - len(keys_a)
+    return sum(map(operator.mul, counts_a[a].tolist(), counts_b[b].tolist()))
+
+
+class _HalfSums:
+    """The histograms of packed signature sums of one spec, grown on demand.
+
+    An element's signature, the vector of its exponent powers, is packed
+    whole elements to a lane: as many W*degree-bit packed elements as 64
+    bits hold, the first in the low bits, in the smallest unsigned dtype
+    that holds them.  Every spec of the benchmark fits one lane.  The adder
+    of galois on degree*(elements per lane) digits adds lanes digit by
+    digit, and is XOR for p = 2.  half(k, reduced) is the histogram of
+    the sums of k signatures; reduced, the first of them is one gamma^i
+    per p-orbit of i in Z_(q+1), standing for its orbit's cosets of GF(q)*
+    (see the module doc).  Each level is grown from the one below by one
+    add of every signature, then merged.  The counts of k signatures add
+    up to n^k, so they are int64 while n^k fits and Python ints beyond."""
+
+    def __init__(self, vspec: ValidatedSpec, ctx: FieldContext):
+        import numpy as np
+        n, width = vspec.length, len(vspec.exponents)
+        bits = digit_bits(ctx.p) * ctx.degree
+        per_lane = min(64 // bits, width)
+        dtype = packed_dtype(ctx.p, ctx.degree * per_lane)
+        self.add, self.neg = adder(ctx.p, ctx.degree * per_lane)
+        self.n = n
+        powers = np.arange(n, dtype=np.int64)
+        lanes = np.zeros((n, -(-width // per_lane)), dtype=dtype)
+        for slot, d in enumerate(vspec.exponents):
+            lane, place = divmod(slot, per_lane)
+            lanes[:, lane] |= ctx.packed_exp[d * powers % n].astype(dtype) << bits * place
+        self.one = _merge(lanes, np.ones(n, dtype=np.int64))
+        reps = _cycles(ctx.p, 0, vspec.q + 1)
+        first = _merge(lanes[[i for i, _ in reps]],
+                       np.array([(vspec.q - 1) * size for _, size in reps], dtype=np.int64))
+        # levels[k] sums k signatures; the reduced half has no level 0
+        self.levels = {True: [None, first],
+                       False: [(np.zeros((1, lanes.shape[1]), dtype=dtype),
+                                np.ones(1, dtype=np.int64))]}
+
+    def half(self, size: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
+        levels = self.levels[reduced]
+        one_keys, one_counts = self.one
+        while len(levels) <= size:
+            keys, counts = levels[-1]
+            if self.n ** len(levels) >= 1 << 63:
+                counts = counts.astype(object)
+            sums = self.add(keys[:, None, :], one_keys[None, :, :])
+            levels.append(_merge(sums.reshape(-1, keys.shape[1]),
+                                 (counts[:, None] * one_counts).reshape(-1)))
+        return levels[size]
+
+
+@lru_cache(maxsize=1)
+def _half_sums(vspec: ValidatedSpec, ctx: FieldContext) -> _HalfSums:
+    """The last spec's half sums, so that n_r_brute's calls for r = 1, 2, ..
+    share its signatures and the levels grown so far."""
+    return _HalfSums(vspec, ctx)
 
 
 def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
@@ -574,56 +662,22 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     """Number of r-tuples of nonzero GF(q^2) elements that satisfy every
     defining power-sum equation, by meet in the middle.
 
-    An element's signature is the vector of its exponent powers, packed.  A
-    histogram is convolved with the n = q^2-1 signatures one coordinate at
-    a time, equal sums merged after each step, into the histograms A and B
-    of signature sums over ceil(r/2)- and floor(r/2)-tuples;
-    N_r = sum_s A[s] B[-s].  A starts from one x_1 per orbit of GF(q)*
-    scaling and Frobenius, at most q+1 of them (see the module doc), so it
-    takes O((q+1) n^(ceil(r/2)-1)) work and B O(n^floor(r/2)).
-    The counts of an h-fold sum add up to n^h, so they are int64 while
-    n^ceil(r/2) fits and Python ints beyond; the final sum is taken in
-    Python ints.  Charged (q^2-1)^r against the budget.
+    With A the histogram of the sums of ceil(r/2) signatures, the first
+    reduced to one per orbit of GF(q)* scaling and Frobenius, and B that of
+    floor(r/2) signatures, N_r = sum_s A[s] B[-s] (see _HalfSums).  A takes
+    O((q+1) n^(ceil(r/2)-1)) work and B O(n^floor(r/2)), n = q^2-1, and the
+    levels built for one r serve the next r of the same spec.  The final
+    sum is taken in Python ints.  Charged (q^2-1)^r against the budget.
     """
-    import numpy as np
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    n = vspec.length
-    required = n**r
+    required = vspec.length**r
     if required > budget:
         raise BudgetExceeded(required, budget)
-    ctx = _context_for(vspec, ctx)
-    add, neg = adder(ctx.p, ctx.degree)
-    base = 1 << digit_bits(ctx.p) * ctx.degree
-
-    powers = np.arange(n, dtype=np.int64)
-    sigs = np.stack([ctx.packed_exp[d * powers % n] for d in vspec.exponents], axis=1)
-    width = sigs.shape[1]
-    count_dtype = np.int64 if n ** ((r + 1) // 2) < 1 << 63 else object
-    one_keys, one_counts = _merge_rows(sigs, np.ones(n, dtype=count_dtype), base)
-
-    def plus_one(keys, counts):
-        """The histogram of the sums with one more signature."""
-        sums = add(keys[:, None, :], one_keys[None, :, :])
-        return _merge_rows(sums.reshape(-1, width), (counts[:, None] * one_counts).reshape(-1),
-                           base)
-
-    # x_1 runs over one gamma^i per p-orbit of i in Z_(q+1), standing for
-    # its orbit's cosets of GF(q)*
-    reps = _cycles(ctx.p, 0, vspec.q + 1)
-    high = (sigs[[i for i, _ in reps]],
-            np.array([(vspec.q - 1) * size for _, size in reps], dtype=count_dtype))
-    for _ in range((r - 1) // 2):
-        high = plus_one(*high)
-    low = (np.zeros((1, width), dtype=sigs.dtype), np.ones(1, dtype=count_dtype))
-    for _ in range(r // 2):
-        low = plus_one(*low)
-    keys_a, counts_a = high
-    keys_b, counts_b = low
-    ids, _ = _row_ids(np.concatenate([keys_a, neg(keys_b)]), base)
-    counts_by_id = np.zeros(len(ids), dtype=count_dtype)
-    counts_by_id[ids[len(keys_a):]] = counts_b
-    return sum(map(operator.mul, counts_a.tolist(), counts_by_id[ids[:len(keys_a)]].tolist()))
+    sums = _half_sums(vspec, _context_for(vspec, ctx))
+    keys_a, counts_a = sums.half((r + 1) // 2, reduced=True)
+    keys_b, counts_b = sums.half(r // 2, reduced=False)
+    return _pair(keys_a, counts_a, sums.neg(keys_b), counts_b)
 
 
 @dataclass(frozen=True)

@@ -319,11 +319,12 @@ def test_weight_samples_match_list_domains(monkeypatch, spec):
     assert draws == [tuple(int(rng.choice(d)) for d in arrays)
                      for _ in range(cli.WEIGHT_SAMPLES)]
     seen = []
-    real = cli.codeword_weights
-    monkeypatch.setattr(cli, "codeword_weights",
-                        lambda vspec, tuples, ctx: seen.append(tuples) or real(vspec, tuples, ctx))
+    real = cli.column_weights
+    monkeypatch.setattr(cli, "column_weights",
+                        lambda vspec, columns, ctx: seen.append(columns) or real(vspec, columns, ctx))
     assert cli._check_weights(vs, ctx) == []
-    [samples] = seen
+    [columns] = seen
+    samples = [_tuple_at(columns, i) for i in range(len(columns[0]))]
     assert samples == [a for a in draws if any(a)]
     assert all(type(c) is int for a in samples for c in a)
 
@@ -656,14 +657,19 @@ def test_sweep_shared_class_mismatch_marks_every_member(tmp_path, capsys, monkey
 
 
 def _corrupt_one(real, index, delta, seen):
-    """real, with entry index of its result moved by delta; the batch it
-    was handed is recorded in seen."""
-    def corrupted(vspec, tuples, ctx):
-        seen.append(list(tuples))
-        out = real(vspec, tuples, ctx)
+    """real, with entry index of its result moved by delta; the per-slot
+    columns it was handed are recorded in seen."""
+    def corrupted(vspec, columns, ctx):
+        seen.append(columns)
+        out = real(vspec, columns, ctx)
         out[index] += delta
         return out
     return corrupted
+
+
+def _tuple_at(columns, index):
+    """The index-th tuple of per-slot columns, as Python ints."""
+    return tuple(int(column[index]) for column in columns)
 
 
 def _mismatch_lines(err):
@@ -675,28 +681,28 @@ def _mismatch_lines(err):
 def test_verify_weights_path_disagreement_exits_2(capsys, monkeypatch):
     # a character sum 2 higher is a binary weight 1 lower
     seen = []
-    monkeypatch.setattr(cli, "char_sums", _corrupt_one(cli.char_sums, 5, 2, seen))
+    monkeypatch.setattr(cli, "column_char_sums", _corrupt_one(cli.column_char_sums, 5, 2, seen))
     assert main(["verify", *EXAMPLE1_FLAGS, "--checks", "weights"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "weights: path equivalence and containment FAILED\n"
     [line] = _mismatch_lines(captured.err)
-    [batch] = seen
-    assert line.startswith(f"tuple {batch[5]}: positionwise ")
+    [columns] = seen
+    assert line.startswith(f"tuple {_tuple_at(columns, 5)}: positionwise ")
     assert "root path" in line
 
 
 def test_verify_weights_outside_predicted_set_exits_2(capsys, monkeypatch):
     # both paths agree on a weight 1 off the predicted set, spaced by 8
     seen = []
-    monkeypatch.setattr(cli, "char_sums", _corrupt_one(cli.char_sums, 0, 2, []))
-    monkeypatch.setattr(cli, "codeword_weights",
-                        _corrupt_one(cli.codeword_weights, 0, -1, seen))
+    monkeypatch.setattr(cli, "column_char_sums", _corrupt_one(cli.column_char_sums, 0, 2, []))
+    monkeypatch.setattr(cli, "column_weights",
+                        _corrupt_one(cli.column_weights, 0, -1, seen))
     assert main(["verify", *EXAMPLE1_FLAGS, "--checks", "weights"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "weights: path equivalence and containment FAILED\n"
     [line] = _mismatch_lines(captured.err)
-    [batch] = seen
-    assert line.startswith(f"tuple {batch[0]}: weight ")
+    [columns] = seen
+    assert line.startswith(f"tuple {_tuple_at(columns, 0)}: weight ")
     assert line.endswith(" outside predicted set")
 
 

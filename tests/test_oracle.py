@@ -12,6 +12,7 @@ from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec
 from nihocodes.galois import (
     FieldContext,
     adder,
+    build_field,
     digit_bits,
     packed_dtype,
     packed_range,
@@ -598,26 +599,76 @@ def test_n_r_brute_matches_unreduced_meet_in_the_middle(key, rmax):
         assert got == n_r_unreduced(vs, r, ctx), (key, r)
 
 
-@pytest.mark.parametrize("order", [4, 256, 1 << 20, 1 << 52, 1 << 62])
-def test_row_ids_match_row_equality(order):
-    # twelve columns: at order 256 or more the rows do not fit one int64
-    # key, and rows that differ only in their first column, or only in the
-    # last bit of their last, must not merge; at 2^52 and 2^62 the entries
-    # are uint64 and a key passes float precision, and at 2^62 even one
-    # column beside the rank of the others passes 2^63
-    rng = np.random.default_rng(order)
-    base = rng.integers(0, order, size=(40, 12))
+@pytest.mark.parametrize("order", [4, 256, 1 << 20, 1 << 52, 1 << 62, 1 << 64])
+@pytest.mark.parametrize("lanes", [1, 12])
+def test_merge_and_pair_match_row_equality(order, lanes):
+    """_merge keeps one row per distinct row with the sum of its counts, and
+    _pair multiplies the counts of equal rows only.  Rows that differ only
+    in their first lane, or only in the last bit of their last lane, must
+    stay apart; at 2^64 the lanes use the top bit, and the object counts
+    pass int64."""
+    rng = np.random.default_rng(order + lanes)
+    base = rng.integers(0, order, size=(40, lanes), dtype=np.uint64)
     changed, nearby = base.copy(), base.copy()
-    changed[:, 0] = (changed[:, 0] + rng.integers(1, order, size=40)) % order
-    nearby[:, -1] ^= 1
-    rows = np.concatenate([base, changed, nearby, base[::-1]]).astype(
-        np.min_scalar_type(order - 1))
-    ids, first = oracle._row_ids(rows, order)
-    as_tuples = [tuple(row) for row in rows.tolist()]
-    for i in range(len(rows)):
-        assert as_tuples[first[ids[i]]] == as_tuples[i]
-        for j in range(len(rows)):
-            assert (ids[i] == ids[j]) == (as_tuples[i] == as_tuples[j])
+    changed[:, 0] ^= rng.integers(1, order, size=40, dtype=np.uint64)
+    nearby[:, -1] ^= np.uint64(1)
+    rows = np.concatenate([base, changed, nearby, base[::-1]])
+    for counts in (rng.integers(1, 1 << 20, size=len(rows)),
+                   np.array([(1 << 70) + i for i in range(len(rows))], dtype=object)):
+        expected = Counter()
+        for row, count in zip(map(tuple, rows.tolist()), counts.tolist()):
+            expected[row] += count
+        keys, merged = oracle._merge(rows, counts)
+        as_tuples = list(map(tuple, keys.tolist()))
+        assert as_tuples == sorted(expected)
+        assert dict(zip(as_tuples, merged.tolist())) == expected
+        half = len(keys) // 2
+        other_keys, other_counts = oracle._merge(
+            np.concatenate([keys[half:], nearby]), np.ones(len(keys) - half + 40, dtype=np.int64))
+        other = dict(zip(map(tuple, other_keys.tolist()), other_counts.tolist()))
+        assert oracle._pair(keys, merged, other_keys, other_counts) == sum(
+            c * other.get(k, 0) for k, c in expected.items())
+
+
+@pytest.mark.parametrize("key, rmax", [
+    ("f1:2:5:1:1:6", 2), ("f1:2:5:1:1:8", 2), ("f2:5:2:1:1:5", 2),
+    ("f2:3:3:1:1:4", 2), ("f2:3:3:1:1:6", 2),
+])
+def test_n_r_brute_on_two_lanes_matches_unreduced(key, rmax):
+    """Signatures too wide for one 64-bit lane (f1 q = 32, t = 6 and 8;
+    f2 q = 25, t = 5; f2 q = 27, t = 4 and 6) against the plain meet in the
+    middle, for every r with (q^2-1)^r <= 10^7."""
+    vs = spec_of(key)
+    ctx = field(vs.p, 2 * vs.m)
+    keys, _ = oracle._half_sums(vs, ctx).one
+    assert keys.shape[1] == 2
+    assert vs.length ** rmax <= 10**7 < vs.length ** (rmax + 1)
+    for r in range(1, rmax + 1):
+        assert n_r_brute(vs, r, ctx=ctx, budget=vs.length**r) == n_r_unreduced(vs, r, ctx), r
+
+
+def test_n_r_brute_shared_halves_match_fresh_counts():
+    """The half sums kept between calls never leak from one spec or field
+    to another, and levels built for a large r serve a smaller one: calls
+    that alternate specs (two over GF(64) and two over GF(81), with
+    different e, so their counts differ), pass the field, omit it or
+    rebuild it, and take r = 4 before r = 1, equal counts made with the
+    memo cleared before every call."""
+    a, b = spec_of("f1:2:3:1:1:2"), spec_of("f1:2:3:3:1:1")
+    c, d = spec_of("f2:3:2:1:1:2"), spec_of("f2:3:2:5:1:1")
+    calls = [(a, 4), (a, 1), (b, 4), (a, 2), (c, 4), (c, 1), (d, 4), (a, 3), (b, 2), (c, 2),
+             (d, 3), (b, 3), (d, 2), (c, 3), (a, 4)]
+    fresh = {}
+    for vs, r in calls:
+        oracle._half_sums.cache_clear()
+        fresh[vs, r] = n_r_brute(vs, r)
+    for r in (2, 3, 4):
+        assert fresh[a, r] != fresh[b, r] and fresh[c, r] != fresh[d, r], r
+    oracle._half_sums.cache_clear()
+    fields = {(2, 3): field(2, 6), (3, 2): field(3, 4)}
+    for i, (vs, r) in enumerate(calls):
+        ctx = [fields[vs.p, vs.m], None, build_field(vs.p, 2 * vs.m)][i % 3]
+        assert n_r_brute(vs, r, ctx=ctx) == fresh[vs, r], (vs.key, r)
 
 
 def test_n_r_brute_showcase_n4_under_default_budget(example1_spec, gf256):
