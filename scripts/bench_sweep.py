@@ -7,9 +7,11 @@ moment solves and oracle sweeps.
 Run from the repository root.  The catalog-sweep ops of
 `perfbench/workloads.py` (seed 1, the first --rounds rounds) run through
 `cli.main` with stdout, stderr and the log captured by the harness of
-`transcripts.py`, each into a fresh catalog, --runs times.  Every op must
-exit 0, and every run must write the same catalogs once `elapsed_s` is
-dropped; the script exits 1 otherwise.
+`transcripts.py`, each into a fresh catalog, --runs times.  The default is
+every generated round, 1408 ops, so that one timed run lasts some seconds.
+Every op must exit 0, and every run must write the same catalogs, compared
+as raw lines with only the value of `elapsed_s` masked, so that a change of
+spacing or key order shows; the script exits 1 otherwise.
 The first run also counts the records written and the calls of
 `cli.weight_distribution` and `cli.brute_distribution`.
 
@@ -28,6 +30,7 @@ import json
 import logging
 import os
 import platform
+import re
 import statistics
 import sys
 import tempfile
@@ -43,11 +46,13 @@ from nihocodes import cli  # noqa: E402
 from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec  # noqa: E402
 
 SEED = 1
+ELAPSED = re.compile(rb'"elapsed_s": [^,}]*')
 
 
 def run_ops(argvs, catalog: Path, log: logging.StreamHandler) -> tuple[float, str, int]:
-    """Seconds for all ops, a sha256 over each op's exit code and catalog
-    records without `elapsed_s`, and the number of records written."""
+    """Seconds for all ops, a sha256 over each op's exit code and raw catalog
+    lines with the value of `elapsed_s` masked, and the number of records
+    written."""
     digest, records = hashlib.sha256(), 0
     elapsed = 0.0
     gc.collect()
@@ -58,11 +63,11 @@ def run_ops(argvs, catalog: Path, log: logging.StreamHandler) -> tuple[float, st
         elapsed += time.perf_counter() - started
         if rc != 0:
             raise SystemExit(f"exit {rc} from {' '.join(argv)}:\n{out}{err}")
-        written = transcripts.catalog_records(catalog)
-        records += len(written)
+        lines = catalog.read_bytes().splitlines(keepends=True)
+        records += len(lines)
         digest.update(f"{rc}\n".encode())
-        for record in written:
-            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        for line in lines:
+            digest.update(ELAPSED.sub(b'"elapsed_s": <masked>', line, count=1))
     return elapsed, digest.hexdigest(), records
 
 
@@ -96,11 +101,13 @@ def main() -> None:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, default=Path("BENCH_sweep.json"))
     parser.add_argument("--label", default="change", help="entry of the JSON file to fill")
-    parser.add_argument("--rounds", type=int, default=4, help="catalog-sweep rounds, 11 ops each")
+    rounds = workloads.WORKLOADS["catalog-sweep"].rounds
+    parser.add_argument("--rounds", type=int, default=rounds,
+                        help=f"catalog-sweep rounds, 11 ops each (at most {rounds})")
     parser.add_argument("--runs", type=int, default=3, help="timed loops")
     args = parser.parse_args()
-    if min(args.rounds, args.runs) < 1:
-        parser.error("--rounds and --runs must be positive")
+    if min(args.rounds, args.runs) < 1 or args.rounds > rounds:
+        parser.error(f"--runs must be positive and --rounds in 1..{rounds}")
     result = {"machine": {"python": platform.python_version(),
                           "platform": platform.platform(), "cpus": os.cpu_count()},
               "workload": "catalog-sweep", "seed": SEED, "rounds": args.rounds, "trees": {}}

@@ -34,7 +34,6 @@ from .solver import (
     WeightDistribution,
     b_vector,
     enumerator_string,
-    parse_enumerator,
     theoretical_weights,
     weight_distribution,
 )

@@ -6,6 +6,12 @@ Subcommands:
   nr       tabulate the tuple counts N_r, optionally with a brute column
   sweep    walk parameter ranges and append reports to a JSONL catalog
 
+`analyze --json` and `sweep` write a report through one writer,
+`report_json`: `solve` encodes the fields that depend on (e, t) alone once,
+and a report adds its spec's own fields, in the text and key order of
+json.dumps(report.to_json_dict(), sort_keys=True).  A sweep reuses one
+solution for every record of its (e, t) and flushes each record as written.
+
 Exit codes: 0 success / full agreement, 1 invalid parameters (a command
 line argparse rejects among them) or a reader that closed stdout early
 (as `| head` does), 2 oracle mismatch or a
@@ -137,17 +143,61 @@ class AnalysisReport:
 @dataclasses.dataclass(frozen=True)
 class Solution:
     """The part of a report that depends on (family, p, m, e, t) alone: the
-    certified distribution, the N_r row and the enumerator."""
+    certified distribution, the N_r row and the enumerator, and the report's
+    N_r, weight and zero-frequency fields as JSON text, encoded once for
+    every report of that (e, t)."""
 
     dist: WeightDistribution
     n_values: tuple[int, ...]
     enumerator: str
+    n_values_json: str
+    weights_json: str
+    zero_frequency_weights_json: str
+
+
+def _ints(values) -> str:
+    """A list of ints as json.dumps writes it."""
+    return f"[{', '.join(map(str, values))}]"
 
 
 def solve(vspec: ValidatedSpec) -> Solution:
     dist = weight_distribution(vspec)
-    return Solution(dist, tuple(n_r(i, vspec.q, vspec.e) for i in range(vspec.moment_size)),
-                    enumerator_string(dist))
+    n_values = tuple(n_r(i, vspec.q, vspec.e) for i in range(vspec.moment_size))
+    # one decimal conversion per frequency, shared by the enumerator and the weights
+    decimal = dict(zip(dist.weights_by_j, map(str, dist.freq_by_j)))
+    enumerator = enumerator_string(dist, decimal)
+    weights = ", ".join(f'{{"frequency": "{decimal[w]}", "j": {j}, "weight": {w}}}'
+                        for j, w in enumerate(dist.weights_by_j))
+    n_values_json = ", ".join(f'"{v}"' for v in n_values)
+    return Solution(dist, n_values, enumerator,
+                    n_values_json=f"[{n_values_json}]",
+                    weights_json=f"[{weights}]",
+                    zero_frequency_weights_json=_ints(dist.zero_frequency_weights))
+
+
+def report_json(vspec: ValidatedSpec, solution: Solution) -> str:
+    """The text json.dumps(build_report(vspec, solution).to_json_dict(),
+    sort_keys=True) gives, built from the solution's encoded fields and the
+    spec's own ones, keys in sorted order.  Every string in a report is a
+    validated family name, a decimal or an enumerator, none with a
+    character JSON escapes."""
+    return (f'{{"coset_sizes": {_ints(vspec.coset_sizes)}, "dimension": {vspec.dimension}, '
+            f'"e": {vspec.e}, "enumerator": "{solution.enumerator}", '
+            f'"exponents": {_ints(vspec.exponents)}, "length": {vspec.length}, '
+            f'"n_values": {solution.n_values_json}, "q": {vspec.q}, '
+            f'"s_values": {_ints(vspec.s_values)}, "schema_version": {SCHEMA_VERSION}, '
+            f'"spec": {{"delta": {vspec.delta}, "family": "{vspec.family}", "h": {vspec.h}, '
+            f'"m": {vspec.m}, "p": {vspec.p}, "t": {vspec.t}}}, '
+            f'"weights": {solution.weights_json}, '
+            f'"zero_frequency_weights": {solution.zero_frequency_weights_json}}}')
+
+
+def catalog_line(key: str, status: str, elapsed_s: float, report: str) -> str:
+    """The catalog record json.dumps({"elapsed_s": round(elapsed_s, 6), "key":
+    key, "report": ..., "status": status}, sort_keys=True) gives, with the
+    report already in JSON text (`report_json`)."""
+    return (f'{{"elapsed_s": {round(elapsed_s, 6)!r}, "key": "{key}", '
+            f'"report": {report}, "status": "{status}"}}')
 
 
 def build_report(vspec: ValidatedSpec, solution: Solution) -> AnalysisReport:
@@ -236,11 +286,11 @@ def _spec_from_args(args) -> ValidatedSpec:
 
 def cmd_analyze(args) -> int:
     vspec = _spec_from_args(args)
-    report = build_report(vspec, solve(vspec))
+    solution = solve(vspec)
     if args.json:
-        print(json.dumps(report.to_json_dict(), sort_keys=True))
+        print(report_json(vspec, solution))
     else:
-        _print_report_text(report, sys.stdout)
+        _print_report_text(build_report(vspec, solution), sys.stdout)
     return EXIT_OK
 
 
@@ -452,13 +502,9 @@ def cmd_sweep(args) -> int:
                             brute = swept[cls] = brute_distribution(vspec, ctx=ctx,
                                                                     budget=budget)
                         status = "oracle-verified" if brute == dist else "mismatch"
-                record = {
-                    "key": key,
-                    "status": status,
-                    "elapsed_s": round(time.perf_counter() - started, 6),
-                    "report": build_report(vspec, solution).to_json_dict(),
-                }
-                out_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                elapsed = time.perf_counter() - started
+                out_fh.write(catalog_line(key, status, elapsed, report_json(vspec, solution))
+                             + "\n")
                 out_fh.flush()
                 existing.add(key)
                 written += 1

@@ -256,23 +256,9 @@ def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
     return WeightDistribution.from_freq_by_j(vspec, weights, mu)
 
 
-def enumerator_string(dist: WeightDistribution) -> str:
+def enumerator_string(dist: WeightDistribution, decimal=None) -> str:
     """Canonical weight enumerator text: 1 + sum of {freq}Y^{weight},
-    ascending weights."""
-    return "1" + "".join(f"+{f}Y^{w}" for w, f in dist.entries)
-
-
-def parse_enumerator(text: str) -> tuple[tuple[int, int], ...]:
-    """Inverse of enumerator_string: (weight, frequency) pairs, ascending."""
-    terms = text.split("+")
-    if terms[0] != "1":
-        raise ValueError(f"enumerator must start with 1, got {text!r}")
-    out = []
-    for term in terms[1:]:
-        freq, _, weight = term.partition("Y^")
-        if not weight:
-            raise ValueError(f"malformed enumerator term {term!r}")
-        out.append((int(weight), int(freq)))
-    if out != sorted(out):
-        raise ValueError("enumerator weights are not ascending")
-    return tuple(out)
+    ascending weights.  `decimal`, if given, maps each weight to its
+    frequency's decimal text, for a caller that has converted them already."""
+    terms = dist.entries if decimal is None else ((w, decimal[w]) for w, _ in dist.entries)
+    return "1" + "".join(f"+{f}Y^{w}" for w, f in terms)

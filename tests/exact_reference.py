@@ -94,6 +94,10 @@ q^(2t+1) and q^(2t), and `power_moment_by_nodes` the two power-moment
 identities, aggregated over the moment nodes as the paper writes them.
 The library writes each once, for (p, q, e, n), and the tests check it
 against these statements.
+
+`parse_enumerator` reads the text of `nihocodes.solver.enumerator_string`
+back into (weight, frequency) pairs, for the round-trip test; the library
+never reads an enumerator.
 """
 
 from __future__ import annotations
@@ -556,3 +560,19 @@ def power_moment_by_nodes(vspec, r: int, freq_by_j) -> tuple[int, int]:
     if vspec.family == "f1":
         return core, rhs
     return (p - 1) ** r * core, (p - 1) ** r * rhs
+
+
+def parse_enumerator(text: str) -> tuple[tuple[int, int], ...]:
+    """Inverse of enumerator_string: (weight, frequency) pairs, ascending."""
+    terms = text.split("+")
+    if terms[0] != "1":
+        raise ValueError(f"enumerator must start with 1, got {text!r}")
+    out = []
+    for term in terms[1:]:
+        freq, _, weight = term.partition("Y^")
+        if not weight:
+            raise ValueError(f"malformed enumerator term {term!r}")
+        out.append((int(weight), int(freq)))
+    if out != sorted(out):
+        raise ValueError("enumerator weights are not ascending")
+    return tuple(out)

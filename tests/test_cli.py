@@ -124,6 +124,36 @@ def test_analyze_json_round_trip(capsys):
     assert sum(int(w["frequency"]) for w in data["weights"]) == 2**20 - 1
 
 
+# zero-frequency weights (q = 4 and 8), f1 at t = 0, odd p (q = 9 and 729)
+# and f1 q = 1024 t = 18, whose frequencies run to hundreds of digits
+WRITER_SPECS = ["f2:2:2:1:1:1", "f2:2:3:1:1:1", "f1:2:4:1:1:0", "f2:3:2:1:1:1",
+                "f2:3:2:3:1:3", "f2:3:6:1:1:2", "f2:3:6:73:1:5", "f1:2:10:1:1:18"]
+
+
+@pytest.mark.parametrize("key", WRITER_SPECS)
+def test_report_json_is_json_dumps_of_the_report(capsys, key):
+    family, *numbers = values = key.split(":")
+    vs = validate_spec(CodeSpec(family, *map(int, numbers)))
+    solution = cli.solve(vs)
+    text = json.dumps(build_report(vs, solution).to_json_dict(), sort_keys=True)
+    assert cli.report_json(vs, solution) == text
+    names = ("family", "p", "m", "h", "delta", "t")
+    assert main(["analyze", *_flags(**dict(zip(names, values))), "--json"]) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
+@pytest.mark.parametrize("elapsed, written", [(0.0, "0.0"), (1e-06, "1e-06"), (5e-05, "5e-05"),
+                                              (0.123457, "0.123457"), (0.1234567, "0.123457")])
+def test_catalog_line_is_json_dumps_of_the_record(elapsed, written):
+    vs = validate_spec(CodeSpec("f2", 2, 2, 1, 1, 1))
+    report = cli.report_json(vs, cli.solve(vs))
+    record = {"key": vs.key, "status": "oracle-verified", "elapsed_s": round(elapsed, 6),
+              "report": json.loads(report)}
+    line = cli.catalog_line(vs.key, "oracle-verified", elapsed, report)
+    assert line == json.dumps(record, sort_keys=True)
+    assert line.startswith(f'{{"elapsed_s": {written}, "key": "f2:2:2:1:1:1", ')
+
+
 @pytest.mark.parametrize("flags", [EXAMPLE1_FLAGS, EXAMPLE2_FLAGS])
 def test_report_spec_written_field_by_field(capsys, flags):
     assert main(["analyze", *flags, "--json"]) == 0
@@ -417,6 +447,7 @@ def test_sweep_catalog(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     records = [json.loads(line) for line in lines]
     assert len(records) == 8
+    assert lines == [json.dumps(r, sort_keys=True) for r in records]
     assert all(r["status"] == "oracle-verified" for r in records)
     keys = [r["key"] for r in records]
     assert len(set(keys)) == len(keys)

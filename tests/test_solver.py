@@ -13,7 +13,6 @@ from nihocodes.solver import (
     b_vector,
     enumerator_string,
     moment_nodes,
-    parse_enumerator,
     solve_bareiss,
     solve_lagrange,
     theoretical_weights,
@@ -27,6 +26,7 @@ from exact_reference import (
     mds_freq_by_j,
     moment_rows,
     moment_size,
+    parse_enumerator,
 )
 
 F = Fraction
