@@ -6,6 +6,7 @@ from .codespec import (
     CodeSpec,
     SpecValidationError,
     ValidatedSpec,
+    admit_row,
     validate_spec,
 )
 from .galois import (

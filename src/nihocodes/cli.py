@@ -11,6 +11,12 @@ Subcommands:
 and a report adds its spec's own fields, in the text and key order of
 json.dumps(report.to_json_dict(), sort_keys=True).  A sweep reuses one
 solution for every record of its (e, t) and flushes each record as written.
+It walks its grid one (h, delta) row at a time: `codespec.admit_row` runs
+the checks that do not read t once, the specs of the t's in the row's
+window come from one zero set, and the refused t's below and above the
+window, or of a refused row, are counted as spans (keys already in the
+catalog excluded) with one debug line each, so a sweep's work follows its
+rows and records and not the length of its t range.
 
 Exit codes: 0 success / full agreement, 1 invalid parameters (a command
 line argparse rejects among them) or a reader that closed stdout early
@@ -43,6 +49,7 @@ from .codespec import (
     CodeSpec,
     SpecValidationError,
     ValidatedSpec,
+    admit_row,
     validate_field,
     validate_spec,
 )
@@ -442,6 +449,33 @@ def _read_catalog(path: str) -> tuple[set[str], bool]:
     return keys, bool(text) and not text.endswith("\n")
 
 
+def _catalogued_ts(keys, family: str, p: int, m: int) -> dict[tuple[int, int], set[int]]:
+    """The t's each (h, delta) of family, p and m already has in the
+    catalog, read from the keys written exactly as `CodeSpec.key` writes
+    them; no other key equals a key the sweep makes."""
+    rows = {}
+    for key in keys:
+        if not isinstance(key, str):
+            continue
+        family_key, *numbers = key.split(":")
+        try:
+            spec = CodeSpec(family_key, *map(int, numbers))
+        except (TypeError, ValueError):
+            continue
+        if spec.key == key and (spec.family, spec.p, spec.m) == (family, p, m):
+            rows.setdefault((spec.h, spec.delta), set()).add(spec.t)
+    return rows
+
+
+def _skip_span(row: tuple, ts: range, catalogued, refusal) -> int:
+    """Count the refused t's of a row that have no key in the catalog, and
+    log one debug line naming the constraint `refusal(t)` gives for them."""
+    if log.isEnabledFor(logging.DEBUG):
+        exc = refusal(ts[0])
+        log.debug("skip %s:%s:%s:%s:%s:t=%s..%s: %s (%s)", *row, ts[0], ts[-1], exc, exc.code)
+    return len(ts) - sum(t in ts for t in catalogued)
+
+
 def cmd_sweep(args) -> int:
     budget = _resolve_budget(args)
     if args.verify_small is not None and args.verify_small < 0:
@@ -449,9 +483,9 @@ def cmd_sweep(args) -> int:
     # read before the catalog is opened, so a bad value leaves no file behind
     table_limit = _resolve_table_limit() if args.verify_small is not None else None
     try:
-        grid = itertools.product(_parse_range("--h-range", args.h_range),
-                                 _parse_range("--delta-range", args.delta_range),
-                                 _parse_range("--t-range", args.t_range))
+        rows = itertools.product(_parse_range("--h-range", args.h_range),
+                                 _parse_range("--delta-range", args.delta_range))
+        ts = _parse_range("--t-range", args.t_range)
     except ValueError as exc:
         print(f"invalid range: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -469,49 +503,58 @@ def cmd_sweep(args) -> int:
     ctx = None
     solved = {}  # (e, t) -> Solution: h and delta enter the distribution only through e
     swept = {}  # multiplier class -> brute distribution, one sweep per class
+    catalogued = _catalogued_ts(existing, args.family, args.p, args.m)
     try:  # the summary is printed after a refusal too
         with out_fh:
             if torn:
                 out_fh.write("\n")  # keep the next record off the fragment's line
-            for h, delta, t in grid:
-                spec = CodeSpec(args.family, args.p, args.m, h, delta, t)
-                key = spec.key
-                if key in existing:
-                    log.debug("skip %s: already in catalog", key)
-                    continue
+            for h, delta in rows:
+                # one admission per row; the refused t's are counted a span
+                # at a time, in t order around the records
+                row = (args.family, args.p, args.m, h, delta)
+                done = catalogued.get((h, delta), ())
                 try:
-                    vspec = validate_spec(spec)
+                    admitted = admit_row(*row)
                 except SpecValidationError as exc:
-                    log.debug("skip %s: %s (%s)", key, exc, exc.code)
-                    skipped += 1
+                    skipped += _skip_span(row, ts, done, lambda _: exc)
                     continue
-                started = time.perf_counter()
-                solution = solved.get((vspec.e, vspec.t))
-                if solution is None:
-                    solution = solved[vspec.e, vspec.t] = solve(vspec)
-                dist = solution.dist
-                status = "formula-only"
-                if args.verify_small is not None:
-                    cost = vspec.codeword_count * vspec.length
-                    if cost <= args.verify_small:
-                        cls = multiplier_class(vspec)
-                        brute = swept.get(cls)
-                        if brute is None:
-                            if ctx is None:
-                                ctx = build_field(vspec.p, 2 * vspec.m, table_limit=table_limit)
-                            brute = swept[cls] = brute_distribution(vspec, ctx=ctx,
-                                                                    budget=budget)
-                        status = "oracle-verified" if brute == dist else "mismatch"
-                elapsed = time.perf_counter() - started
-                out_fh.write(catalog_line(key, status, elapsed, report_json(vspec, solution))
-                             + "\n")
-                out_fh.flush()
-                existing.add(key)
-                written += 1
-                if status == "mismatch":
-                    print(f"MISMATCH {key}: brute {brute.entries} != solver {dist.entries}",
-                          file=sys.stderr)
-                    code = EXIT_MISMATCH
+                below, inside, above = admitted.split(ts)
+                if below:
+                    skipped += _skip_span(row, below, done, admitted.refusal)
+                for vspec in admitted.specs(inside):
+                    key = vspec.key
+                    if key in existing:
+                        log.debug("skip %s: already in catalog", key)
+                        continue
+                    started = time.perf_counter()
+                    solution = solved.get((vspec.e, vspec.t))
+                    if solution is None:
+                        solution = solved[vspec.e, vspec.t] = solve(vspec)
+                    dist = solution.dist
+                    status = "formula-only"
+                    if args.verify_small is not None:
+                        cost = vspec.codeword_count * vspec.length
+                        if cost <= args.verify_small:
+                            cls = multiplier_class(vspec)
+                            brute = swept.get(cls)
+                            if brute is None:
+                                if ctx is None:
+                                    ctx = build_field(vspec.p, 2 * vspec.m, table_limit=table_limit)
+                                brute = swept[cls] = brute_distribution(vspec, ctx=ctx,
+                                                                        budget=budget)
+                            status = "oracle-verified" if brute == dist else "mismatch"
+                    elapsed = time.perf_counter() - started
+                    out_fh.write(catalog_line(key, status, elapsed, report_json(vspec, solution))
+                                 + "\n")
+                    out_fh.flush()
+                    existing.add(key)
+                    written += 1
+                    if status == "mismatch":
+                        print(f"MISMATCH {key}: brute {brute.entries} != solver {dist.entries}",
+                              file=sys.stderr)
+                        code = EXIT_MISMATCH
+                if above:
+                    skipped += _skip_span(row, above, done, admitted.refusal)
     finally:
         print(f"catalog {args.out}: {written} written, {skipped} inadmissible skipped")
     return code

@@ -95,6 +95,14 @@ identities, aggregated over the moment nodes as the paper writes them.
 The library writes each once, for (p, q, e, n), and the tests check it
 against these statements.
 
+`validate_spec_per_point` admits one spec at a time: every check in order
+at each (h, delta, t), then the zero set of that t alone, with the coset
+sizes read from `_conjugates`.  It is the reference for the library's row
+admission (`nihocodes.codespec.admit_row`), which runs the checks that do
+not read t once per (h, delta), reads the t window by arithmetic and takes
+each t's zero set as a prefix of the largest t's; `validate_spec` is its
+one-t case.
+
 `parse_enumerator` reads the text of `nihocodes.solver.enumerator_string`
 back into (weight, frequency) pairs, for the round-trip test; the library
 never reads an enumerator.
@@ -102,13 +110,23 @@ never reads an enumerator.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
 import numpy as np
 
-from nihocodes.codespec import SpecValidationError, half_mod
+from nihocodes.codespec import (
+    FAMILIES,
+    CodeSpec,
+    SpecValidationError,
+    ValidatedSpec,
+    _conjugates,
+    _zero_set,
+    half_mod,
+    validate_field,
+)
 from nihocodes.galois import adder, digit_bits, packed_dtype
 from nihocodes.moments import n_r
 from nihocodes.solver import _lagrange_numerators
@@ -576,3 +594,47 @@ def parse_enumerator(text: str) -> tuple[tuple[int, int], ...]:
     if out != sorted(out):
         raise ValueError("enumerator weights are not ascending")
     return tuple(out)
+
+
+def validate_spec_per_point(raw: CodeSpec) -> ValidatedSpec:
+    """Admit one spec at a time: every check in order, then the zero set of
+    this t alone, its coset sizes read from `_conjugates`."""
+    if raw.family not in FAMILIES:
+        raise SpecValidationError("bad_family", f"family must be one of {FAMILIES}, got {raw.family!r}")
+    validate_field(raw.p, raw.m)
+    if raw.h < 1:
+        raise SpecValidationError("bad_h", f"h must be >= 1, got {raw.h}")
+    if raw.delta < 1:
+        raise SpecValidationError("bad_delta", f"delta must be >= 1, got {raw.delta}")
+
+    q = raw.p**raw.m
+    if math.gcd(raw.delta, q - 1) != 1:
+        raise SpecValidationError(
+            "delta_not_coprime", f"gcd(delta, q-1) = gcd({raw.delta}, {q - 1}) != 1")
+    if raw.h % (q + 1) == 0:
+        raise SpecValidationError("h_zero_mod", f"h = {raw.h} is 0 mod q+1 = {q + 1}")
+    e = math.gcd(raw.h, q + 1)
+
+    if raw.family == "f1":
+        if raw.p != 2:
+            raise SpecValidationError("f1_needs_p2", "family f1 requires p = 2")
+        if raw.t < 0:
+            raise SpecValidationError("t_out_of_range", f"t must be >= 0, got {raw.t}")
+    else:
+        if raw.t < 1:
+            raise SpecValidationError("t_out_of_range", f"family f2 requires t >= 1, got {raw.t}")
+        if raw.p != 2 and (raw.delta % 2 == 0 or raw.h % 2 == 0):
+            raise SpecValidationError(
+                "parity", f"odd p requires odd delta and h, got delta={raw.delta}, h={raw.h}")
+    if 2 * e * raw.t > q + 1:
+        raise SpecValidationError(
+            "t_out_of_range",
+            f"t = {raw.t} exceeds (q+1)/(2e) = {(q + 1)}/{2 * e}")
+
+    s_values, exponents = _zero_set(raw.family, raw.p, raw.m, raw.h, raw.delta, raw.t)
+    coset_sizes = tuple(raw.m * len(_conjugates(s, raw.delta, q)) for s in s_values)
+    return ValidatedSpec(
+        family=raw.family, p=raw.p, m=raw.m, h=raw.h, delta=raw.delta, t=raw.t,
+        q=q, e=e, s_values=s_values, exponents=exponents,
+        coset_sizes=coset_sizes, length=q * q - 1, dimension=sum(coset_sizes),
+    )

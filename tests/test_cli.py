@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nihocodes import cli, galois, oracle
+from nihocodes import cli, codespec, galois, oracle
 from nihocodes.cli import CHECK_NAMES, AnalysisReport, build_report, main
-from nihocodes.codespec import CodeSpec, validate_spec
+from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec
 from nihocodes.galois import build_field
 from nihocodes.solver import ModelViolationError, weight_distribution
+
+from exact_reference import validate_spec_per_point
 
 EXAMPLE1_FLAGS = ["--family", "f1", "--p", "2", "--m", "4", "--h", "2", "--delta", "1", "--t", "2"]
 EXAMPLE2_FLAGS = ["--family", "f2", "--p", "3", "--m", "2", "--h", "3", "--delta", "1", "--t", "3"]
@@ -495,6 +497,116 @@ def test_sweep_logs_no_skip_lines_at_info(tmp_path, capsys, caplog):
     out = capsys.readouterr().out
     assert "inadmissible skipped" in out and " 0 inadmissible" not in out
     assert not [r for r in caplog.records if "skip" in r.getMessage()]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _reference_sweep(family, p, m, hs, deltas, ts, existing):
+    """The catalog lines (elapsed_s 0.0) and the skip count of a per-point
+    sweep over the reference admission, past the keys already in the catalog."""
+    lines, skipped = [], 0
+    for h in hs:
+        for delta in deltas:
+            for t in ts:
+                spec = CodeSpec(family, p, m, h, delta, t)
+                if spec.key in existing:
+                    continue
+                try:
+                    vspec = validate_spec_per_point(spec)
+                except SpecValidationError:
+                    skipped += 1
+                    continue
+                report = cli.report_json(vspec, cli.solve(vspec))
+                lines.append(cli.catalog_line(spec.key, "formula-only", 0.0, report))
+    return lines, skipped
+
+
+def test_sweep_counts_like_a_per_point_reference(tmp_path, capsys, monkeypatch):
+    """A catalog holding admissible records and hand-written keys of refused
+    points: the sweep appends the reference's records and skips as many
+    points, a key already in the catalog never counted, one admission per
+    (h, delta)."""
+    out = tmp_path / "catalog.jsonl"
+    first = ["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "2:4",
+             "--delta-range", "1:2", "--t-range", "1:2", "--out", str(out)]
+    assert main(first) == 0
+    hand_written = [
+        "f1:2:3:1:1:9",    # above the window
+        "f1:2:3:1:1:-1",   # below it
+        "f1:2:3:5:7:2",    # a refused row: gcd(7, 7) != 1
+        "f1:2:3:9:1:0",    # h = 0 mod q+1
+        "f1:2:3:01:1:8",   # not a key the sweep makes: still counted
+        "f2:2:3:1:1:9",    # another family
+        7,                 # not a string
+    ]
+    with out.open("a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"key": key}) + "\n" for key in hand_written)
+    before = out.read_text()
+    capsys.readouterr()
+
+    rows = _counting(monkeypatch, cli, "admit_row")
+    assert main(["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
+                 "--delta-range", "1:7", "--t-range=-1:9", "--out", str(out)]) == 0
+    existing = {json.loads(line)["key"] for line in before.splitlines()}
+    lines, skipped = _reference_sweep("f1", 2, 3, range(1, 10), range(1, 8), range(-1, 10),
+                                      existing)
+    assert capsys.readouterr().out.splitlines() == [
+        f"catalog {out}: {len(lines)} written, {skipped} inadmissible skipped"]
+    text = out.read_text()
+    assert text.startswith(before)
+    masked = [json.dumps(dict(json.loads(line), elapsed_s=0.0), sort_keys=True)
+              for line in text[len(before):].splitlines()]
+    assert masked == lines
+    assert sorted(rows) == [("f1", 2, 3, h, delta) for h in range(1, 10) for delta in range(1, 8)]
+
+    # a rerun writes nothing and skips the same refused points
+    assert main(["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
+                 "--delta-range", "1:7", "--t-range=-1:9", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"catalog {out}: 0 written, {skipped} inadmissible skipped"]
+    assert out.read_text() == text
+
+
+def test_sweep_wide_t_range_works_per_row(tmp_path, capsys, monkeypatch):
+    """200,001 t's a row, 12 of them admissible: one admission per
+    (h, delta) and one spec built per record, whatever the t range."""
+    rows = _counting(monkeypatch, cli, "admit_row")
+    built, real = [], codespec._specs
+
+    def counting_specs(*args):
+        result = real(*args)
+        built.extend(result)
+        return result
+
+    monkeypatch.setattr(codespec, "_specs", counting_specs)
+    out = tmp_path / "catalog.jsonl"
+    assert main(["sweep", "--family", "f1", "--p", "2", "--m", "2", "--h-range", "1:2",
+                 "--delta-range", "1:3", "--t-range", "0:200000", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"catalog {out}: 12 written, 1199994 inadmissible skipped"]
+    assert len(rows) == 6
+    assert len(built) == 12
+    assert len(out.read_text().splitlines()) == 12
+
+
+def test_sweep_logs_one_debug_line_per_refused_span(tmp_path, caplog):
+    caplog.set_level("DEBUG", logger="nihocodes")
+    # q = 4: delta = 3 and h = 5 refuse their rows whole; every other row
+    # admits t = 0..2 and refuses 3..4 above its window
+    assert main(["sweep", "--family", "f1", "--p", "2", "--m", "2", "--h-range", "1:5",
+                 "--delta-range", "1:3", "--t-range", "0:4",
+                 "--out", str(tmp_path / "catalog.jsonl")]) == 0
+    skips = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skip")]
+    assert len(skips) == 15
+    assert "skip f1:2:2:5:1:t=0..4: h = 5 is 0 mod q+1 = 5 (h_zero_mod)" in skips
+    assert "skip f1:2:2:1:3:t=0..4: gcd(delta, q-1) = gcd(3, 3) != 1 (delta_not_coprime)" in skips
+    assert "skip f1:2:2:1:1:t=3..4: t = 3 exceeds (q+1)/(2e) = 5/2 (t_out_of_range)" in skips
+    assert sum(s.endswith("(t_out_of_range)") for s in skips) == 8
 
 
 def test_sweep_unwritable_path():

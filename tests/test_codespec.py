@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nihocodes.codespec import (
+    FAMILIES,
     CodeSpec,
     SpecValidationError,
+    ValidatedSpec,
+    admit_row,
     half_mod,
     validate_spec,
     _conjugates,
     _zero_set,
 )
 
-from exact_reference import cyclotomic_coset
+from exact_reference import cyclotomic_coset, validate_spec_per_point
 
 
 def test_example1_exponents():
@@ -94,6 +97,83 @@ def test_validate_rejections(spec, code):
     with pytest.raises(SpecValidationError) as exc:
         validate_spec(spec)
     assert exc.value.code == code
+
+
+def _admission(admit, spec):
+    """The validated spec, or the refusal's (code, message)."""
+    try:
+        return admit(spec)
+    except SpecValidationError as exc:
+        return exc.code, str(exc)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_row_admission_matches_per_point_reference(p, m):
+    """Over every h in 1..q+2, delta in 1..q and t in -1..(q+1)/2+1 of both
+    families: validate_spec gives the per-point reference's spec or refusal,
+    and the row admission, over t ranges that start and stop below, at and
+    inside the window's ends and above it, gives the admitted specs in t
+    order and as many refused t's as the reference."""
+    q = p**m
+    ts = range(-1, (q + 1) // 2 + 2)
+    rows = 0
+    for family in FAMILIES:
+        for h in range(1, q + 3):
+            for delta in range(1, q + 1):
+                expected = {t: _admission(validate_spec_per_point,
+                                          CodeSpec(family, p, m, h, delta, t)) for t in ts}
+                for t in ts:
+                    assert _admission(validate_spec, CodeSpec(family, p, m, h, delta, t)) \
+                        == expected[t], (family, h, delta, t)
+                admitted = [t for t in ts if isinstance(expected[t], ValidatedSpec)]
+                ends = {ts.start, ts[-1]}
+                for end in admitted[:1] + admitted[-1:]:
+                    ends |= {end - 1, end, end + 1}
+                ends = sorted(t for t in ends if t in ts)
+                try:
+                    row = admit_row(family, p, m, h, delta)
+                except SpecValidationError as exc:
+                    assert not admitted
+                    assert all(expected[t] == (exc.code, str(exc)) for t in ts)
+                    continue
+                rows += 1
+                for lo in ends:
+                    for hi in (t for t in ends if t >= lo):
+                        span = range(lo, hi + 1)
+                        below, inside, above = row.split(span)
+                        assert row.specs(inside) == [expected[t] for t in span if t in admitted]
+                        assert len(below) + len(above) == sum(t not in admitted for t in span)
+                        for t in (*below, *above):
+                            refusal = row.refusal(t)
+                            assert (refusal.code, str(refusal)) == expected[t]
+    assert rows > 0
+
+
+@pytest.mark.parametrize("family", ["f1", "f2", "f3"])
+def test_validate_spec_matches_reference_on_invalid_fields(family):
+    # every check before the field's own, and the field's, in the reference's order
+    for p, m in [(0, 1), (1, 2), (4, 1), (6, 2), (2, 0), (3, -1), (2, 1), (3, 1)]:
+        for h in range(-1, 4):
+            for delta in range(-1, 4):
+                for t in range(-1, 3):
+                    spec = CodeSpec(family, p, m, h, delta, t)
+                    assert _admission(validate_spec, spec) == \
+                        _admission(validate_spec_per_point, spec), spec
+
+
+def test_row_admission_of_a_wide_t_range_builds_only_the_window():
+    row = admit_row("f1", 2, 2, 1, 1)
+    below, inside, above = row.split(range(-5, 200001))
+    assert (below, inside, above) == (range(-5, 0), range(0, 3), range(3, 200001))
+    assert [vs.t for vs in row.specs(inside)] == [0, 1, 2]
+    assert row.specs(range(0)) == []
+    # odd p with an even h: t < 1 is out of range, every t >= 1 refused by parity
+    row = admit_row("f2", 3, 2, 2, 1)
+    assert row.window == range(1, 1)
+    below, inside, above = row.split(range(-1, 6))
+    assert (below, inside, above) == (range(-1, 1), range(1, 1), range(1, 6))
+    assert [row.refusal(t).code for t in (-1, 0, 1, 5)] == [
+        "t_out_of_range", "t_out_of_range", "parity", "parity"]
 
 
 def test_cyclotomic_cosets():
