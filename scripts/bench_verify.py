@@ -11,10 +11,10 @@ untimed warm-up run:
     first --sweep-rounds rounds), each into a fresh catalog, with every
     `brute_distribution` call the sweep makes timed on its own.
   * verify: the verify-oracle ops (seed 1, the first --rounds rounds) run
-    through `cli.main`.  Each op's time is split into the stages brute
-    sweep (`brute_distribution`), tuple counting (`n_r_brute`) and weight
-    check (`_check_weights`), summed per stratum: a showcase, or
-    (family, q, t) for the drawn specs.
+    through `cli.main`.  Each op's time is split into the stages field
+    build (`build_field`), brute sweep (`brute_distribution`), tuple
+    counting (`n_r_brute`) and weight check (`_check_weights`), summed per
+    stratum: a showcase, or (family, q, t) for the drawn specs.
 
 The catalog part runs first, as the benchmark runs it, in a process that has
 made no large sweep: after the verify part's large arrays the allocator
@@ -61,8 +61,8 @@ from nihocodes import cli  # noqa: E402
 from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec  # noqa: E402
 
 SEED = 1
-STAGES = {"brute_s": "brute_distribution", "n_r_brute_s": "n_r_brute",
-          "weights_s": "_check_weights"}
+STAGES = {"field_s": "build_field", "brute_s": "brute_distribution",
+          "n_r_brute_s": "n_r_brute", "weights_s": "_check_weights"}
 
 
 def stratum(op) -> str:

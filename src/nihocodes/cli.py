@@ -301,19 +301,27 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=64)
+def _weight_draws(lengths: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The sample's indices into domains of these lengths, slot by slot:
+    entry s holds slot s's index in each of the WEIGHT_SAMPLES tuples drawn
+    by random.Random(0), tuple by tuple.  rng.choice(domain) is
+    domain[rng.randrange(len(domain))]: the same draws, made once per
+    tuple of lengths."""
+    rng = random.Random(0)
+    draws = [[rng.randrange(length) for length in lengths] for _ in range(WEIGHT_SAMPLES)]
+    return tuple(zip(*draws))
+
+
 def _check_weights(vspec, ctx):
     """Spot-check path equivalence on a deterministic pseudo-random sample
     of coefficient tuples, and containment in the predicted weight set.
     Each path evaluates the whole sample in one batch, slot by slot."""
     import numpy as np
-    rng = random.Random(0)
     domains = coefficient_domains(vspec, ctx)
     predicted = set(theoretical_weights(vspec.p, vspec.q, vspec.e, vspec.moment_size))
-    # rng.choice(domain) is domain[rng.randrange(len(domain))]: the same
-    # draws, gathered once per slot
-    draws = [[rng.randrange(len(domain)) for domain in domains]
-             for _ in range(WEIGHT_SAMPLES)]
-    columns = np.stack([domain[list(index)] for domain, index in zip(domains, zip(*draws))])
+    draws = _weight_draws(tuple(map(len, domains)))
+    columns = np.stack([domain[list(index)] for domain, index in zip(domains, draws)])
     columns = columns[:, columns.any(axis=0)]  # the zero tuple has no weight to check
     failures = []
     for a, w_direct, s in zip(columns.T.tolist(), column_weights(vspec, columns, ctx),
@@ -601,9 +609,10 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--family", required=True, choices=("f1", "f2"))
     p_sweep.add_argument("--p", required=True, type=int)
     p_sweep.add_argument("--m", required=True, type=int)
-    p_sweep.add_argument("--h-range", required=True, help="inclusive range A:B or a single value")
-    p_sweep.add_argument("--delta-range", required=True)
-    p_sweep.add_argument("--t-range", required=True)
+    for flag in ("--h-range", "--delta-range", "--t-range"):
+        p_sweep.add_argument(flag, required=True,
+                             help=f"inclusive range A:B or a single value; one that starts "
+                                  f"below zero needs the = form, {flag}=-1:3")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--verify-small", type=int, default=None,
                          help="oracle-verify specs whose sweep cost is at most this")

@@ -17,7 +17,14 @@ sigma = times gamma^B, exp[B:2B] = sigma[exp[:B]], then sigma <- sigma[sigma],
 while B^2 < p^k - 1.  The rest is filled block by block with that fixed
 sigma, exp[i:i+B] = sigma[exp[i-B:i]]: about sqrt(p^k) gathers of B entries
 in place of further squarings of the whole map.  The modulus search is
-memoized per (p, k); the tables are not, since GF(2^24) holds 669 MB.
+memoized per (p, k).  The tables of a field of order at most KEEP_ORDER =
+2^16 are kept too: build_field returns one context per (p, k) for the last
+_KEPT_FIELDS such fields it built, so the oracles' many small calls neither
+rebuild the tables nor the views below.  A kept field holds at most about
+2 MB with every view built.  Larger fields are built per call and freed
+with their last reference, since GF(2^24) holds 669 MB.  build_field checks
+the table limit before it looks for a kept field, so a limit below a kept
+field's order still refuses it.
 
 The subfield GF(p^d) for d | k is never built separately; it is the fixed
 field of the d-th Frobenius power, reachable through is_subfield_element
@@ -28,7 +35,11 @@ pow.  The read-only trace view, built once per context on first use, holds
 Tr(gamma^i) down to GF(p) for every exponent i.  The trace is GF(p)-linear,
 so it is the digit vector of exp[i] times the basis traces Tr(gamma^j),
 j < k, mod p.  Those are the power sums of the modulus's roots, which
-Newton's identities give from its coefficients in k^2 integer steps.
+Newton's identities give from its coefficients in k^2 integer steps.  The
+doubled view trace2 is trace twice over, so a sum of two exponents below
+p^k - 1 reads it without a reduction.  Every view, and the per-field
+constants elements, half_subfield and theta_log, lives as long as its
+context.
 
 Addition reads a second, packed form of the codes (Knuth's broadword
 arithmetic, TAOCP Vol. 4A, 7.1.3): digit i sits in bits W i .. W i + W - 1,
@@ -61,6 +72,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_TABLE_LIMIT = 1 << 24
+# Fields of order at most KEEP_ORDER are built once per process, and the
+# last _KEPT_FIELDS of them kept (see the module doc).
+KEEP_ORDER = 1 << 16
+_KEPT_FIELDS = 4
 
 
 class FieldBuildError(ValueError):
@@ -188,7 +203,36 @@ class FieldContext:
         step = (self.order - 1) // (self.p**sub_degree - 1)
         return [0] + self.exp[::step].tolist()
 
+    @cached_property
+    def half_subfield(self) -> np.ndarray:
+        """subfield_elements(degree / 2) as a read-only int64 array: the
+        domain of a GF(q) coefficient in GF(q^2), q = p^(degree/2)."""
+        import numpy as np
+        if self.degree % 2:
+            raise ValueError(f"degree {self.degree} is odd")
+        return _read_only(np.array(self.subfield_elements(self.degree // 2)))
+
+    @cached_property
+    def theta_log(self) -> int:
+        """log theta mod p^degree - 1, theta = gamma / (gamma + gamma^q),
+        q = p^(degree/2).  gamma + gamma^q is nonzero and lies in GF(q), so
+        theta + theta^q = 1 and Tr(theta x) down from GF(q^2) is the trace
+        of x down from GF(q) for every x in GF(q)."""
+        if self.degree % 2:
+            raise ValueError(f"degree {self.degree} is odd")
+        add, _ = adder(self.p, self.degree)
+        q = self.p ** (self.degree // 2)
+        relative = unpack(add(self.packed_exp[1], self.packed_exp[q]), self.p, self.degree)
+        return (1 - int(self.log[relative])) % (self.order - 1)
+
     # -- read-only array views -------------------------------------------
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Every code, zero first, then gamma^0, gamma^1, ..: [0, *exp] as
+        int64, the domain of a GF(p^degree) coefficient."""
+        import numpy as np
+        return _read_only(np.concatenate(([0], self.exp)))
 
     @cached_property
     def trace(self) -> np.ndarray:
@@ -203,12 +247,25 @@ class FieldContext:
         return _read_only((acc % self.p).astype(np.min_scalar_type(self.p - 1)))
 
     @cached_property
+    def trace2(self) -> np.ndarray:
+        """trace twice over: trace2[i] = Tr(gamma^(i mod (p^degree - 1)))
+        for i below 2 (p^degree - 1)."""
+        import numpy as np
+        return _read_only(np.concatenate((self.trace, self.trace)))
+
+    @cached_property
     def packed_exp(self) -> np.ndarray:
         """exp in packed form: gamma^i for every exponent i, as the adder's
         operand."""
         if self.p == 2:
             return self.exp
         return _read_only(packed_range(self.p, self.degree)[self.exp])
+
+    @cached_property
+    def packed_exp2(self) -> np.ndarray:
+        """packed_exp twice over, as trace2 doubles trace."""
+        import numpy as np
+        return _read_only(np.concatenate((self.packed_exp, self.packed_exp)))
 
 
 def _basis_traces(modulus: tuple[int, ...], p: int) -> list[int]:
@@ -294,9 +351,10 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
 
     The modulus is the lexicographically smallest primitive polynomial
     (coefficient tuples compared from the highest degree down), so repeated
-    builds are bit-identical.
+    builds are bit-identical.  A field of order at most KEEP_ORDER is the
+    kept context of an earlier build while it stays among the last
+    _KEPT_FIELDS such fields built.
     """
-    import numpy as np
     if not is_prime(p):
         raise FieldBuildError(f"p must be prime, got {p}")
     if degree < 1:
@@ -305,7 +363,18 @@ def build_field(p: int, degree: int, table_limit: int = DEFAULT_TABLE_LIMIT) -> 
     if order > table_limit:
         raise TableLimitExceeded(
             f"field order {order} exceeds table limit {table_limit}")
+    return _kept_field(p, degree) if order <= KEEP_ORDER else _build(p, degree)
 
+
+@lru_cache(maxsize=_KEPT_FIELDS)
+def _kept_field(p: int, degree: int) -> FieldContext:
+    return _build(p, degree)
+
+
+def _build(p: int, degree: int) -> FieldContext:
+    """GF(p^degree) built anew, parameters already checked."""
+    import numpy as np
+    order = p**degree
     mod, _ = _find_primitive_modulus(p, degree)
     # A code is top x^(degree-1) + low, so times gamma it is low x, the packed
     # range of p^(degree-1) shifted up one digit, plus top x^degree =

@@ -5,12 +5,19 @@ once, as a table builder over the field's array views:
 
   * the positionwise path, _symbol_tables, evaluates the defining trace
     expression of a codeword symbol by symbol over all q^2-1 coordinates,
-    as GF(p) symbols read from the trace view;
+    as GF(p) symbols read from the doubled trace view trace2;
   * the root-counting path, _root_tables, evaluates a polynomial of
     degree below the moment system size n over the small subgroup W of
     the unit circle (order (q+1)/e) and converts the number of roots into
     a character-sum value and hence a weight; its values are GF(q^2)
-    elements in the packed form of galois, read from the packed_exp view.
+    elements in the packed form of galois, read from the doubled
+    packed_exp2 view.
+
+Both builders add two exponents below n = q^2-1, each reduced on its own
+short vector (the coefficients' logs, or d i over the entries), and gather
+the sum from a view repeated twice, so no % n runs over a whole table.  The
+field's views and constants (galois) live as long as its context, and a
+small field's context is kept for the process, so they are built once.
 
 The zero set enters through its coset sizes alone: a slot whose coset has
 size m takes GF(q) coefficients and one root-counting term, any other slot
@@ -138,7 +145,7 @@ from functools import lru_cache, reduce
 from typing import TYPE_CHECKING
 
 from .codespec import ValidatedSpec
-from .galois import FieldContext, adder, build_field, digit_bits, packed_dtype, unpack
+from .galois import FieldContext, adder, build_field, digit_bits, packed_dtype
 from .moments import n_r
 from .solver import WeightDistribution, theoretical_weights, weight_for_index
 
@@ -175,9 +182,7 @@ def coefficient_domains(vspec: ValidatedSpec, ctx: FieldContext) -> list[np.ndar
     generator exponents.  A slot whose coset has size m takes its
     coefficient from the subfield GF(q), reached as zero plus powers of
     gamma^(q+1), and every other slot from all of GF(q^2)."""
-    import numpy as np
-    full = np.concatenate(([0], ctx.exp))
-    return [np.array(ctx.subfield_elements(vspec.m)) if size == vspec.m else full
+    return [ctx.half_subfield if size == vspec.m else ctx.elements
             for size in vspec.coset_sizes]
 
 
@@ -303,9 +308,11 @@ def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
     """Per coefficient slot s of domains, in their order, its term of the
     root-counting polynomial at every W point for every coefficient of its
     domain, as packed elements: shape (|W|, |domain|).  A term z * u^k is
-    gamma^((log z + k log u) mod n) and its conjugate z^q * u^k is
-    gamma^((q log z + k log u) mod n), both read from the packed_exp view;
-    their sum is masked to 0 where z = 0."""
+    gamma^(log z + (k log u mod n)) and its conjugate z^q * u^k is
+    gamma^((q log z mod n) + (k log u mod n)), both read from the doubled
+    packed_exp2 view, so the sum of two exponents below n needs no
+    reduction; their sum is masked to 0 where z = 0 (log 0 = -1 reads a
+    valid entry, as k log u mod n >= 0)."""
     import numpy as np
     q, n = vspec.q, ctx.order - 1
     add, _ = adder(ctx.p, ctx.degree)
@@ -315,7 +322,7 @@ def _root_tables(vspec: ValidatedSpec, ctx: FieldContext,
     for slot, domain in domains.items():
         z = np.asarray(domain)[None, :]
         zlog, nonzero = ctx.log[z], z != 0
-        terms = [ctx.packed_exp[((q * zlog if conjugate else zlog) + uexp * wlog) % n]
+        terms = [ctx.packed_exp2[(q * zlog % n if conjugate else zlog) + uexp * wlog % n]
                  for conjugate, uexp in slot_terms[slot]]
         tables.append(reduce(add, terms) * nonzero)
     return tables
@@ -326,14 +333,16 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
     """Per coefficient slot s of domains, in their order, its trace symbol
     at every codeword position for every coefficient of its domain: shape
     (q^2-1, |domain|).  The symbol of z at position i is Tr(z gamma^(d i)),
-    one read of the trace view at exponent (log z + d i) mod n, masked to 0
-    where z = 0.
+    one read of the doubled trace2 view at exponent log z + (d i mod n):
+    d i mod n is taken once per slot over the n positions, and the table is
+    one add and one gather with no reduction.  It is masked to 0 where
+    z = 0 (log 0 = -1 reads a valid entry, as d i mod n >= 0).
 
     A slot whose coset has size m takes its trace from GF(q) only, since
     its coefficient and gamma^(d i) both lie in GF(q).  For x in GF(q) that
-    trace is Tr(theta x) down from GF(q^2), where theta =
-    gamma / (gamma + gamma^q) has theta + theta^q = 1 (gamma + gamma^q is
-    nonzero and lies in GF(q)), so every slot reads the one trace view."""
+    trace is Tr(theta x) down from GF(q^2), theta the field's theta_log
+    power of gamma, so every slot reads the one trace view; the shifted
+    log z is reduced mod n on its one row."""
     import numpy as np
     n = vspec.length
     positions = np.arange(n)[:, None]
@@ -342,11 +351,9 @@ def _symbol_tables(vspec: ValidatedSpec, ctx: FieldContext,
         z = np.asarray(domain)[None, :]
         zlog = ctx.log[z]
         if vspec.coset_sizes[slot] == vspec.m:
-            add, _ = adder(ctx.p, ctx.degree)
-            relative = unpack(add(ctx.packed_exp[1], ctx.packed_exp[vspec.q]),
-                              ctx.p, ctx.degree)
-            zlog = zlog + 1 - ctx.log[relative]
-        tables.append(ctx.trace[(zlog + vspec.exponents[slot] * positions) % n] * (z != 0))
+            zlog = (zlog + ctx.theta_log) % n
+        steps = vspec.exponents[slot] * positions % n
+        tables.append(ctx.trace2[zlog + steps] * (z != 0))
     return tables
 
 
@@ -653,7 +660,10 @@ class _HalfSums:
 @lru_cache(maxsize=1)
 def _half_sums(vspec: ValidatedSpec, ctx: FieldContext) -> _HalfSums:
     """The last spec's half sums, so that n_r_brute's calls for r = 1, 2, ..
-    share its signatures and the levels grown so far."""
+    share its signatures and the levels grown so far.  The memo holds its
+    context too, so it keeps that spec's field alive until another spec or
+    field is counted: nothing more for a field galois keeps anyway, the
+    whole tables for a larger one."""
     return _HalfSums(vspec, ctx)
 
 

@@ -273,6 +273,7 @@ def test_verify_packs_exp_once_per_context(capsys, monkeypatch):
     # the q = 9 showcase: the fast sweep and N_1..N_4 all read the packed
     # exp view of the one context verify builds; the view gathers from the
     # packed range of the whole field, made once
+    galois._kept_field.cache_clear()
     contexts, packed = [], []
     build, packed_range = cli.build_field, galois.packed_range
     monkeypatch.setattr(cli, "build_field",
@@ -333,6 +334,29 @@ def test_verify_moments_budget_refusal_prints_no_row(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget" in captured.err
+
+
+# both showcases, then one spec per stratum of the benchmark's verify workload
+# (family, p, m, t): the domain lengths depend on those alone
+@pytest.mark.parametrize("spec", [
+    CodeSpec("f1", 2, 4, 2, 1, 2), CodeSpec("f2", 3, 2, 3, 1, 3),
+    *(CodeSpec("f1", 2, 3, 1, 1, t) for t in range(5)),
+    *(CodeSpec("f2", 2, 3, 1, 1, t) for t in range(1, 5)),
+    *(CodeSpec("f2", 3, 2, 1, 1, t) for t in range(1, 4))])
+def test_weight_draws_are_the_inline_draws(spec):
+    """The memoised draws are the loop of rng.randrange(len(domain)) that
+    the weight check made per call, slot by slot, as tuples, and a second
+    call returns the same object."""
+    vs = validate_spec(spec)
+    domains = oracle.coefficient_domains(vs, build_field(vs.p, 2 * vs.m))
+    rng = random.Random(0)
+    inline = [[rng.randrange(len(domain)) for domain in domains]
+              for _ in range(cli.WEIGHT_SAMPLES)]
+    lengths = tuple(map(len, domains))
+    draws = cli._weight_draws(lengths)
+    assert type(draws) is tuple and all(type(slot) is tuple for slot in draws)
+    assert draws == tuple(zip(*inline))
+    assert cli._weight_draws(lengths) is draws
 
 
 @pytest.mark.parametrize("spec", [CodeSpec("f1", 2, 4, 2, 1, 2), CodeSpec("f2", 3, 2, 3, 1, 3)])
@@ -880,6 +904,35 @@ def test_sweep_malformed_range_exits_1(tmp_path, capsys, flag):
     assert flag in captured.err
     assert captured.out == ""
     assert not (tmp_path / "catalog.jsonl").exists()
+
+
+def test_sweep_negative_range_needs_the_equals_form(tmp_path, capsys):
+    """A range below zero sweeps in the --t-range=A:B form.  Written as two
+    arguments, Python 3.11's argparse reads -2:3 as an option and the call
+    exits 1 with a usage message, where an argparse that takes it sweeps
+    the same catalog.  Neither prints a traceback."""
+    joined = tmp_path / "joined.jsonl"
+    argv = [*SWEEP_TINY[:-2], "--t-range=-2:3", "--out", str(joined)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"catalog {joined}: 6 written, 6 inadmissible skipped\n"
+    records = [json.loads(line) for line in joined.read_text().splitlines()]
+    assert [r["key"] for r in records] == [f"f1:2:2:{h}:1:{t}" for h in (1, 2) for t in (0, 1, 2)]
+
+    split = tmp_path / "split.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "nihocodes.cli", *SWEEP_TINY[:-1], "-2:3",
+                           "--out", str(split)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr
+    if done.returncode == 0:
+        strip = [json.dumps(dict(json.loads(line), elapsed_s=0.0))
+                 for text in (joined.read_text(), split.read_text())
+                 for line in text.splitlines()]
+        assert strip[:len(strip) // 2] == strip[len(strip) // 2:]
+    else:
+        assert done.returncode == 1
+        assert "--t-range: expected one argument" in done.stderr
+        assert done.stdout == "" and not split.exists()
 
 
 @pytest.mark.parametrize("flag", ["--h-range", "--delta-range", "--t-range"])

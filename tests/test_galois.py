@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,62 @@ def test_build_determinism():
     assert a.exp.tolist() == b.exp.tolist()
 
 
+def test_small_fields_are_kept():
+    assert build_field(2, 4) is build_field(2, 4)
+    assert build_field(3, 4, table_limit=81) is build_field(3, 4)
+    assert 2**16 == galois.KEEP_ORDER and build_field(2, 16) is build_field(2, 16)
+
+
+def test_table_limit_refuses_a_kept_field():
+    kept = build_field(2, 4)
+    with pytest.raises(TableLimitExceeded):
+        build_field(2, 4, table_limit=8)
+    assert build_field(2, 4) is kept
+
+
+def test_large_fields_are_built_per_call():
+    a, b = build_field(2, 17), build_field(2, 17)
+    assert a == b and a is not b
+    assert a.exp.tolist() == b.exp.tolist()
+
+
+def test_kept_fields_are_few():
+    galois._kept_field.cache_clear()
+    first = build_field(2, 2)
+    for k in range(3, 3 + galois._KEPT_FIELDS):
+        build_field(2, k)
+    assert build_field(2, 2) == first and build_field(2, 2) is not first
+    assert galois._kept_field.cache_info().currsize == galois._KEPT_FIELDS
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (131, 2)])
+def test_doubled_views_repeat_the_views(p, k):
+    ctx = field(p, k)
+    for doubled, view in ((ctx.trace2, ctx.trace), (ctx.packed_exp2, ctx.packed_exp)):
+        assert doubled.dtype == view.dtype
+        assert doubled.tolist() == view.tolist() * 2
+        assert not doubled.flags.writeable
+    assert ctx.trace2 is ctx.trace2
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (2, 8), (5, 2)])
+def test_kept_constants(p, k):
+    """The full and GF(q) domains as int64 arrays, and log theta: theta
+    times any x in GF(q) has the trace of x down from GF(q)."""
+    ctx = field(p, k)
+    n = ctx.order - 1
+    assert ctx.elements.dtype == ctx.half_subfield.dtype == np.int64
+    assert ctx.elements.tolist() == [0] + ctx.exp.tolist()
+    assert ctx.half_subfield.tolist() == ctx.subfield_elements(k // 2)
+    assert not ctx.elements.flags.writeable and not ctx.half_subfield.flags.writeable
+    assert 0 <= ctx.theta_log < n
+    for x in ctx.half_subfield[1:].tolist():
+        theta_x = int(ctx.exp[(ctx.theta_log + int(ctx.log[x])) % n])
+        assert trace_to_prime(ctx, theta_x) == trace_to_prime(ctx, x, k // 2)
+    with pytest.raises(ValueError):
+        field(2, 3).theta_log
+
+
 @pytest.mark.parametrize("p,k", WALK_FIELDS)
 def test_build_matches_polynomial_walk(p, k):
     ctx = build_field(p, k)
@@ -92,6 +149,7 @@ def test_basis_traces_by_newton_identities(p, k):
 
 def test_modulus_search_runs_once_per_field(monkeypatch):
     galois._find_primitive_modulus.cache_clear()
+    galois._kept_field.cache_clear()
     tested = []
     has_full_order = galois._has_full_order
     monkeypatch.setattr(galois, "_has_full_order",

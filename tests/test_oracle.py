@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -242,6 +243,57 @@ def _unreduced_entries(vs, path):
                   else vs.length - count)
         by_weight[weight] += f
     return tuple(sorted((w, f) for w, f in by_weight.items() if f))
+
+
+def _modular_tables(vs, ctx, domains):
+    """The root and symbol tables in the form that reduces every summed
+    exponent by % n over the whole (entries x coefficients) array, read
+    from the undoubled views, with theta = gamma / (gamma + gamma^q)
+    worked out per slot."""
+    q, n = vs.q, vs.length
+    add, _ = adder(ctx.p, ctx.degree)
+    wlog = np.arange(0, n, (q - 1) * vs.e)[:, None]
+    positions = np.arange(n)[:, None]
+    roots, symbols = [], []
+    for slot, domain in domains.items():
+        z = np.asarray(domain)[None, :]
+        zlog = ctx.log[z]
+        terms = [ctx.packed_exp[((q * zlog if conjugate else zlog) + uexp * wlog) % n]
+                 for conjugate, uexp in oracle._slot_terms(vs)[slot]]
+        roots.append(functools.reduce(add, terms) * (z != 0))
+        if vs.coset_sizes[slot] == vs.m:
+            relative = unpack(add(ctx.packed_exp[1], ctx.packed_exp[q]), ctx.p, ctx.degree)
+            zlog = zlog + 1 - ctx.log[relative]
+        symbols.append(ctx.trace[(zlog + vs.exponents[slot] * positions) % n] * (z != 0))
+    return roots, symbols
+
+
+@pytest.mark.parametrize("key", ["f1:2:3:1:1:3", "f2:3:2:3:1:3", "f1:2:4:2:1:2",
+                                 "f2:131:1:1:1:1"])
+def test_tables_without_modulo_match_the_modular_form(key):
+    """The gathers from the doubled views, with d i mod n taken once per
+    slot and the GF(q) slot's shifted log reduced on its one row, equal
+    the % n form entry for entry, dtype included: over GF(2^6) and GF(2^8)
+    with the GF(q) slot, GF(3^4), and GF(131^2) on a sample of each
+    domain.  Every domain holds the zero coefficient (log -1), and every
+    full domain gamma^(n-1), the largest log."""
+    vs = spec_of(key)
+    ctx = field(vs.p, 2 * vs.m)
+    domains = {}
+    for slot, domain in enumerate(coefficient_domains(vs, ctx)):
+        if len(domain) > 300:
+            rng = np.random.default_rng(slot)
+            domain = domain[np.concatenate(([0, len(domain) - 1],
+                                            rng.integers(1, len(domain), 60)))]
+        assert domain[0] == 0
+        assert ctx.log[domain].max() == vs.length - 1 or vs.coset_sizes[slot] == vs.m
+        domains[slot] = domain
+    roots, symbols = _modular_tables(vs, ctx, domains)
+    for got, expected in ((oracle._root_tables(vs, ctx, domains), roots),
+                          (oracle._symbol_tables(vs, ctx, domains), symbols)):
+        assert len(got) == len(expected) == len(domains)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def full_slots(vs):

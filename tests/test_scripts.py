@@ -132,8 +132,11 @@ def test_bench_verify_times_stages_and_catalog_calls(tmp_path):
     showcase = first["strata"]["showcase 1"]
     stages = [showcase[k] for k in ("brute_s", "n_r_brute_s", "weights_s")]
     assert all(len(walls) == 2 and min(walls) > 0 for walls in (showcase["op_s"], *stages))
+    # a kept field may build in no measurable time
+    assert len(showcase["field_s"]) == 2 and min(showcase["field_s"]) >= 0
     # the stages run inside the op
-    assert all(sum(parts) < op for op, *parts in zip(showcase["op_s"], *stages))
+    assert all(sum(parts) < op
+               for op, *parts in zip(showcase["op_s"], showcase["field_s"], *stages))
     # one catalog-sweep round: 11 sweeps, each verifying its tiny specs
     assert first["catalog_ops"] == 11 and first["brute_calls"] > 11
     assert len(first["brute_call_mean_s"]) == 2 and min(first["brute_call_mean_s"]) > 0
