@@ -106,6 +106,12 @@ one-t case.
 `parse_enumerator` reads the text of `nihocodes.solver.enumerator_string`
 back into (weight, frequency) pairs, for the round-trip test; the library
 never reads an enumerator.
+
+`report_dict` writes an `nihocodes.cli.AnalysisReport` as a JSON dict field
+by field, and `report_text` renders it as `niho analyze` prints it.  They
+are the references for the CLI's one report writer, `report_json`, which
+assembles the JSON text from a spec and its solution's pre-encoded fields,
+and for its text printer, which reads the spec and solution directly.
 """
 
 from __future__ import annotations
@@ -117,6 +123,7 @@ from math import comb, gcd
 
 import numpy as np
 
+from nihocodes.cli import SCHEMA_VERSION
 from nihocodes.codespec import (
     FAMILIES,
     CodeSpec,
@@ -638,3 +645,47 @@ def validate_spec_per_point(raw: CodeSpec) -> ValidatedSpec:
         q=q, e=e, s_values=s_values, exponents=exponents,
         coset_sizes=coset_sizes, length=q * q - 1, dimension=sum(coset_sizes),
     )
+
+
+def report_dict(report) -> dict:
+    """The report as a JSON-serializable dict: big integers as decimal
+    strings, one weight entry per j."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "spec": {"family": report.spec.family, "p": report.spec.p, "m": report.spec.m,
+                 "h": report.spec.h, "delta": report.spec.delta, "t": report.spec.t},
+        "q": report.q,
+        "e": report.e,
+        "s_values": list(report.s_values),
+        "exponents": list(report.exponents),
+        "coset_sizes": list(report.coset_sizes),
+        "length": report.length,
+        "dimension": report.dimension,
+        "n_values": [str(v) for v in report.n_values],
+        "weights": [
+            {"j": j, "weight": w, "frequency": str(f)}
+            for j, (w, f) in enumerate(zip(report.weights_by_j, report.freq_by_j))
+        ],
+        "zero_frequency_weights": list(report.zero_frequency_weights),
+        "enumerator": report.enumerator,
+    }
+
+
+def report_text(report) -> str:
+    """The text `niho analyze` prints for the report, newline-terminated."""
+    s = report.spec
+    exps = ", ".join(f"{d} (coset size {c})"
+                     for d, c in zip(report.exponents, report.coset_sizes))
+    lines = [
+        f"family {s.family}  p={s.p} m={s.m} h={s.h} delta={s.delta} t={s.t}",
+        f"q = {report.q}  e = {report.e}  length = {report.length}  "
+        f"dimension = {report.dimension}",
+        f"s-values: {', '.join(map(str, report.s_values))}",
+        f"exponents: {exps}",
+        f"N_r: {', '.join(map(str, report.n_values))}",
+        "weights (j, weight, frequency):",
+        *(f"  {j:2d}  {w:6d}  {f}"
+          for j, (w, f) in enumerate(zip(report.weights_by_j, report.freq_by_j))),
+        f"weight enumerator: {report.enumerator}",
+    ]
+    return "\n".join(lines) + "\n"

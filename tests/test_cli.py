@@ -16,7 +16,7 @@ from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec
 from nihocodes.galois import build_field
 from nihocodes.solver import ModelViolationError, weight_distribution
 
-from exact_reference import validate_spec_per_point
+from exact_reference import report_dict, report_text, validate_spec_per_point
 
 EXAMPLE1_FLAGS = ["--family", "f1", "--p", "2", "--m", "4", "--h", "2", "--delta", "1", "--t", "2"]
 EXAMPLE2_FLAGS = ["--family", "f2", "--p", "3", "--m", "2", "--h", "3", "--delta", "1", "--t", "3"]
@@ -142,6 +142,17 @@ def test_report_json_is_json_dumps_of_the_report(capsys, key):
     names = ("family", "p", "m", "h", "delta", "t")
     assert main(["analyze", *_flags(**dict(zip(names, values))), "--json"]) == 0
     assert capsys.readouterr().out == text + "\n"
+
+
+@pytest.mark.parametrize("key", WRITER_SPECS)
+def test_analyze_text_is_the_reference_rendering_of_the_json_report(capsys, key):
+    # the whole text report, against the JSON report read back and rendered
+    family, *numbers = values = key.split(":")
+    flags = _flags(**dict(zip(("family", "p", "m", "h", "delta", "t"), values)))
+    assert main(["analyze", *flags, "--json"]) == 0
+    report = AnalysisReport.from_json_dict(json.loads(capsys.readouterr().out))
+    assert main(["analyze", *flags]) == 0
+    assert capsys.readouterr().out == report_text(report)
 
 
 @pytest.mark.parametrize("elapsed, written", [(0.0, "0.0"), (1e-06, "1e-06"), (5e-05, "5e-05"),
