@@ -23,9 +23,7 @@ from .oracle import (
     PowerMomentReport,
     brute_distribution,
     char_sum,
-    char_sums,
     codeword_weight,
-    codeword_weights,
     n_r_brute,
     power_moment_check,
     weight_from_char_sum,

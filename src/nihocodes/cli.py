@@ -8,9 +8,10 @@ Subcommands:
 
 `analyze --json` and `sweep` write a report through one writer,
 `report_json`: `solve` encodes the fields that depend on (e, t) alone once,
-and a report adds its spec's own fields, in the text and key order of
-json.dumps(report.to_json_dict(), sort_keys=True).  A sweep reuses one
-solution for every record of its (e, t) and flushes each record as written.
+and a report adds its spec's own fields, keys in sorted order as
+json.dumps(..., sort_keys=True) writes them; `AnalysisReport.from_json_dict`
+reads a report back.  A sweep reuses one solution for every record of its
+(e, t) and flushes each record as written.
 It walks its grid one (h, delta) row at a time: `codespec.admit_row` runs
 the checks that do not read t once, the specs of the t's in the row's
 window come from one zero set, and the refused t's below and above the
@@ -89,7 +90,8 @@ WEIGHT_SAMPLES = 48
 
 @dataclasses.dataclass(frozen=True)
 class AnalysisReport:
-    """Everything analyze knows about one spec, JSON-serializable."""
+    """Everything analyze knows about one spec, as read back from the JSON
+    text of `report_json`."""
 
     spec: CodeSpec
     q: int
@@ -104,27 +106,6 @@ class AnalysisReport:
     freq_by_j: tuple[int, ...]
     zero_frequency_weights: tuple[int, ...]
     enumerator: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "spec": {"family": self.spec.family, "p": self.spec.p, "m": self.spec.m,
-                     "h": self.spec.h, "delta": self.spec.delta, "t": self.spec.t},
-            "q": self.q,
-            "e": self.e,
-            "s_values": list(self.s_values),
-            "exponents": list(self.exponents),
-            "coset_sizes": list(self.coset_sizes),
-            "length": self.length,
-            "dimension": self.dimension,
-            "n_values": [str(v) for v in self.n_values],
-            "weights": [
-                {"j": j, "weight": w, "frequency": str(f)}
-                for j, (w, f) in enumerate(zip(self.weights_by_j, self.freq_by_j))
-            ],
-            "zero_frequency_weights": list(self.zero_frequency_weights),
-            "enumerator": self.enumerator,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnalysisReport":
@@ -183,11 +164,11 @@ def solve(vspec: ValidatedSpec) -> Solution:
 
 
 def report_json(vspec: ValidatedSpec, solution: Solution) -> str:
-    """The text json.dumps(build_report(vspec, solution).to_json_dict(),
-    sort_keys=True) gives, built from the solution's encoded fields and the
-    spec's own ones, keys in sorted order.  Every string in a report is a
-    validated family name, a decimal or an enumerator, none with a
-    character JSON escapes."""
+    """The report as JSON text, as json.dumps(..., sort_keys=True) writes
+    it, built from the solution's encoded fields and the spec's own ones:
+    big integers as decimal strings, one weight entry per j.  Every string
+    in a report is a validated family name, a decimal or an enumerator, none
+    with a character JSON escapes."""
     return (f'{{"coset_sizes": {_ints(vspec.coset_sizes)}, "dimension": {vspec.dimension}, '
             f'"e": {vspec.e}, "enumerator": "{solution.enumerator}", '
             f'"exponents": {_ints(vspec.exponents)}, "length": {vspec.length}, '
@@ -208,6 +189,8 @@ def catalog_line(key: str, status: str, elapsed_s: float, report: str) -> str:
 
 
 def build_report(vspec: ValidatedSpec, solution: Solution) -> AnalysisReport:
+    """The report that `AnalysisReport.from_json_dict` reads back from
+    `report_json(vspec, solution)`."""
     dist = solution.dist
     return AnalysisReport(
         spec=CodeSpec(vspec.family, vspec.p, vspec.m, vspec.h, vspec.delta, vspec.t),
@@ -223,20 +206,20 @@ def build_report(vspec: ValidatedSpec, solution: Solution) -> AnalysisReport:
     )
 
 
-def _print_report_text(report: AnalysisReport, out) -> None:
-    s = report.spec
-    print(f"family {s.family}  p={s.p} m={s.m} h={s.h} delta={s.delta} t={s.t}", file=out)
-    print(f"q = {report.q}  e = {report.e}  length = {report.length}  "
-          f"dimension = {report.dimension}", file=out)
-    print(f"s-values: {', '.join(map(str, report.s_values))}", file=out)
+def _print_report_text(vspec: ValidatedSpec, solution: Solution) -> None:
+    print(f"family {vspec.family}  p={vspec.p} m={vspec.m} h={vspec.h} "
+          f"delta={vspec.delta} t={vspec.t}")
+    print(f"q = {vspec.q}  e = {vspec.e}  length = {vspec.length}  "
+          f"dimension = {vspec.dimension}")
+    print(f"s-values: {', '.join(map(str, vspec.s_values))}")
     exps = ", ".join(f"{d} (coset size {c})"
-                     for d, c in zip(report.exponents, report.coset_sizes))
-    print(f"exponents: {exps}", file=out)
-    print(f"N_r: {', '.join(map(str, report.n_values))}", file=out)
-    print("weights (j, weight, frequency):", file=out)
-    for j, (w, f) in enumerate(zip(report.weights_by_j, report.freq_by_j)):
-        print(f"  {j:2d}  {w:6d}  {f}", file=out)
-    print(f"weight enumerator: {report.enumerator}", file=out)
+                     for d, c in zip(vspec.exponents, vspec.coset_sizes))
+    print(f"exponents: {exps}")
+    print(f"N_r: {', '.join(map(str, solution.n_values))}")
+    print("weights (j, weight, frequency):")
+    for j, (w, f) in enumerate(zip(solution.dist.weights_by_j, solution.dist.freq_by_j)):
+        print(f"  {j:2d}  {w:6d}  {f}")
+    print(f"weight enumerator: {solution.enumerator}")
 
 
 class UsageError(ValueError):
@@ -297,7 +280,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         print(report_json(vspec, solution))
     else:
-        _print_report_text(build_report(vspec, solution), sys.stdout)
+        _print_report_text(vspec, solution)
     return EXIT_OK
 
 
@@ -402,7 +385,7 @@ def cmd_nr(args) -> int:
             print(f"--brute needs the full spec; missing {', '.join('--' + f for f in missing)}",
                   file=sys.stderr)
             return EXIT_INVALID
-        vspec = validate_spec(CodeSpec(args.family, args.p, args.m, args.h, args.delta, args.t))
+        vspec = _spec_from_args(args)
         if vspec.e != args.e:
             print(f"spec has e = {vspec.e}, flag says {args.e}", file=sys.stderr)
             return EXIT_INVALID

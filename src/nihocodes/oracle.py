@@ -23,24 +23,6 @@ The zero set enters through its coset sizes alone: a slot whose coset has
 size m takes GF(q) coefficients and one root-counting term, any other slot
 all of GF(q^2) and a second term for its conjugate (see _slot_terms).
 
-A builder gives, per coefficient slot, one value per entry (W point or
-position) and coefficient of the slot's domain.  A tuple's entry is the sum
-of its slots under the (add, neg) pair of galois.adder, for GF(q^2) or
-GF(p); zero packs to 0, so roots and zero symbols are counted without
-unpacking, and domains, validation and log lookups stay on base-p codes.
-The batch evaluators column_weights and column_char_sums take the
-coefficients slot by slot, one column per slot, and give slot s its column
-as its domain, so column i of every table is tuple i, in chunks of at most
-_BATCH_ENTRIES entries per slot; they trust the coefficients, as the CLI's
-weight check draws them from the domains.  codeword_weights and char_sums
-validate a list of tuples and hand over its columns; codeword_weight and
-char_sum are batches of one.  Full-space sweeps hand their tables to one
-engine, _zero_count_histogram, which histograms how many entries vanish,
-each column of the first table weighted by the number of tuples it stands
-for; brute_distribution maps that count to a weight.
-n_r_brute sums packed signatures with the same adder.  The scalar
-references both paths are tested against live in the tests.
-
 brute_distribution sweeps orbit representatives of the group H that the
 cyclic shift, Frobenius and GF(p)* scaling generate: the multipliers of
 MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 8 §5.  Each
@@ -55,15 +37,15 @@ GF(p)-linearity and Frobenius are used, none of the paper's formulas.
 
 The full slots (coset size 2m, coefficients in all of GF(q^2)) are taken two
 at a time.  Level i sweeps the tuples whose earlier full slots are zero and
-whose i-th pair (a_j, a_j') is not, by one engine call over a head: the
-H-orbit representatives of the nonzero pairs, each column weighted by its
-orbit's size, with the later full slots and the GF(q) slot free.  H maps the
-tuples with head (a_j, a_j') one to one onto those with the image head,
-weights kept, so every pair of an orbit has the same histogram.  The last
-level, which may hold one full slot, also carries the zero column with
-weight 1, for the tuples whose full slots are all zero; so up to two full
-slots take one engine call.  A zero set with no full slot (f1 with t = 0) is
-swept whole.
+whose i-th pair (a_j, a_j') is not, by one call of the engine,
+_zero_count_histogram, over a head: the H-orbit representatives of the
+nonzero pairs, each column weighted by its orbit's size, with the later
+full slots and the GF(q) slot free.  H maps the tuples with head
+(a_j, a_j') one to one onto those with the image head, weights kept, so
+every pair of an orbit has the same histogram.  The last level, which may
+hold one full slot, also carries the zero column with weight 1, for the
+tuples whose full slots are all zero; so up to two full slots take one
+engine call.  A zero set with no full slot (f1 with t = 0) is swept whole.
 
 _head_orbits finds the representatives with Python integers on small
 moduli:
@@ -154,8 +136,8 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 10**10
 _BLOCK_ENTRIES = 1 << 22
-# Table entries per slot in one chunk of a batch path (codeword_weights,
-# char_sums): larger chunks save no numpy calls worth having and cost memory.
+# Table entries per slot in one chunk of a batch path (column_weights,
+# column_char_sums): larger chunks save no numpy calls worth having and cost memory.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -263,34 +245,16 @@ def column_char_sums(vspec: ValidatedSpec, columns, ctx: FieldContext) -> list[i
     return sums
 
 
-def _slot_columns(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
-                  ctx: FieldContext) -> list[tuple[int, ...]]:
-    """Validate every tuple, then return their coefficients slot by slot."""
-    for a in tuples:
-        validate_tuple(vspec, a, ctx)
-    return list(zip(*tuples)) or [()] * len(vspec.exponents)
-
-
-def codeword_weights(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
-                     ctx: FieldContext) -> list[int]:
-    """column_weights of a list of tuples, each validated first, in input order."""
-    return column_weights(vspec, _slot_columns(vspec, tuples, ctx), ctx)
-
-
-def char_sums(vspec: ValidatedSpec, tuples: list[tuple[int, ...]],
-              ctx: FieldContext) -> list[int]:
-    """column_char_sums of a list of tuples, each validated first, in input order."""
-    return column_char_sums(vspec, _slot_columns(vspec, tuples, ctx), ctx)
-
-
 def codeword_weight(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """One tuple's Hamming weight: codeword_weights of a batch of one."""
-    return codeword_weights(vspec, [a], ctx)[0]
+    """One tuple's Hamming weight, validated first: column_weights of one column."""
+    validate_tuple(vspec, a, ctx)
+    return column_weights(vspec, [(c,) for c in a], ctx)[0]
 
 
 def char_sum(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """One tuple's character sum: char_sums of a batch of one."""
-    return char_sums(vspec, [a], ctx)[0]
+    """One tuple's character sum, validated first: column_char_sums of one column."""
+    validate_tuple(vspec, a, ctx)
+    return column_char_sums(vspec, [(c,) for c in a], ctx)[0]
 
 
 def weight_from_char_sum(vspec: ValidatedSpec, s: int) -> int:
@@ -373,10 +337,10 @@ def _zero_count_histogram(tables: list[np.ndarray], add, neg,
     negated block at once.  With no outer slot the block's zeros are
     counted as they are.
 
-    With weights, column i of tables[0] stands for weights[i] tuples (an
-    all-zero column for the zero tuple alone, weight 1): the counts are
-    binned per column of tables[0] and the rows summed with those integer
-    weights, in int64 like the counts themselves.
+    Column i of tables[0] stands for weights[i] tuples, one each when
+    weights is None (an all-zero column for the zero tuple alone, weight
+    1): the counts are binned per column of tables[0], and the rows summed
+    with those weights in int64, like the counts themselves.
     """
     import numpy as np
     n_entries = tables[0].shape[0]
@@ -393,26 +357,25 @@ def _zero_count_histogram(tables: list[np.ndarray], add, neg,
     outer_sizes = [t.shape[1] for t in tables[:split]]
     count_dtype = np.min_scalar_type(n_entries)
     bins = n_entries + 1
-    weighted = weights is not None
-    rows = tables[0].shape[1] if weighted else 1
+    rows = tables[0].shape[1]
     hist = np.zeros((rows, bins), dtype=np.int64)
-    if weighted and not split:
-        # a block column's leading digit is its column of tables[0]; an
-        # offset moves its count into that row
-        offsets = np.arange(0, hist.size, bins)[:, None]
+    # a block column's leading digit is its column of tables[0]; an offset
+    # moves its count into that row
+    offsets = np.arange(0, hist.size, bins)[:, None]
     for outer in itertools.product(*map(range, outer_sizes)):
         partial = 0
         for table, zi in zip(tables, outer):
             partial = add(partial, table[:, zi, None])
         counts = (block == partial).sum(axis=0, dtype=count_dtype)
-        if weighted and not split:
+        if split:  # the outer index leads with the column of tables[0]
+            hist[outer[0]] += np.bincount(counts, minlength=bins)
+        else:
             keys = (counts.reshape(rows, -1) + offsets).ravel()
             hist += np.bincount(keys, minlength=hist.size).reshape(rows, bins)
-        else:  # when weighted, the outer index leads with the column of tables[0]
-            hist[outer[0] if weighted else 0] += np.bincount(counts, minlength=bins)
     if not any(table[:, 0].any() for table in tables):
         hist[0, n_entries] -= 1
-    return (np.asarray(weights, dtype=np.int64) @ hist if weighted else hist[0]).tolist()
+    weights = [1] * rows if weights is None else weights
+    return (np.asarray(weights, dtype=np.int64) @ hist).tolist()
 
 
 def _cycles(mult: int, shift: int, modulus: int) -> list[tuple[int, int]]:

@@ -223,26 +223,14 @@ class WeightDistribution:
             return ()
         return tuple(w for w, f in zip(self.weights_by_j, self.freq_by_j) if f == 0)
 
-    @classmethod
-    def from_freq_by_j(cls, vspec: ValidatedSpec, weights_by_j, freq_by_j) -> "WeightDistribution":
-        freq_by_j = tuple(int(f) for f in freq_by_j)
-        if any(f < 0 for f in freq_by_j):
-            raise ValueError(f"negative frequency in {freq_by_j}")
-        total = sum(freq_by_j)
-        expected = vspec.codeword_count - 1
-        if total != expected:
-            raise ValueError(f"frequencies sum to {total}, expected {expected}")
-        entries = tuple(sorted((w, f) for w, f in zip(weights_by_j, freq_by_j) if f))
-        return cls(length=vspec.length, dimension=vspec.dimension, entries=entries,
-                   weights_by_j=tuple(weights_by_j), freq_by_j=freq_by_j)
-
 
 def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
     """The moment system's solution in closed form, with the distribution.
 
     The closed form is certified by the exact residual M mu = b on every
     row, with no matrix built (the nodes are distinct, so the solution is
-    unique); a negative frequency is then rejected, carrying the solution.
+    unique); row 0 is the total, b_0 = p^dimension - 1 nonzero codewords.
+    A negative frequency is then rejected, carrying the solution.
     """
     q, e, n = vspec.q, vspec.e, vspec.moment_size
     nodes = moment_nodes(n, q, e)
@@ -253,7 +241,10 @@ def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
         raise ModelViolationError(
             f"frequencies are not non-negative integers for {vspec.key}", mu)
     weights = theoretical_weights(vspec.p, q, e, n)
-    return WeightDistribution.from_freq_by_j(vspec, weights, mu)
+    return WeightDistribution(
+        length=vspec.length, dimension=vspec.dimension,
+        entries=tuple(sorted((w, f) for w, f in zip(weights, mu) if f)),
+        weights_by_j=weights, freq_by_j=mu)
 
 
 def enumerator_string(dist: WeightDistribution, decimal=None) -> str:

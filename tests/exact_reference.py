@@ -107,7 +107,7 @@ one-t case.
 back into (weight, frequency) pairs, for the round-trip test; the library
 never reads an enumerator.
 
-`report_dict` writes an `nihocodes.cli.AnalysisReport` as a JSON dict field
+`report_dict` writes a `nihocodes.cli.AnalysisReport` as a JSON dict field
 by field, and `report_text` renders it as `niho analyze` prints it.  They
 are the references for the CLI's one report writer, `report_json`, which
 assembles the JSON text from a spec and its solution's pre-encoded fields,

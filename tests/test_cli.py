@@ -113,12 +113,21 @@ def test_big_integers_print_in_full():
     assert total == 2**20000 - 1
 
 
+# zero-frequency weights (q = 4 and 8), f1 at t = 0, odd p (q = 9 and 729)
+# and f1 q = 1024 t = 18, whose frequencies run to hundreds of digits
+WRITER_SPECS = ["f2:2:2:1:1:1", "f2:2:3:1:1:1", "f1:2:4:1:1:0", "f2:3:2:1:1:1",
+                "f2:3:2:3:1:3", "f2:3:6:1:1:2", "f2:3:6:73:1:5", "f1:2:10:1:1:18"]
+
+
 def test_analyze_json_round_trip(capsys):
+    for key in WRITER_SPECS:
+        family, *numbers = key.split(":")
+        vs = validate_spec(CodeSpec(family, *map(int, numbers)))
+        solution = cli.solve(vs)
+        text = cli.report_json(vs, solution)
+        assert AnalysisReport.from_json_dict(json.loads(text)) == build_report(vs, solution)
     assert main(["analyze", *EXAMPLE1_FLAGS, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    report = AnalysisReport.from_json_dict(data)
-    vs = validate_spec(CodeSpec("f1", 2, 4, 2, 1, 2))
-    assert report == build_report(vs, cli.solve(vs))
     # big integers as decimal strings
     assert data["weights"][0]["frequency"] == "353700"
     assert data["n_values"] == ["1", "0", "255", "3570", "237405"]
@@ -126,18 +135,12 @@ def test_analyze_json_round_trip(capsys):
     assert sum(int(w["frequency"]) for w in data["weights"]) == 2**20 - 1
 
 
-# zero-frequency weights (q = 4 and 8), f1 at t = 0, odd p (q = 9 and 729)
-# and f1 q = 1024 t = 18, whose frequencies run to hundreds of digits
-WRITER_SPECS = ["f2:2:2:1:1:1", "f2:2:3:1:1:1", "f1:2:4:1:1:0", "f2:3:2:1:1:1",
-                "f2:3:2:3:1:3", "f2:3:6:1:1:2", "f2:3:6:73:1:5", "f1:2:10:1:1:18"]
-
-
 @pytest.mark.parametrize("key", WRITER_SPECS)
 def test_report_json_is_json_dumps_of_the_report(capsys, key):
     family, *numbers = values = key.split(":")
     vs = validate_spec(CodeSpec(family, *map(int, numbers)))
     solution = cli.solve(vs)
-    text = json.dumps(build_report(vs, solution).to_json_dict(), sort_keys=True)
+    text = json.dumps(report_dict(build_report(vs, solution)), sort_keys=True)
     assert cli.report_json(vs, solution) == text
     names = ("family", "p", "m", "h", "delta", "t")
     assert main(["analyze", *_flags(**dict(zip(names, values))), "--json"]) == 0
@@ -147,7 +150,7 @@ def test_report_json_is_json_dumps_of_the_report(capsys, key):
 @pytest.mark.parametrize("key", WRITER_SPECS)
 def test_analyze_text_is_the_reference_rendering_of_the_json_report(capsys, key):
     # the whole text report, against the JSON report read back and rendered
-    family, *numbers = values = key.split(":")
+    values = key.split(":")
     flags = _flags(**dict(zip(("family", "p", "m", "h", "delta", "t"), values)))
     assert main(["analyze", *flags, "--json"]) == 0
     report = AnalysisReport.from_json_dict(json.loads(capsys.readouterr().out))
@@ -170,8 +173,9 @@ def test_catalog_line_is_json_dumps_of_the_record(elapsed, written):
 @pytest.mark.parametrize("flags", [EXAMPLE1_FLAGS, EXAMPLE2_FLAGS])
 def test_report_spec_written_field_by_field(capsys, flags):
     assert main(["analyze", *flags, "--json"]) == 0
-    report = AnalysisReport.from_json_dict(json.loads(capsys.readouterr().out))
-    assert report.to_json_dict()["spec"] == dataclasses.asdict(report.spec)
+    data = json.loads(capsys.readouterr().out)
+    report = AnalysisReport.from_json_dict(data)
+    assert data["spec"] == dataclasses.asdict(report.spec)
 
 
 def test_verify_all_checks_tiny(capsys):
@@ -496,7 +500,7 @@ def test_sweep_catalog(tmp_path, capsys):
     # reports round-trip through JSON
     for r in records:
         report = AnalysisReport.from_json_dict(r["report"])
-        assert report.to_json_dict() == r["report"]
+        assert report_dict(report) == r["report"]
 
 
 def test_sweep_interleaved_runs_keep_keys_unique(tmp_path):
