@@ -1,40 +1,40 @@
 #!/usr/bin/env python3
-"""Time the brute-force oracles in process: `niho verify` by stratum and
-stage, and the tiny sweeps of `niho sweep --verify-small` call by call.
+"""Time the brute-force oracles in process: `niho sweep --verify-small` op by
+op, and `niho verify` by stratum and stage.
 
     PYTHONPATH=src python3 scripts/bench_verify.py --out BENCH_verify.json --label change
 
-Run from the repository root.  Two parts, each run --runs times after one
-untimed warm-up run:
+Run from the repository root.  Two parts run their seed-1 ops of
+`perfbench/workloads.py` through the harness of `transcripts.py`, --runs
+times after one untimed warm-up run:
 
-  * catalog: the catalog-sweep ops of `perfbench/workloads.py` (seed 1, the
-    first --sweep-rounds rounds), each into a fresh catalog, with every
-    `brute_distribution` call the sweep makes timed on its own.
-  * verify: the verify-oracle ops (seed 1, the first --rounds rounds) run
-    through `cli.main`.  Each op's time is split into the stages field
-    build (`build_field`), brute sweep (`brute_distribution`), tuple
-    counting (`n_r_brute`) and weight check (`_check_weights`), summed per
-    stratum: a showcase, or (family, q, t) for the drawn specs.
+  * catalog: the catalog-sweep ops of the first --sweep-rounds rounds (a
+    claim runs all 128, 1408 ops), each into a fresh catalog: ops per
+    second, the time of each `brute_distribution` call, and from the warm-up
+    the records written and the calls of `weight_distribution` and
+    `brute_distribution`.
+  * verify: the verify-oracle ops of the first --rounds rounds, each op's
+    time split into the stages `build_field`, `brute_distribution`,
+    `n_r_brute` and `_check_weights`, summed per stratum: a showcase, or
+    (family, q, t) for the drawn specs.
 
 The catalog part runs first, as the benchmark runs it, in a process that has
 made no large sweep: after the verify part's large arrays the allocator
 serves the tiny sweeps differently, and their per-call time moved by
-10-15 % with the order of the parts.
+10-15 % with the order of the parts.  Every time is the CPU time of the
+calling thread (`time.thread_time`): the work is single-threaded, and on a
+shared machine the wall clock also counts the slices other processes take.
 
-Every time is the CPU time of the calling thread (`time.thread_time`): the
-work is single-threaded, and on a shared machine the wall clock also counts
-the slices other processes take.
-
-Stdout, stderr and the exit code of every op, and the catalog records
-without `elapsed_s`, are hashed; every run must give the warm-up's digests,
-and the script exits 1 otherwise.  Beyond the standard library it imports
-only the package, the benchmark's workload generator and the in-process
-harness of `transcripts.py`.
+Every sweep must exit 0.  The verify ops' exit codes (showcase 1's N_4
+refusal exits 3), stdout and stderr are hashed, and so are the catalogs'
+raw lines with only the value of `elapsed_s` masked, so that a change of
+spacing or key order shows.  Every run must give the warm-up's digests.
+The script exits 1 otherwise.
 
 The results go under --label in the JSON file.  A rerun with a label that
 is already there adds its timings to that label's lists after checking that
-its digests match, so runs on two trees can alternate: point PYTHONPATH at
-each tree's `src` in turn.
+its digests and counts match, so runs on two trees can alternate: point
+PYTHONPATH at each tree's `src` in turn.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import sys
 import tempfile
@@ -63,6 +64,8 @@ from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec  # n
 SEED = 1
 STAGES = {"field_s": "build_field", "brute_s": "brute_distribution",
           "n_r_brute_s": "n_r_brute", "weights_s": "_check_weights"}
+CATALOG_STAGES = {"solve_s": "weight_distribution", "brute_s": "brute_distribution"}
+ELAPSED = re.compile(rb'"elapsed_s": [^,}]*')
 
 
 def stratum(op) -> str:
@@ -76,11 +79,10 @@ def stratum(op) -> str:
 
 class Stopwatch:
     """Replaces the cli's stage functions by timed wrappers while in use;
-    seconds[stage] sums their times and calls lists each call's time."""
+    calls[stage] lists the time of each call."""
 
     def __init__(self, stages: dict[str, str]):
         self.stages = stages
-        self.seconds: dict[str, float] = defaultdict(float)
         self.calls: dict[str, list[float]] = defaultdict(list)
 
     def __enter__(self):
@@ -99,9 +101,7 @@ class Stopwatch:
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent = time.thread_time() - started
-                self.seconds[stage] += spent
-                self.calls[stage].append(spent)
+                self.calls[stage].append(time.thread_time() - started)
         return timed
 
 
@@ -122,21 +122,36 @@ def run_verify(ops, log) -> tuple[str, float, dict]:
         entry["ops"] += 1
         entry["op_s"] += spent
         for stage in STAGES:
-            entry[stage] += watch.seconds[stage]
+            entry[stage] += sum(watch.calls[stage])
         digest.update(json.dumps([op.argv, rc, out, err]).encode() + b"\n")
     return digest.hexdigest(), total, strata
 
 
-def run_catalog(ops, catalog: Path, log) -> tuple[str, list[float]]:
-    """One pass over the sweep ops: digest and the time of each brute call."""
-    digest = hashlib.sha256()
+def mask_elapsed(catalog: Path) -> bytes:
+    """A catalog's raw lines with only the value of `elapsed_s` masked."""
+    return ELAPSED.sub(b'"elapsed_s": <masked>', catalog.read_bytes())
+
+
+def run_catalog(ops, catalog: Path, log) -> tuple[str, float, int, dict[str, list[float]]]:
+    """One pass over the sweep ops: digest, total seconds, records written and
+    the time of each call per stage of CATALOG_STAGES."""
+    digest, total, records = hashlib.sha256(), 0.0, 0
     gc.collect()
-    with Stopwatch({"brute_s": "brute_distribution"}) as watch:
+    with Stopwatch(CATALOG_STAGES) as watch:
         for op in ops:
             catalog.unlink(missing_ok=True)
-            rc, out, err = transcripts.call([*op.argv, "--out", str(catalog)], log)
-            digest.update(json.dumps([rc, transcripts.catalog_records(catalog)]).encode())
-    return digest.hexdigest(), watch.calls["brute_s"]
+            argv = [*op.argv, "--out", str(catalog)]
+            started = time.thread_time()
+            rc, out, err = transcripts.call(argv, log)
+            total += time.thread_time() - started
+            if rc != 0:
+                raise SystemExit(f"exit {rc} from {' '.join(argv)}:\n{out}{err}")
+            lines = mask_elapsed(catalog)
+            records += lines.count(b"\n")
+            # with the exit code, so that the digest equals the `catalog_sha256`
+            # of BENCH_13, 21, 23 and 24 at the same rounds
+            digest.update(f"{rc}\n".encode() + lines)
+    return digest.hexdigest(), total, records, watch.calls
 
 
 def time_oracles(rounds: int, sweep_rounds: int, runs: int) -> dict:
@@ -147,16 +162,18 @@ def time_oracles(rounds: int, sweep_rounds: int, runs: int) -> dict:
                  for op in r]
     with transcripts.capture_log() as log, tempfile.TemporaryDirectory() as tmp:
         catalog = Path(tmp) / "catalog.jsonl"
-        catalog_sha, calls = run_catalog(sweep_ops, catalog, log)  # also warms the caches
+        catalog_sha, _, records, calls = run_catalog(sweep_ops, catalog, log)  # warms caches
         entry = {"catalog_sha256": catalog_sha, "catalog_ops": len(sweep_ops),
-                 "brute_calls": len(calls), "brute_call_mean_s": [],
-                 "brute_call_median_s": []}
+                 "records": records, "solve_calls": len(calls["solve_s"]),
+                 "brute_calls": len(calls["brute_s"]), "catalog_ops_per_s": [],
+                 "brute_call_mean_s": [], "brute_call_median_s": []}
         for _ in range(runs):
-            swept, calls = run_catalog(sweep_ops, catalog, log)
+            swept, total, _, calls = run_catalog(sweep_ops, catalog, log)
             if swept != catalog_sha:
                 raise SystemExit("a run's catalogs differ from the warm-up run's")
-            entry["brute_call_mean_s"].append(statistics.fmean(calls))
-            entry["brute_call_median_s"].append(statistics.median(calls))
+            entry["catalog_ops_per_s"].append(len(sweep_ops) / total)
+            entry["brute_call_mean_s"].append(statistics.fmean(calls["brute_s"]))
+            entry["brute_call_median_s"].append(statistics.median(calls["brute_s"]))
         verify_sha, _, shape = run_verify(verify_ops, log)
         entry.update({"verify_sha256": verify_sha, "verify_ops": len(verify_ops),
                       "verify_ops_per_s": [],
@@ -174,14 +191,16 @@ def time_oracles(rounds: int, sweep_rounds: int, runs: int) -> dict:
     return entry
 
 
-SAME = ("verify_sha256", "catalog_sha256", "verify_ops", "catalog_ops", "brute_calls")
+SAME = ("verify_sha256", "catalog_sha256", "verify_ops", "catalog_ops", "records",
+        "solve_calls", "brute_calls")
 
 
 def merge(previous: dict, entry: dict) -> dict:
     """entry's timing lists appended to previous's, whose digests must match."""
-    if any(previous[k] != entry[k] for k in SAME):
+    if any(previous.get(k) != entry[k] for k in SAME):
         raise SystemExit("outputs or counts differ from the runs already under this label")
-    for key in ("verify_ops_per_s", "brute_call_mean_s", "brute_call_median_s"):
+    for key in ("verify_ops_per_s", "catalog_ops_per_s", "brute_call_mean_s",
+                "brute_call_median_s"):
         entry[key] = previous[key] + entry[key]
     for name, s in entry["strata"].items():
         for key in ("op_s", *STAGES):
@@ -200,8 +219,11 @@ def main() -> None:
                         help="catalog-sweep rounds, 11 ops each")
     parser.add_argument("--runs", type=int, default=3, help="timed passes")
     args = parser.parse_args()
-    if min(args.rounds, args.sweep_rounds, args.runs) < 1:
-        parser.error("--rounds, --sweep-rounds and --runs must be positive")
+    most = {name: workloads.WORKLOADS[name].rounds for name in ("verify-oracle", "catalog-sweep")}
+    if (min(args.rounds, args.sweep_rounds, args.runs) < 1 or args.rounds > most["verify-oracle"]
+            or args.sweep_rounds > most["catalog-sweep"]):
+        parser.error(f"--runs must be positive, --rounds in 1..{most['verify-oracle']} and "
+                     f"--sweep-rounds in 1..{most['catalog-sweep']}")
     for name in ("NIHO_BUDGET", "NIHO_TABLE_LIMIT"):  # as the benchmark clears them
         os.environ.pop(name, None)
     setup = {"seed": SEED, "rounds": args.rounds, "sweep_rounds": args.sweep_rounds}
@@ -222,10 +244,12 @@ def main() -> None:
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for label, tree in result["trees"].items():
         med = statistics.median
-        print(f"{label}: verify {med(tree['verify_ops_per_s']):.1f} ops/s, catalog brute "
-              f"call {med(tree['brute_call_mean_s']) * 1e6:.0f} us mean "
-              f"({med(tree['brute_call_median_s']) * 1e6:.0f} us median) over "
-              f"{tree['brute_calls']} calls, {len(tree['verify_ops_per_s'])} runs")
+        print(f"{label}: verify {med(tree['verify_ops_per_s']):.1f} ops/s, catalog "
+              f"{med(tree['catalog_ops_per_s']):.1f} ops/s, {len(tree['verify_ops_per_s'])} runs")
+        print(f"  catalog: {tree['records']} records from {tree['catalog_ops']} ops, "
+              f"{tree['solve_calls']} solves, {tree['brute_calls']} brute calls of "
+              f"{med(tree['brute_call_mean_s']) * 1e6:.0f} us mean "
+              f"({med(tree['brute_call_median_s']) * 1e6:.0f} us median)")
         for name, s in sorted(tree["strata"].items()):
             stages = ", ".join(f"{stage} {med(s[stage]) * 1e3:.2f}" for stage in STAGES)
             print(f"  {name:14s} x{s['ops']:<3d} op {med(s['op_s']) * 1e3:.2f} ms: {stages}")

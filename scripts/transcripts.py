@@ -12,8 +12,8 @@ catalog without `elapsed_s`, with the catalog path masked.  Two trees give
 the same digests exactly when their transcripts agree: run the script with
 PYTHONPATH pointing at each tree's `src` and compare the lines.
 
-The in-process harness here (`capture_log` and `call`) is
-also what `bench_sweep.py` times.
+The in-process harness here (`capture_log` and `call`) is also what
+`bench_verify.py` times.
 """
 
 from __future__ import annotations

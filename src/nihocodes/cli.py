@@ -190,7 +190,11 @@ def catalog_line(key: str, status: str, elapsed_s: float, report: str) -> str:
 
 def build_report(vspec: ValidatedSpec, solution: Solution) -> AnalysisReport:
     """The report that `AnalysisReport.from_json_dict` reads back from
-    `report_json(vspec, solution)`."""
+    `report_json(vspec, solution)`.
+
+    No command calls it: `report_json` writes the text directly.  It stays
+    for the tests' round trip and while the benchmark traces it.
+    """
     dist = solution.dist
     return AnalysisReport(
         spec=CodeSpec(vspec.family, vspec.p, vspec.m, vspec.h, vspec.delta, vspec.t),

@@ -246,13 +246,21 @@ def column_char_sums(vspec: ValidatedSpec, columns, ctx: FieldContext) -> list[i
 
 
 def codeword_weight(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """One tuple's Hamming weight, validated first: column_weights of one column."""
+    """One tuple's Hamming weight, validated first: column_weights of one column.
+
+    No command calls it: the CLI calls `column_weights` on whole batches.  It
+    stays for the tests and while the benchmark traces it.
+    """
     validate_tuple(vspec, a, ctx)
     return column_weights(vspec, [(c,) for c in a], ctx)[0]
 
 
 def char_sum(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """One tuple's character sum, validated first: column_char_sums of one column."""
+    """One tuple's character sum, validated first: column_char_sums of one column.
+
+    No command calls it: the CLI calls `column_char_sums` on whole batches.
+    It stays for the tests and while the benchmark traces it.
+    """
     validate_tuple(vspec, a, ctx)
     return column_char_sums(vspec, [(c,) for c in a], ctx)[0]
 

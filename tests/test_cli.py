@@ -736,8 +736,8 @@ def test_negative_budgets_and_limits_exit_1(tmp_path, command, extra, env, code,
     argv = {"verify": ["verify", *TINY_FLAGS, "--checks", "distribution"],
             "nr": ["nr", "--p", "2", "--m", "2", "--e", "1", "--rmax", "2"],
             "sweep": [*SWEEP_TINY, "--out", str(tmp_path / "catalog.jsonl")]}[command]
-    environ = {k: v for k, v in os.environ.items() if not k.startswith("NIHO_")}
-    environ.update(env, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    environ = dict(os.environ, **env,
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run([sys.executable, "-m", "nihocodes.cli", *argv, *extra], env=environ,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == code
@@ -760,8 +760,6 @@ def test_negative_budgets_and_limits_exit_1(tmp_path, command, extra, env, code,
 ], ids=["budget", "env-budget", "nr-env-table-limit", "verify-small", "sweep-env-table-limit"])
 def test_usage_errors_return_1_in_process(tmp_path, capsys, monkeypatch, command, env, message):
     """main returns 1 with the message alone on stderr, and raises nothing."""
-    for name in ("NIHO_BUDGET", "NIHO_TABLE_LIMIT"):
-        monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     catalog = tmp_path / "catalog.jsonl"

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from test_acceptance import EXAMPLE1_ENUM, EXAMPLE2_ENUM
 
@@ -47,30 +50,8 @@ def test_bench_solver_writes_timings(tmp_path):
     assert all(row[stage] > 0 for row in rows for stage in stages)
 
 
-def test_bench_sweep_writes_counts_and_rates(tmp_path):
-    env = dict(os.environ, PYTHONPATH="src")
-    out = tmp_path / "bench.json"
-    argv = [sys.executable, "scripts/bench_sweep.py", "--out", str(out), "--rounds", "1",
-            "--runs", "1"]
-    for label in ("first", "first", "second"):
-        done = subprocess.run([*argv, "--label", label], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr[-2000:]
-    result = json.loads(out.read_text())
-    first, second = result["trees"]["first"], result["trees"]["second"]
-    assert first["ops"] == 11 and first["records"] == 254
-    # one round of seed 1 holds 42 distinct (e, t) pairs across its 11 sweeps,
-    # and its 106 oracle-verified records fall into 24 multiplier classes
-    assert first["weight_distribution_calls"] == 42
-    assert first["brute_distribution_calls"] == 24
-    assert len(first["ops_per_s"]) == 2 and len(second["ops_per_s"]) == 1
-    assert all(rate > 0 for rate in first["ops_per_s"])
-    assert result["identical_catalogs"]
-
-
 def test_bench_startup_times_fresh_processes(tmp_path):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("NIHO_")}
-    env["PYTHONPATH"] = "src"
+    env = dict(os.environ, PYTHONPATH="src")
     out = tmp_path / "bench.json"
     argv = [sys.executable, "scripts/bench_startup.py", "--out", str(out), "--runs", "1"]
     for label in ("first", "first", "second"):
@@ -88,8 +69,6 @@ def test_bench_startup_times_fresh_processes(tmp_path):
 
 
 def test_transcripts_hashes_each_workload_reproducibly(tmp_path, monkeypatch):
-    for name in ("NIHO_BUDGET", "NIHO_TABLE_LIMIT"):
-        monkeypatch.delenv(name, raising=False)
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import transcripts
 
@@ -113,8 +92,7 @@ def test_transcripts_hashes_each_workload_reproducibly(tmp_path, monkeypatch):
 
 
 def test_bench_verify_times_stages_and_catalog_calls(tmp_path):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("NIHO_")}
-    env["PYTHONPATH"] = "src"
+    env = dict(os.environ, PYTHONPATH="src")
     out = tmp_path / "bench.json"
     argv = [sys.executable, "scripts/bench_verify.py", "--out", str(out), "--rounds", "1",
             "--sweep-rounds", "1", "--runs", "1"]
@@ -137,6 +115,41 @@ def test_bench_verify_times_stages_and_catalog_calls(tmp_path):
     # the stages run inside the op
     assert all(sum(parts) < op
                for op, *parts in zip(showcase["op_s"], showcase["field_s"], *stages))
-    # one catalog-sweep round: 11 sweeps, each verifying its tiny specs
-    assert first["catalog_ops"] == 11 and first["brute_calls"] > 11
+    # one catalog-sweep round: 11 sweeps write 254 records; they hold 42
+    # distinct (e, t) pairs, and their 106 oracle-verified records fall into
+    # 24 multiplier classes
+    assert first["catalog_ops"] == 11 and first["records"] == 254
+    assert first["solve_calls"] == 42 and first["brute_calls"] == 24
+    assert len(first["catalog_ops_per_s"]) == 2 and len(second["catalog_ops_per_s"]) == 1
+    assert min(first["catalog_ops_per_s"]) > 0
     assert len(first["brute_call_mean_s"]) == 2 and min(first["brute_call_mean_s"]) > 0
+
+
+def test_bench_verify_catalog_digest_masks_only_elapsed(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_verify
+
+    catalog = tmp_path / "catalog.jsonl"
+    record = {"elapsed_s": 0.000123, "key": "f1:2:2:1:1:1", "status": "formula-only"}
+
+    def masked(line: str) -> bytes:
+        catalog.write_text(line + "\n", encoding="utf-8")
+        return bench_verify.mask_elapsed(catalog)
+
+    reference = masked(json.dumps(record))
+    assert masked(json.dumps({**record, "elapsed_s": 1.5})) == reference
+    assert masked(json.dumps(record, separators=(",", ":"))) != reference
+    assert masked(json.dumps(dict(reversed(record.items())))) != reference
+
+
+def test_bench_verify_ends_on_a_failing_sweep(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_verify
+
+    reversed_range = SimpleNamespace(argv=("sweep", "--family", "f1", "--p", "2", "--m", "2",
+                                           "--h-range", "4:1", "--delta-range", "1",
+                                           "--t-range", "0:1"))
+    with bench_verify.transcripts.capture_log() as log, pytest.raises(SystemExit) as ended:
+        bench_verify.run_catalog([reversed_range], tmp_path / "catalog.jsonl", log)
+    # a message, not an int, so the interpreter exits 1
+    assert str(ended.value.code).startswith("exit 1 from sweep")
