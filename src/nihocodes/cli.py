@@ -19,11 +19,21 @@ window, or of a refused row, are counted as spans (keys already in the
 catalog excluded) with one debug line each, so a sweep's work follows its
 rows and records and not the length of its t range.
 
+A command line in canonical form, the subcommand name and then exact flags
+with plain values (not empty, not starting with "-"), every required flag
+present, is read from a flag table that `_flag_table` builds once per
+process from the actions `make_parser` declares, and gives the Namespace
+argparse gives.  argparse reads every other line and stays the only source
+of help, usage and error messages: -h, the --flag=value form, a value that
+starts with "-", an abbreviated flag, and any unknown, missing or bad value.
+
 Exit codes: 0 success / full agreement, 1 invalid parameters (a command
 line argparse rejects among them) or a reader that closed stdout early
 (as `| head` does), 2 oracle mismatch or a
 solution outside the frequency model, 3 budget refusal.  Big
-integers are printed and serialized as decimal strings of any length.
+integers are printed and serialized as decimal strings of any length:
+`main` lifts the interpreter's int-to-str digit limit for the call and
+restores the caller's limit on the way out.
 `nr --brute` compares the rows r <= n, the spec's moment system size, where
 the formula is claimed; later rows print the brute count with `-` in the
 match column.  Configuration precedence is
@@ -608,16 +618,78 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _flag_table() -> dict:
+    """Per subcommand, read once from the actions `make_parser` declares:
+    the Namespace values argparse starts from (the command, every dest's
+    default and func), the action of each exact store or store-const flag,
+    and the required actions."""
+    commands = next(a for a in make_parser()._actions if a.dest == "command")
+    table = {}
+    for name, sub in commands.choices.items():
+        defaults = {"command": name}
+        flags = {}
+        for action in sub._actions:
+            if argparse.SUPPRESS not in (action.dest, action.default):
+                defaults[action.dest] = action.default
+            store = isinstance(action, argparse._StoreAction) and action.nargs is None
+            if store or isinstance(action, argparse._StoreConstAction):
+                flags.update(dict.fromkeys(action.option_strings, action))
+        defaults["func"] = sub.get_default("func")
+        required = frozenset(a for a in sub._actions if a.required)
+        table[name] = (defaults, flags, required)
+    return table
+
+
+def _parse_canonical(argv) -> argparse.Namespace | None:
+    """The Namespace `make_parser().parse_args(argv)` returns, read from the
+    flag table when argv is a subcommand name followed by exact flags, each
+    store flag with a value that passes its type and choices, is not empty
+    and does not start with "-", and every required flag is given; None for
+    any other line, which is left to argparse."""
+    entry = _flag_table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    defaults, flags, required = entry
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        action = flags.get(flag)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:  # a store-const flag takes no value
+            values[action.dest] = action.const
+            continue
+        text = next(tokens, "")
+        if not text or text[0] == "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values) if required <= seen else None
+
+
 def main(argv=None) -> int:
     """Run one subcommand and map its refusals to exit codes: invalid
     parameters, a command line argparse rejects or a closed stdout 1, a
     model violation 2, a budget or table-limit refusal 3.  -h exits 0
-    through argparse."""
-    if hasattr(sys, "set_int_max_str_digits"):  # the digit limit, from Python 3.10.7
-        sys.set_int_max_str_digits(0)
+    through argparse.  The interpreter's int-to-str digit limit is lifted
+    for the call and restored on the way out."""
+    if argv is None:
+        argv = sys.argv[1:]
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
+    # the digit limit, from Python 3.10.7; 0 is no limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        args = make_parser().parse_args(argv)
+        args = _parse_canonical(argv) or make_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
@@ -641,6 +713,9 @@ def main(argv=None) -> int:
     except TableLimitExceeded as exc:
         print(f"table limit refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -91,6 +93,33 @@ def test_numpy_stays_off_the_closed_form_path(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert len((tmp_path / "catalog.jsonl").read_text().splitlines()) > 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the int-to-str digit limit came with Python 3.10.7")
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--family", "f2", "--p", "2", "--m", "2000", "--h", "1", "--delta", "1",
+      "--t", "5", "--json"], 0),
+    (["analyze", *TINY_FLAGS, "--t", "one"], 1),
+    (["sweep", "-h"], 0),
+], ids=["printed", "refused", "help"])
+def test_main_restores_the_callers_digit_limit(capsys, argv, code):
+    """main lifts the interpreter's int-to-str digit limit for its own
+    output and gives the caller's limit back after a return, a refusal or
+    the SystemExit of -h."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if argv[0] == "analyze" and code == 0:  # frequencies of thousands of digits, in full
+        weights = json.loads(capsys.readouterr().out)["weights"]
+        assert max(len(w["frequency"]) for w in weights) > 5000
 
 
 def test_big_integers_print_in_full():
@@ -1058,3 +1087,142 @@ def test_no_argv_escapes_main(argv):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("NIHO_TABLE_LIMIT", "4096")
         assert main(argv) in (0, 1, 2, 3)
+
+
+# -- the table-driven parse ------------------------------------------------
+
+def _argparse_namespace(argv):
+    """What make_parser().parse_args(argv) returns, or None when it refuses
+    the line or exits (as -h does)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.make_parser().parse_args(argv)
+    except (cli.UsageError, SystemExit):
+        return None
+
+
+def _typed(namespace):
+    return {name: (type(value), value) for name, value in vars(namespace).items()}
+
+
+SWEEP_FLAGS = ["--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:2",
+               "--delta-range", "1", "--t-range", "0:3", "--out", "catalog.jsonl"]
+CANONICAL_LINES = [
+    ["analyze", *EXAMPLE1_FLAGS, "--json"],
+    ["verify", *EXAMPLE2_FLAGS, "--checks", "nr", "--slow-path", "--budget", "1000"],
+    ["nr", "--p", "2", "--m", "4", "--e", "1", "--rmax", "3", "--brute", *EXAMPLE1_FLAGS[:2],
+     "--h", "2", "--delta", "1", "--t", "2"],
+    ["sweep", *SWEEP_FLAGS, "--verify-small", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", CANONICAL_LINES, ids=lambda argv: argv[0])
+def test_canonical_lines_take_the_flag_table(argv):
+    fast = cli._parse_canonical(argv)
+    assert fast is not None
+    assert _typed(fast) == _typed(_argparse_namespace(argv))
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (["analyze", *TINY_FLAGS, "--t", "0"], "t", 0),
+    (["verify", *TINY_FLAGS, "--checks", "nr", "--checks", "moments"], "checks", "moments"),
+    (["sweep", *SWEEP_FLAGS, "--out", "other.jsonl"], "out", "other.jsonl"),
+])
+def test_a_repeated_flag_keeps_its_last_value(argv, dest, value):
+    fast = cli._parse_canonical(argv)
+    assert getattr(fast, dest) == value
+    assert _typed(fast) == _typed(_argparse_namespace(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus", *TINY_FLAGS],
+    ["analyze", *TINY_FLAGS, "-h"],
+    ["analyze", *TINY_FLAGS[:-2], "--t=1"],
+    ["analyze", *TINY_FLAGS[:-2], "--t", "-1"],
+    ["analyze", "--fam", *TINY_FLAGS[1:]],
+    ["analyze", *TINY_FLAGS[2:]],
+    ["analyze", *TINY_FLAGS[:-1]],
+    ["analyze", *TINY_FLAGS, "--"],
+    ["analyze", *TINY_FLAGS, "--json", "1"],
+    ["verify", *TINY_FLAGS, "--checks", "some"],
+    ["sweep", *SWEEP_FLAGS[:-4], "-2:3", *SWEEP_FLAGS[-2:]],
+    ["sweep", *SWEEP_FLAGS[:-1], "--verify-small", "1"],
+    ["sweep", *SWEEP_FLAGS[:-1], ""],
+], ids=["empty", "bogus", "help", "equals", "negative", "abbreviation", "missing-flag",
+        "missing-value", "double-dash", "stray-value", "bad-choice", "range-below-zero",
+        "flag-as-value", "empty-value"])
+def test_unusual_lines_are_left_to_argparse(argv):
+    assert cli._parse_canonical(argv) is None
+
+
+@pytest.mark.parametrize("workload", ["analyze-large", "verify-oracle", "catalog-sweep"])
+def test_benchmark_lines_take_the_flag_table(tmp_path, monkeypatch, workload):
+    """Every seed-1 op of every round of the benchmark's workloads, a sweep
+    with the --out its runner appends, is read from the flag table, as
+    argparse reads it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    admit = workloads.Admitter(CodeSpec, validate_spec, SpecValidationError)
+    out = ["--out", str(tmp_path / "catalog.jsonl")]
+    for ops in workloads.generate(workload, 1, admit):
+        for op in ops:
+            argv = [*op.argv, *out] if op.kind == "sweep" else list(op.argv)
+            fast = cli._parse_canonical(argv)
+            assert fast is not None, argv
+            assert _typed(fast) == _typed(_argparse_namespace(argv)), argv
+
+
+FLAGS = ["--family", "--p", "--m", "--h", "--delta", "--t", "--json", "--budget", "--checks",
+         "--slow-path", "--e", "--rmax", "--brute", "--h-range", "--delta-range", "--t-range",
+         "--out", "--verify-small"]
+ABBREVIATIONS = ["--fam", "--del", "--che", "--slow", "--rm", "--br", "--h-r", "--t-ra",
+                 "--verify", "--ou", "--j"]
+GOOD_INT = st.integers(0, 30).map(str)
+VALUE = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["-1", "+5", " 7", "1_0", "one", "f1", "f2", "f3", "1:3", "-2:3", "all",
+                     "nr", "some", "c.jsonl"]))
+TOKEN = st.one_of(
+    st.sampled_from([*FLAGS, *ABBREVIATIONS, "-h", "--help", "--", "-", ""]),
+    VALUE,
+    st.builds("{}={}".format, st.sampled_from(FLAGS + ABBREVIATIONS), GOOD_INT | VALUE),
+)
+INT_VALUE = st.sampled_from([GOOD_INT] * 5 + [VALUE]).flatmap(lambda values: values)
+FAMILY_VALUE = st.sampled_from([st.sampled_from(["f1", "f2"])] * 3 + [VALUE]).flatmap(
+    lambda values: values)
+SPEC_REQUIRED = st.builds(_flags, family=FAMILY_VALUE, p=INT_VALUE, m=INT_VALUE, h=INT_VALUE,
+                          delta=INT_VALUE, t=INT_VALUE)
+# each command's required flags, so that the table accepts a good share of
+# the lines; bogus takes analyze's
+REQUIRED = {
+    "analyze": SPEC_REQUIRED,
+    "verify": SPEC_REQUIRED,
+    "nr": st.builds(_flags, p=INT_VALUE, m=INT_VALUE, e=INT_VALUE, rmax=INT_VALUE),
+    "sweep": st.builds(lambda family, p, m, h, delta, t: _flags(
+        family=family, p=p, m=m, **{"h-range": h, "delta-range": delta, "t-range": t},
+        out="c.jsonl"), FAMILY_VALUE, INT_VALUE, INT_VALUE, INT_VALUE, VALUE, VALUE),
+    "bogus": SPEC_REQUIRED,
+}
+EXTRA = st.lists(st.one_of(st.tuples(st.sampled_from(FLAGS), INT_VALUE | TOKEN).map(list),
+                           TOKEN.map(lambda token: [token])), max_size=3)
+COMMAND = st.sampled_from(sorted(REQUIRED))
+COMPLETE = COMMAND.flatmap(lambda command: st.builds(
+    lambda required, extra: [command, *required, *sum(extra, [])],
+    REQUIRED[command], st.just([]) | EXTRA))
+PARSE_ARGV = st.sampled_from([COMPLETE] * 3 + [
+    st.builds(lambda command, tokens: [command, *tokens], COMMAND, st.lists(TOKEN, max_size=6)),
+    st.lists(TOKEN, max_size=6),
+]).flatmap(lambda lines: lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PARSE_ARGV)
+def test_flag_table_reads_what_argparse_reads_or_declines(argv):
+    """The table-driven parse gives None or exactly argparse's Namespace,
+    and argparse accepts every line the table accepted."""
+    fast = cli._parse_canonical(argv)
+    if fast is not None:
+        slow = _argparse_namespace(argv)
+        assert slow is not None
+        assert _typed(fast) == _typed(slow)
