@@ -45,7 +45,6 @@ import hashlib
 import json
 import os
 import platform
-import re
 import statistics
 import sys
 import tempfile
@@ -65,7 +64,6 @@ SEED = 1
 STAGES = {"field_s": "build_field", "brute_s": "brute_distribution",
           "n_r_brute_s": "n_r_brute", "weights_s": "_check_weights"}
 CATALOG_STAGES = {"solve_s": "weight_distribution", "brute_s": "brute_distribution"}
-ELAPSED = re.compile(rb'"elapsed_s": [^,}]*')
 
 
 def stratum(op) -> str:
@@ -127,11 +125,6 @@ def run_verify(ops, log) -> tuple[str, float, dict]:
     return digest.hexdigest(), total, strata
 
 
-def mask_elapsed(catalog: Path) -> bytes:
-    """A catalog's raw lines with only the value of `elapsed_s` masked."""
-    return ELAPSED.sub(b'"elapsed_s": <masked>', catalog.read_bytes())
-
-
 def run_catalog(ops, catalog: Path, log) -> tuple[str, float, int, dict[str, list[float]]]:
     """One pass over the sweep ops: digest, total seconds, records written and
     the time of each call per stage of CATALOG_STAGES."""
@@ -146,7 +139,7 @@ def run_catalog(ops, catalog: Path, log) -> tuple[str, float, int, dict[str, lis
             total += time.thread_time() - started
             if rc != 0:
                 raise SystemExit(f"exit {rc} from {' '.join(argv)}:\n{out}{err}")
-            lines = mask_elapsed(catalog)
+            lines = transcripts.mask_elapsed(catalog)
             records += lines.count(b"\n")
             # with the exit code, so that the digest equals the `catalog_sha256`
             # of BENCH_13, 21, 23 and 24 at the same rounds

@@ -7,13 +7,14 @@ Run from the repository root.  The seed-1 ops of the first rounds of the
 three workloads of `perfbench/workloads.py` (4 of analyze-large, 4 of
 verify-oracle, 2 of catalog-sweep) run in process through `cli.main`, each
 sweep into a fresh catalog.  For each workload the digest covers every op's
-argv, exit code, stdout and stderr (the log included) and the records of its
-catalog without `elapsed_s`, with the catalog path masked.  Two trees give
+argv, exit code, stdout and stderr (the log included) and the raw lines of
+its catalog with only the value of `elapsed_s` masked, so that a change of
+spacing or key order shows, with the catalog path masked.  Two trees give
 the same digests exactly when their transcripts agree: run the script with
 PYTHONPATH pointing at each tree's `src` and compare the lines.
 
-The in-process harness here (`capture_log` and `call`) is also what
-`bench_verify.py` times.
+The in-process harness here (`capture_log`, `call` and `mask_elapsed`) is
+also what `bench_verify.py` times.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import io
 import json
 import logging
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -40,6 +42,7 @@ from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec  # n
 SEED = 1
 ROUNDS = {"analyze-large": 4, "verify-oracle": 4, "catalog-sweep": 2}
 MASK = "<catalog>"
+ELAPSED = re.compile(rb'"elapsed_s": [^,}]*')
 
 
 @contextlib.contextmanager
@@ -77,20 +80,16 @@ def call(argv: list[str], log: logging.StreamHandler) -> tuple[int | str, str, s
     return rc, out.getvalue(), err.getvalue()
 
 
-def catalog_records(catalog: Path) -> list[dict]:
-    """The records of a catalog, without `elapsed_s`."""
-    records = []
-    for line in catalog.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        record.pop("elapsed_s", None)
-        records.append(record)
-    return records
+def mask_elapsed(catalog: Path) -> bytes:
+    """A catalog's raw lines with only the value of `elapsed_s` masked."""
+    return ELAPSED.sub(b'"elapsed_s": <masked>', catalog.read_bytes())
 
 
 def run_op(argv: list[str], catalog: Path | None, log: logging.StreamHandler) -> dict:
     """One op's transcript, the catalog path masked."""
     rc, out, err = call(argv, log)
-    records = catalog_records(catalog) if catalog is not None and catalog.exists() else []
+    exists = catalog is not None and catalog.exists()
+    records = mask_elapsed(catalog).decode("utf-8").splitlines() if exists else []
 
     def mask(text: str) -> str:
         return text.replace(str(catalog), MASK) if catalog is not None else text

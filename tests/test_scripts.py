@@ -87,7 +87,7 @@ def test_transcripts_hashes_each_workload_reproducibly(tmp_path, monkeypatch):
     assert digests == {
         "analyze-large": (45, "8705f741bb26f4ebda816b01daf41cd1c05910ab702482c31baf15637604298a"),
         "verify-oracle": (17, "e7d975f1e5348ce0e84c26c4a54bdcafb0d0487e962b3b28346af00220b20968"),
-        "catalog-sweep": (11, "6fa9003de6e8f7011d09d3e0eb1c5695f1b74532ace94802d02e145b644fe1b9"),
+        "catalog-sweep": (11, "6a08692c5d7f7aa276c0e57be69f4dbea41f823f395d65528a514e383a340841"),
     }
 
 
@@ -127,14 +127,14 @@ def test_bench_verify_times_stages_and_catalog_calls(tmp_path):
 
 def test_bench_verify_catalog_digest_masks_only_elapsed(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    import bench_verify
+    import transcripts
 
     catalog = tmp_path / "catalog.jsonl"
     record = {"elapsed_s": 0.000123, "key": "f1:2:2:1:1:1", "status": "formula-only"}
 
     def masked(line: str) -> bytes:
         catalog.write_text(line + "\n", encoding="utf-8")
-        return bench_verify.mask_elapsed(catalog)
+        return transcripts.mask_elapsed(catalog)
 
     reference = masked(json.dumps(record))
     assert masked(json.dumps({**record, "elapsed_s": 1.5})) == reference
