@@ -12,12 +12,14 @@ and a report adds its spec's own fields, keys in sorted order as
 json.dumps(..., sort_keys=True) writes them; `AnalysisReport.from_json_dict`
 reads a report back.  A sweep reuses one solution for every record of its
 (e, t) and flushes each record as written.
-It walks its grid one (h, delta) row at a time: `codespec.admit_row` runs
-the checks that do not read t once, the specs of the t's in the row's
-window come from one zero set, and the refused t's below and above the
-window, or of a refused row, are counted as spans (keys already in the
-catalog excluded) with one debug line each, so a sweep's work follows its
-rows and records and not the length of its t range.
+It reads its catalog once, when --out is a regular file, into the t's
+each (h, delta) row already has there, and walks its grid one row at a
+time: `codespec.admit_row` runs the checks that do not read t once, the
+specs of the t's in the row's window come from one zero set, and the
+refused t's below and above the window, or of a refused row, are counted
+as spans (t's already in the catalog excluded) with one debug line each,
+so a sweep's work follows its rows and records and not the length of its
+t range.
 
 A command line in canonical form, the subcommand name and then exact flags
 with plain values (not empty, not starting with "-"), every required flag
@@ -28,8 +30,10 @@ of help, usage and error messages: -h, the --flag=value form, a value that
 starts with "-", an abbreviated flag, and any unknown, missing or bad value.
 
 Exit codes: 0 success / full agreement, 1 invalid parameters (a command
-line argparse rejects among them) or a reader that closed stdout early
-(as `| head` does), 2 oracle mismatch or a
+line argparse rejects among them), a reader that closed stdout early
+(as `| head` does) or a sweep catalog that cannot be read, opened or
+written (a full disk, say; the summary line still prints, and the next
+run skips the fragment a failed write leaves), 2 oracle mismatch or a
 solution outside the frequency model, 3 budget refusal.  Big
 integers are printed and serialized as decimal strings of any length:
 `main` lifts the interpreter's int-to-str digit limit for the call and
@@ -433,33 +437,32 @@ def _parse_range(flag: str, text: str) -> range:
     return values
 
 
-def _read_catalog(path: str) -> tuple[set[str], bool]:
-    """Keys already in the catalog, and whether the file ends mid-line.
+def _read_catalog(path: str, family: str, p: int,
+                  m: int) -> tuple[dict[tuple[int, int], set[int]], bool]:
+    """The t's each (h, delta) of family, p and m already has in the
+    catalog, and whether the file ends mid-line.  Only a regular file is
+    read: a sweep appends to any other path, such as /dev/null or a pipe,
+    without reading it.
 
-    A line that does not parse is the fragment of a record whose write was
-    cut short.  It is skipped with a warning; it need not be the last line,
-    because later runs append their records after it."""
-    if not os.path.exists(path):
-        return set(), False
+    A line that does not parse, or whose key is a JSON array or object, is
+    the fragment of a record whose write was cut short.  It is skipped with
+    a warning; it need not be the last line, because later runs append their
+    records after it.  Keys are read as `CodeSpec.key` writes them, and any
+    other key, which equals no key the sweep makes, is ignored."""
+    if not os.path.isfile(path):
+        return {}, False
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    keys = set()
+    rows = {}
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            keys.add(json.loads(line)["key"])
+            key = json.loads(line)["key"]
+            hash(key)  # a JSON array or object is unreadable as a key
         except (ValueError, KeyError, TypeError):
             log.warning("catalog %s: skipping unreadable line %d", path, number)
-    return keys, bool(text) and not text.endswith("\n")
-
-
-def _catalogued_ts(keys, family: str, p: int, m: int) -> dict[tuple[int, int], set[int]]:
-    """The t's each (h, delta) of family, p and m already has in the
-    catalog, read from the keys written exactly as `CodeSpec.key` writes
-    them; no other key equals a key the sweep makes."""
-    rows = {}
-    for key in keys:
+            continue
         if not isinstance(key, str):
             continue
         family_key, *numbers = key.split(":")
@@ -469,7 +472,7 @@ def _catalogued_ts(keys, family: str, p: int, m: int) -> dict[tuple[int, int], s
             continue
         if spec.key == key and (spec.family, spec.p, spec.m) == (family, p, m):
             rows.setdefault((spec.h, spec.delta), set()).add(spec.t)
-    return rows
+    return rows, bool(text) and not text.endswith("\n")
 
 
 def _skip_span(row: tuple, ts: range, catalogued, refusal) -> int:
@@ -495,7 +498,7 @@ def cmd_sweep(args) -> int:
         print(f"invalid range: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        existing, torn = _read_catalog(args.out)
+        catalogued, torn = _read_catalog(args.out, args.family, args.p, args.m)
         out_fh = open(args.out, "a", encoding="utf-8")
     except UnicodeDecodeError as exc:
         print(f"cannot read catalog {args.out}: {exc}", file=sys.stderr)
@@ -508,7 +511,6 @@ def cmd_sweep(args) -> int:
     ctx = None
     solved = {}  # (e, t) -> Solution: h and delta enter the distribution only through e
     swept = {}  # multiplier class -> brute distribution, one sweep per class
-    catalogued = _catalogued_ts(existing, args.family, args.p, args.m)
     try:  # the summary is printed after a refusal too
         with out_fh:
             if torn:
@@ -528,7 +530,7 @@ def cmd_sweep(args) -> int:
                     skipped += _skip_span(row, below, done, admitted.refusal)
                 for vspec in admitted.specs(inside):
                     key = vspec.key
-                    if key in existing:
+                    if vspec.t in done:
                         log.debug("skip %s: already in catalog", key)
                         continue
                     started = time.perf_counter()
@@ -552,7 +554,6 @@ def cmd_sweep(args) -> int:
                     out_fh.write(catalog_line(key, status, elapsed, report_json(vspec, solution))
                                  + "\n")
                     out_fh.flush()
-                    existing.add(key)
                     written += 1
                     if status == "mismatch":
                         print(f"MISMATCH {key}: brute {brute.entries} != solver {dist.entries}",
@@ -560,6 +561,9 @@ def cmd_sweep(args) -> int:
                         code = EXIT_MISMATCH
                 if above:
                     skipped += _skip_span(row, above, done, admitted.refusal)
+    except OSError as exc:  # in here only the catalog's writes, flushes and close raise it
+        print(f"cannot write catalog {args.out}: {exc}", file=sys.stderr)
+        code = EXIT_INVALID
     finally:
         print(f"catalog {args.out}: {written} written, {skipped} inadmissible skipped")
     return code

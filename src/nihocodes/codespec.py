@@ -25,10 +25,13 @@ class rule against the cosets that tests/exact_reference.py enumerates.
 For fixed (family, p, m, h, delta) only the bound 2et <= q+1 and the lower
 bound first <= t read t, and s_j does not depend on t, so every t's zero
 set, exponents and coset sizes are a prefix of the largest admissible t's
-and its dimension is a running sum.  `admit_row` runs the other checks
-once for the row and reads its t window by arithmetic; its `specs` builds
-the zero set once for a range of t's and slices it.  `validate_spec` is
-the one-t case, with the same error codes, messages and order.
+and its dimension is a running sum.  `admit_row` is the one place the
+checks run: it runs those that do not read t once for the row and reads
+its t window by arithmetic.  The `Row` it returns runs no check:
+`refusal` reads the error of a t outside the window from the window and
+the row's fields, and `specs` builds the zero set once for a range of t's
+and slices it.  `validate_spec` is the one-t case, with the same error
+codes, messages and order.
 """
 
 from __future__ import annotations
@@ -146,14 +149,72 @@ def validate_field(p: int, m: int) -> None:
         raise SpecValidationError("bad_m", f"m must be >= 1, got {m}")
 
 
-def _admit(family: str, p: int, m: int, h: int, delta: int,
-           t: int | None) -> tuple[int, int, int, int]:
-    """Check the constraints in `validate_spec`'s order, raising
-    SpecValidationError naming the first violated one, and return q, e and
-    the row's window first <= t < stop of admissible t's: stop - 1 =
-    (q+1)/(2e), or stop = first, no t, when odd p meets an even delta or h.
-    With t None only the checks that do not read t run, once for the row of
-    every t.  Below the window t is out of range before parity is read."""
+class Row(NamedTuple):
+    """The t axis of one (family, p, m, h, delta), admitted by `admit_row`:
+    q, e and `window`, the admissible t's.  Its methods read only these
+    fields and call no check."""
+
+    family: str
+    p: int
+    m: int
+    h: int
+    delta: int
+    q: int
+    e: int
+    window: range
+
+    def split(self, ts: range) -> tuple[range, range, range]:
+        """The t's of ts (a range of step 1) below, inside and above the
+        window."""
+        start = min(max(ts.start, self.window.start), ts.stop)
+        stop = max(min(ts.stop, self.window.stop), start)
+        return range(ts.start, start), range(start, stop), range(stop, ts.stop)
+
+    def refusal(self, t: int) -> SpecValidationError | None:
+        """The error `validate_spec` raises for t, None inside the window.
+        Below the window t is out of range before parity is read."""
+        if t in self.window:
+            return None
+        if t < self.window.start:
+            if self.family == "f1":
+                return SpecValidationError("t_out_of_range", f"t must be >= 0, got {t}")
+            return SpecValidationError("t_out_of_range", f"family f2 requires t >= 1, got {t}")
+        if not self.window:
+            return SpecValidationError(
+                "parity", f"odd p requires odd delta and h, got delta={self.delta}, h={self.h}")
+        return SpecValidationError(
+            "t_out_of_range", f"t = {t} exceeds (q+1)/(2e) = {self.q + 1}/{2 * self.e}")
+
+    def specs(self, ts: range) -> list[ValidatedSpec]:
+        """The validated specs of the t's of ts, a range inside the window,
+        in t order, equal to what `validate_spec` gives for each.  The zero
+        set is built once, for the last t: each t's s-values, exponents and
+        coset sizes are a prefix of it, and its dimension is the running sum
+        of the coset sizes."""
+        if not ts:
+            return []
+        family, p, m, h, delta, q, e, window = self
+        first = window.start
+        s_values, exponents = _zero_set(family, p, m, h, delta, ts[-1])
+        # the class {s, delta - s} of `_conjugates` is one residue when 2s = delta
+        coset_sizes = tuple(m if (2 * s - delta) % (q + 1) == 0 else 2 * m for s in s_values)
+        length = q * q - 1
+        dimension = sum(coset_sizes[:ts[0] - first])
+        specs = []
+        for k in range(ts[0] - first + 1, len(s_values) + 1):
+            dimension += coset_sizes[k - 1]
+            # positional: family, p, m, h, delta, t, q, e, s_values, exponents,
+            # coset_sizes, length, dimension
+            specs.append(ValidatedSpec(family, p, m, h, delta, first + k - 1, q, e, s_values[:k],
+                                       exponents[:k], coset_sizes[:k], length, dimension))
+        return specs
+
+
+def admit_row(family: str, p: int, m: int, h: int, delta: int) -> Row:
+    """Admit the row of every t of (family, p, m, h, delta), or raise
+    SpecValidationError naming the first violated check that does not read
+    t, in `validate_spec`'s order.  The window of admissible t's is
+    first <= t <= (q+1)/(2e), or empty when odd p meets an even delta or h."""
     if family not in FAMILIES:
         raise SpecValidationError("bad_family", f"family must be one of {FAMILIES}, got {family!r}")
     validate_field(p, m)
@@ -177,88 +238,12 @@ def _admit(family: str, p: int, m: int, h: int, delta: int,
     else:
         first = 1
     stop = first if p != 2 and (delta % 2 == 0 or h % 2 == 0) else (q + 1) // (2 * e) + 1
-    if t is not None and not first <= t < stop:
-        if t < first:
-            if family == "f1":
-                raise SpecValidationError("t_out_of_range", f"t must be >= 0, got {t}")
-            raise SpecValidationError("t_out_of_range", f"family f2 requires t >= 1, got {t}")
-        if stop == first:
-            raise SpecValidationError(
-                "parity", f"odd p requires odd delta and h, got delta={delta}, h={h}")
-        raise SpecValidationError(
-            "t_out_of_range", f"t = {t} exceeds (q+1)/(2e) = {q + 1}/{2 * e}")
-    return q, e, first, stop
-
-
-def _specs(family: str, p: int, m: int, h: int, delta: int, q: int, e: int, first: int,
-           lo: int, hi: int) -> list[ValidatedSpec]:
-    """The validated spec of every t in lo..hi, inside the window from
-    first, in t order.  The zero set is built once, for t = hi: each t's
-    s-values, exponents and coset sizes are a prefix of it, and its
-    dimension is the running sum of the coset sizes."""
-    s_values, exponents = _zero_set(family, p, m, h, delta, hi)
-    # the class {s, delta - s} of `_conjugates` is one residue when 2s = delta
-    coset_sizes = tuple(m if (2 * s - delta) % (q + 1) == 0 else 2 * m for s in s_values)
-    length = q * q - 1
-    dimension = sum(coset_sizes[:lo - first])
-    specs = []
-    for k in range(lo - first + 1, len(s_values) + 1):
-        dimension += coset_sizes[k - 1]
-        # positional: family, p, m, h, delta, t, q, e, s_values, exponents,
-        # coset_sizes, length, dimension
-        specs.append(ValidatedSpec(family, p, m, h, delta, first + k - 1, q, e, s_values[:k],
-                                   exponents[:k], coset_sizes[:k], length, dimension))
-    return specs
-
-
-class Row(NamedTuple):
-    """The t axis of one (family, p, m, h, delta), its checks that do not
-    read t passed once: q, e and `window`, the admissible t's."""
-
-    family: str
-    p: int
-    m: int
-    h: int
-    delta: int
-    q: int
-    e: int
-    window: range
-
-    def split(self, ts: range) -> tuple[range, range, range]:
-        """The t's of ts (a range of step 1) below, inside and above the
-        window."""
-        start = min(max(ts.start, self.window.start), ts.stop)
-        stop = max(min(ts.stop, self.window.stop), start)
-        return range(ts.start, start), range(start, stop), range(stop, ts.stop)
-
-    def refusal(self, t: int) -> SpecValidationError | None:
-        """The error `validate_spec` raises for t, None inside the window."""
-        try:
-            _admit(self.family, self.p, self.m, self.h, self.delta, t)
-        except SpecValidationError as exc:
-            return exc
-        return None
-
-    def specs(self, ts: range) -> list[ValidatedSpec]:
-        """The validated specs of the t's of ts, a range inside the window,
-        equal to what `validate_spec` gives for each."""
-        if not ts:
-            return []
-        return _specs(self.family, self.p, self.m, self.h, self.delta, self.q, self.e,
-                      self.window.start, ts[0], ts[-1])
-
-
-def admit_row(family: str, p: int, m: int, h: int, delta: int) -> Row:
-    """Admit the row of every t of (family, p, m, h, delta), or raise
-    SpecValidationError naming the first violated check that does not
-    read t."""
-    q, e, first, stop = _admit(family, p, m, h, delta, None)
     return Row(family, p, m, h, delta, q, e, range(first, stop))
 
 
 def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     """Check every parameter constraint and derive the validated spec: the
-    one-t case of `admit_row`.
+    one-t case of `admit_row`, whose row gives t's refusal or its spec.
 
     Raises SpecValidationError naming the first violated constraint.
 
@@ -278,5 +263,8 @@ def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     is odd (q+1 is odd for p = 2), and for f2 it is at most 2t-1.  Hence
     only f1's leading slot has a coset of size m.
     """
-    q, e, first, _ = _admit(raw.family, raw.p, raw.m, raw.h, raw.delta, raw.t)
-    return _specs(raw.family, raw.p, raw.m, raw.h, raw.delta, q, e, first, raw.t, raw.t)[0]
+    row = admit_row(raw.family, raw.p, raw.m, raw.h, raw.delta)
+    refused = row.refusal(raw.t)
+    if refused is not None:
+        raise refused
+    return row.specs(range(raw.t, raw.t + 1))[0]

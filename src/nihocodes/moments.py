@@ -5,9 +5,9 @@ all vanish.  With k = (q+1)/e it has the binomial form
 
     N_r = q^{-k} sum_{i=0..k} C(k, i) (q-1)^{k-i} (e(qi - k))^r,
 
-and e(qi - k) = eqi - (q+1) is the solver's moment node x_i, with node k
+and e(qi - k) = eqi - (q+1) is the node x_i of `moment_nodes`, with node k
 equal to q^2 - 1.  N_r is thus the r-th moment of a binomial measure,
-Bin(k, 1/q), carried on the same nodes as the moment system.  (Its
+Bin(k, 1/q), carried on the same nodes as the solver's moment system.  (Its
 derivation as an EGF power, and Miller's recurrence for it, are the tests'
 reference in `exact_reference`.)
 
@@ -32,6 +32,11 @@ from operator import add, mul
 _N_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
 
+def moment_nodes(size: int, q: int, e: int) -> tuple[int, ...]:
+    """The moment nodes x_j = eqj - (q+1), j < size."""
+    return tuple(j * e * q - q - 1 for j in range(size))
+
+
 def n_r(r: int, q: int, e: int) -> int:
     """N_r for the given q and divisor e of q+1, by the factorial-moment
     triangle.  N_0 = 1 and N_1 = 0."""
@@ -43,7 +48,7 @@ def n_r(r: int, q: int, e: int) -> int:
     if r >= len(values):
         k = (q + 1) // e
         top = min(r, k) + 1  # u_j = 0 for j > k
-        nodes = [e * q * j - q - 1 for j in range(top)]
+        nodes = moment_nodes(top, q, e)
         steps = [e * (k - j + 1) for j in range(top)]
         for _ in range(len(values), r + 1):
             u[:] = map(add, map(mul, nodes, u + [0]), map(mul, steps, [0] + u))

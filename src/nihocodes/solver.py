@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .codespec import ValidatedSpec
-from .moments import n_r
+from .moments import moment_nodes, n_r
 
 
 class ModelViolationError(ArithmeticError):
@@ -74,10 +74,6 @@ def theoretical_weights(p: int, q: int, e: int, n: int) -> tuple[int, ...]:
     """Possible nonzero weights w_j, j = 0..n-1, n the moment system size,
     ascending in j (weights descending)."""
     return tuple(weight_for_index(p, q, e, j) for j in range(n))
-
-
-def moment_nodes(size: int, q: int, e: int) -> tuple[int, ...]:
-    return tuple(j * e * q - q - 1 for j in range(size))
 
 
 def b_vector(q: int, e: int, n: int) -> tuple[int, ...]:

@@ -4,8 +4,11 @@ import io
 import json
 import os
 import random
+import resource
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -594,7 +597,7 @@ def _reference_sweep(family, p, m, hs, deltas, ts, existing):
     return lines, skipped
 
 
-def test_sweep_counts_like_a_per_point_reference(tmp_path, capsys, monkeypatch):
+def test_sweep_counts_like_a_per_point_reference(tmp_path, capsys, caplog, monkeypatch):
     """A catalog holding admissible records and hand-written keys of refused
     points: the sweep appends the reference's records and skips as many
     points, a key already in the catalog never counted, one admission per
@@ -611,16 +614,20 @@ def test_sweep_counts_like_a_per_point_reference(tmp_path, capsys, monkeypatch):
         "f1:2:3:01:1:8",   # not a key the sweep makes: still counted
         "f2:2:3:1:1:9",    # another family
         7,                 # not a string
+        ["f1", 2, 3, 1, 1, 7],  # unreadable: skipped with a warning, not counted
     ]
     with out.open("a", encoding="utf-8") as fh:
         fh.writelines(json.dumps({"key": key}) + "\n" for key in hand_written)
     before = out.read_text()
+    array_line = before.splitlines().index(json.dumps({"key": hand_written[-1]})) + 1
     capsys.readouterr()
 
     rows = _counting(monkeypatch, cli, "admit_row")
     assert main(["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
                  "--delta-range", "1:7", "--t-range=-1:9", "--out", str(out)]) == 0
-    existing = {json.loads(line)["key"] for line in before.splitlines()}
+    unreadable = [r.getMessage() for r in caplog.records if "unreadable" in r.getMessage()]
+    assert unreadable == [f"catalog {out}: skipping unreadable line {array_line}"]
+    existing = {json.loads(line)["key"] for line in before.splitlines()[:-1]}
     lines, skipped = _reference_sweep("f1", 2, 3, range(1, 10), range(1, 8), range(-1, 10),
                                       existing)
     assert capsys.readouterr().out.splitlines() == [
@@ -644,14 +651,14 @@ def test_sweep_wide_t_range_works_per_row(tmp_path, capsys, monkeypatch):
     """200,001 t's a row, 12 of them admissible: one admission per
     (h, delta) and one spec built per record, whatever the t range."""
     rows = _counting(monkeypatch, cli, "admit_row")
-    built, real = [], codespec._specs
+    built, real = [], codespec.Row.specs
 
-    def counting_specs(*args):
-        result = real(*args)
+    def counting_specs(row, ts):
+        result = real(row, ts)
         built.extend(result)
         return result
 
-    monkeypatch.setattr(codespec, "_specs", counting_specs)
+    monkeypatch.setattr(codespec.Row, "specs", counting_specs)
     out = tmp_path / "catalog.jsonl"
     assert main(["sweep", "--family", "f1", "--p", "2", "--m", "2", "--h-range", "1:2",
                  "--delta-range", "1:3", "--t-range", "0:200000", "--out", str(out)]) == 0
@@ -662,8 +669,9 @@ def test_sweep_wide_t_range_works_per_row(tmp_path, capsys, monkeypatch):
     assert len(out.read_text().splitlines()) == 12
 
 
-def test_sweep_logs_one_debug_line_per_refused_span(tmp_path, caplog):
+def test_sweep_logs_one_debug_line_per_refused_span(tmp_path, caplog, monkeypatch):
     caplog.set_level("DEBUG", logger="nihocodes")
+    fields = _counting(monkeypatch, codespec, "validate_field")
     # q = 4: delta = 3 and h = 5 refuse their rows whole; every other row
     # admits t = 0..2 and refuses 3..4 above its window
     assert main(["sweep", "--family", "f1", "--p", "2", "--m", "2", "--h-range", "1:5",
@@ -675,6 +683,8 @@ def test_sweep_logs_one_debug_line_per_refused_span(tmp_path, caplog):
     assert "skip f1:2:2:1:3:t=0..4: gcd(delta, q-1) = gcd(3, 3) != 1 (delta_not_coprime)" in skips
     assert "skip f1:2:2:1:1:t=3..4: t = 3 exceeds (q+1)/(2e) = 5/2 (t_out_of_range)" in skips
     assert sum(s.endswith("(t_out_of_range)") for s in skips) == 8
+    # the checks run once per row, in admit_row; a span's debug line runs none
+    assert len(fields) == 15
 
 
 def test_sweep_unwritable_path():
@@ -685,6 +695,59 @@ def test_sweep_unwritable_path():
 
 SWEEP_TINY = ["sweep", "--family", "f1", "--p", "2", "--m", "2",
               "--h-range", "1:2", "--delta-range", "1:1", "--t-range", "0:1"]
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
+def test_sweep_appends_to_a_pipe_without_reading_it(tmp_path):
+    """--out a FIFO: the sweep appends its records without reading the path,
+    which would not end while the sweep itself holds it open.  A sweep that
+    reads it waits for a writer, and the timeout fails the test."""
+    fifo = tmp_path / "catalog.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+    reader.start()
+    try:
+        done = subprocess.run([sys.executable, "-m", "nihocodes.cli", *SWEEP_TINY,
+                               "--out", str(fifo)],
+                              env=SRC_ENV, capture_output=True, text=True, timeout=30)
+    finally:
+        # a reader still waiting for a writer gets end of file
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"catalog {fifo}: 4 written, 0 inadmissible skipped\n"
+    assert [json.loads(line)["key"] for line in received[0].splitlines()] == [
+        f"f1:2:2:{h}:1:{t}" for h in (1, 2) for t in (0, 1)]
+
+
+def _limit_file_size():
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (2000, 2000))
+
+
+def test_sweep_reports_a_failed_catalog_write(tmp_path, caplog):
+    """A catalog write that fails, here past a 2000-byte file size limit in the
+    child process as on a full disk, exits 1 with a message and the summary
+    line, not a traceback.  The next run skips the fragment it leaves."""
+    out = tmp_path / "lim.jsonl"
+    argv = ["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:3",
+            "--delta-range", "1", "--t-range", "0:2", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "nihocodes.cli", *argv], env=SRC_ENV,
+                          preexec_fn=_limit_file_size, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == f"cannot write catalog {out}: [Errno 27] File too large\n"
+    assert done.stdout == f"catalog {out}: 3 written, 0 inadmissible skipped\n"
+    assert out.stat().st_size == 2000
+
+    assert main(argv) == 0
+    assert "skipping unreadable line 4" in caplog.text
+    keys = [json.loads(line)["key"] for i, line in enumerate(out.read_text().splitlines())
+            if i != 3]
+    assert keys == [f"f1:2:3:{h}:1:{t}" for h in (1, 2, 3) for t in (0, 1, 2) if (h, t) != (3, 2)]
 
 
 def test_sweep_builds_oracle_field_once(tmp_path, monkeypatch):
