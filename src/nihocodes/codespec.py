@@ -116,7 +116,7 @@ def _zero_set(family: str, p: int, m: int, h: int, delta: int,
     """(s_j, d_j) for j = first..t, canonical residues: s_j = j*h +
     (delta - first*h)/2 mod q+1, first 0 for f1 and 1 for f2.
 
-    Expects parameters that `validate_spec` has admitted (f1 only with
+    Expects parameters that `admit_row` has admitted (f1 only with
     p = 2, odd delta and h when p is odd) and checks none of them beyond
     `half_mod`'s parity refusal."""
     q = p**m
