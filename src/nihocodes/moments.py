@@ -20,7 +20,8 @@ x^r = sum_j T_{r,j} P_j(x) and keep u_j = e^j k!/(k-j)! T_{r,j}; then
 for j <= min(r+1, k), from u = [1] at r = 0, since x P_j = P_{j+1} + x_j P_j.
 Every product has one small factor and nothing is divided.  One table per
 (q, e) keeps N_0..N_R and the last row u, extended on demand, so all N_r of
-one (q, e) cost O(R k) big x small operations in total.
+one (q, e) cost O(R k) big x small operations in total; `n_row` reads a
+prefix of that table in one call.
 """
 
 from __future__ import annotations
@@ -54,3 +55,12 @@ def n_r(r: int, q: int, e: int) -> int:
             u[:] = map(add, map(mul, nodes, u + [0]), map(mul, steps, [0] + u))
             values.append(sum(u))
     return values[r]
+
+
+def n_row(q: int, e: int, n: int) -> tuple[int, ...]:
+    """(N_0, ..., N_{n-1}): one slice of the (q, e) table, which `n_r` checks
+    its arguments for and extends to r = n-1."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    n_r(max(n - 1, 0), q, e)
+    return tuple(_N_TABLES[q, e][0][:n])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nihocodes import cli, moments
-from nihocodes.moments import n_r
+from nihocodes.moments import n_r, n_row
 
 import exact_reference
 from conftest import field
@@ -123,6 +123,16 @@ def test_n_r_rejects_bad_e():
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
                    27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+
+def test_n_row_is_a_slice_of_n_r():
+    for q, e in ((16, 1), (16, 17), (9, 5), (1024, 41)):
+        assert n_row(q, e, 7) == tuple(n_r(r, q, e) for r in range(7))
+    assert n_row(16, 1, 0) == ()
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        n_row(16, 1, -1)
+    with pytest.raises(ValueError, match="does not divide"):
+        n_row(16, 2, 3)
 
 
 def test_closed_forms_across_q_and_e():
