@@ -773,17 +773,17 @@ def test_sweep_solves_each_moment_system_once(tmp_path, capsys, monkeypatch):
     calls, real = [], cli.weight_distribution
     monkeypatch.setattr(cli, "weight_distribution",
                         lambda vspec: calls.append((vspec.e, vspec.t)) or real(vspec))
+    sweep = ["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
+             "--delta-range", "1:7", "--t-range", "0:4"]
     out = tmp_path / "catalog.jsonl"
-    assert main(["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
-                 "--delta-range", "1:7", "--t-range", "0:4", "--out", str(out)]) == 0
+    assert main([*sweep, "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     keys = {(r["report"]["e"], r["report"]["spec"]["t"]) for r in records}
     assert {e for e, _ in keys} == {1, 3} and len(records) > len(keys)
     assert sorted(calls) == sorted(keys)
     # the same sweep again in the process: the memo answers every (e, t)
     again = tmp_path / "again.jsonl"
-    assert main(["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
-                 "--delta-range", "1:7", "--t-range", "0:4", "--out", str(again)]) == 0
+    assert main([*sweep, "--out", str(again)]) == 0
     assert sorted(calls) == sorted(keys)
     assert _records(again) == _records(out)
     capsys.readouterr()
