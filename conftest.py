@@ -8,13 +8,3 @@ def no_niho_environment(monkeypatch):
     tests expect to run.  A test that needs a value sets it itself."""
     monkeypatch.delenv("NIHO_BUDGET", raising=False)
     monkeypatch.delenv("NIHO_TABLE_LIMIT", raising=False)
-
-
-@pytest.fixture(autouse=True)
-def fresh_solution_memo():
-    """Every test starts from an empty `cli.solve` memo, so it solves what it
-    asks for and a stand-in it patches over `cli.weight_distribution` is
-    called."""
-    from nihocodes import cli
-
-    cli._solutions.clear()

@@ -12,9 +12,7 @@ times after one untimed warm-up run:
     claim runs all 128, 1408 ops), each into a fresh catalog: ops per
     second, the time of each `brute_distribution` call, and from the warm-up
     the records written and the calls of `weight_distribution` and
-    `brute_distribution`.  The warm-up's counts start from an empty
-    `cli.solve` memo; the timed runs reuse what it solved, so they make no
-    `weight_distribution` call.
+    `brute_distribution`.
   * verify: the verify-oracle ops of the first --rounds rounds, each op's
     time split into the stages `build_field`, `brute_distribution`,
     `n_r_brute` and `_check_weights`, summed per stratum: a showcase, or

@@ -6,15 +6,12 @@ Subcommands:
   nr       tabulate the tuple counts N_r, optionally with a brute column
   sweep    walk parameter ranges and append reports to a JSONL catalog
 
-`analyze`, `verify` and `sweep` take the solver's distribution from one
-place, `solve`: it solves and encodes the fields that depend on
-(family, p, m, e, t) alone once per process, and keeps the solutions in one
-memo, least recently used first, bounded by the characters of text they
-hold (`_SOLUTION_CHARS`).  `analyze --json` and `sweep` write a report
-through one writer, `report_json`: a report adds its spec's own fields to
-the solution's, keys in sorted order as json.dumps(..., sort_keys=True)
-writes them; `AnalysisReport.from_json_dict` reads a report back.  A sweep
-flushes each record as written.
+`analyze --json` and `sweep` write a report through one writer,
+`report_json`: `solve` encodes the fields that depend on (e, t) alone once,
+and a report adds its spec's own fields, keys in sorted order as
+json.dumps(..., sort_keys=True) writes them; `AnalysisReport.from_json_dict`
+reads a report back.  A sweep reuses one solution for every record of its
+(e, t) and flushes each record as written.
 It reads its catalog once, when --out is a regular file, into the t's
 each (h, delta) row already has there, and walks its grid one row at a
 time: `codespec.admit_row` runs the checks that do not read t once, the
@@ -53,7 +50,6 @@ a sweep range A:B with A > B; a budget or limit of 0 refuses every sweep
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import functools
 import itertools
@@ -151,7 +147,7 @@ class Solution:
     """The part of a report that depends on (family, p, m, e, t) alone: the
     certified distribution, the N_r row and the enumerator, and the report's
     N_r, weight and zero-frequency fields as JSON text, encoded once for
-    every report of that (e, t) in the process (see `solve`)."""
+    every report of that (e, t)."""
 
     dist: WeightDistribution
     n_values: tuple[int, ...]
@@ -160,50 +156,6 @@ class Solution:
     weights_json: str
     zero_frequency_weights_json: str
 
-    @property
-    def chars(self) -> int:
-        """The characters of its text, the measure of the memo's bound."""
-        return (len(self.enumerator) + len(self.n_values_json) + len(self.weights_json)
-                + len(self.zero_frequency_weights_json))
-
-
-# Characters of text the solution memo holds at most.  With the integers
-# behind the text an entry takes 1.2-2 bytes a character, so 1 << 26 is
-# about 80-130 MB; one f1 entry at q = 1024, e = 1 holds 0.01 M characters
-# at t = 18 and 1.65 M at t = 256.
-_SOLUTION_CHARS = 1 << 26
-
-
-class _SolutionMemo:
-    """The solutions `solve` has certified, keyed by (family, p, m, e, t),
-    least recently used first, and the characters of text they hold."""
-
-    def __init__(self):
-        self.entries: collections.OrderedDict[tuple, Solution] = collections.OrderedDict()
-        self.chars = 0
-
-    def get(self, key: tuple) -> Solution | None:
-        solution = self.entries.get(key)
-        if solution is not None:
-            self.entries.move_to_end(key)
-        return solution
-
-    def put(self, key: tuple, solution: Solution) -> None:
-        """Keep solution, dropping the least recently used entries while more
-        than _SOLUTION_CHARS characters are held: one larger than the whole
-        bound drops itself last."""
-        self.entries[key] = solution
-        self.chars += solution.chars
-        while self.chars > _SOLUTION_CHARS:
-            self.chars -= self.entries.popitem(last=False)[1].chars
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.chars = 0
-
-
-_solutions = _SolutionMemo()
-
 
 def _ints(values) -> str:
     """A list of ints as json.dumps writes it."""
@@ -211,24 +163,6 @@ def _ints(values) -> str:
 
 
 def solve(vspec: ValidatedSpec) -> Solution:
-    """The certified solution of vspec's moment system, encoded, solved once
-    per (family, p, m, e, t) in the process while the memo keeps it.
-
-    The distribution reads only p, q, e, the moment size, the length and
-    the dimension, all fixed by that key, so every (h, delta) of one e
-    shares it.  A miss runs `weight_distribution` (closed form, residual
-    certificate, non-negativity) and encodes the result; the solution is
-    kept in a memo of the least recently used solutions bounded by
-    _SOLUTION_CHARS characters of text.  A failure is not kept: a
-    ModelViolationError is raised again on every call, naming the calling
-    spec.  The one trade-off of the bound: a sweep whose solutions in use
-    hold more than the bound solves some of them again, row by row, where a
-    memo without a bound would hold them all.
-    """
-    key = (vspec.family, vspec.p, vspec.m, vspec.e, vspec.t)
-    solution = _solutions.get(key)
-    if solution is not None:
-        return solution
     dist = weight_distribution(vspec)
     n_values = n_row(vspec.q, vspec.e, vspec.moment_size)
     # one decimal conversion per frequency, shared by the enumerator and the weights
@@ -237,12 +171,10 @@ def solve(vspec: ValidatedSpec) -> Solution:
     weights = ", ".join(f'{{"frequency": "{decimal[w]}", "j": {j}, "weight": {w}}}'
                         for j, w in enumerate(dist.weights_by_j))
     n_values_json = ", ".join(f'"{v}"' for v in n_values)
-    solution = Solution(dist, n_values, enumerator,
-                        n_values_json=f"[{n_values_json}]",
-                        weights_json=f"[{weights}]",
-                        zero_frequency_weights_json=_ints(dist.zero_frequency_weights))
-    _solutions.put(key, solution)
-    return solution
+    return Solution(dist, n_values, enumerator,
+                    n_values_json=f"[{n_values_json}]",
+                    weights_json=f"[{weights}]",
+                    zero_frequency_weights_json=_ints(dist.zero_frequency_weights))
 
 
 def report_json(vspec: ValidatedSpec, solution: Solution) -> str:
@@ -407,7 +339,7 @@ def cmd_verify(args) -> int:
     vspec = _spec_from_args(args)
     budget = _resolve_budget(args)
     checks = list(CHECK_NAMES) if args.checks == "all" else [args.checks]
-    solver_dist = solve(vspec).dist
+    solver_dist = weight_distribution(vspec)
     mismatches = []
     brute = None
     ctx = build_field(vspec.p, 2 * vspec.m, table_limit=_resolve_table_limit())
@@ -577,6 +509,7 @@ def cmd_sweep(args) -> int:
     written = skipped = 0
     code = EXIT_OK
     ctx = None
+    solved = {}  # (e, t) -> Solution: h and delta enter the distribution only through e
     swept = {}  # multiplier class -> brute distribution, one sweep per class
     try:  # the summary is printed after a refusal too
         with out_fh:
@@ -601,7 +534,9 @@ def cmd_sweep(args) -> int:
                         log.debug("skip %s: already in catalog", key)
                         continue
                     started = time.perf_counter()
-                    solution = solve(vspec)
+                    solution = solved.get((vspec.e, vspec.t))
+                    if solution is None:
+                        solution = solved[vspec.e, vspec.t] = solve(vspec)
                     dist = solution.dist
                     status = "formula-only"
                     if args.verify_small is not None:

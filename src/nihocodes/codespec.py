@@ -29,9 +29,9 @@ and its dimension is a running sum.  `admit_row` is the one place the
 checks run: it runs those that do not read t once for the row and reads
 its t window by arithmetic.  The `Row` it returns runs no check:
 `refusal` reads the error of a t outside the window from the window and
-the row's fields, `spec` builds one t's zero set, and `specs` builds the
-zero set once for a range of t's and slices it.  `validate_spec` is the
-one-t case, with the same error codes, messages and order.
+the row's fields, and `specs` builds the zero set once for a range of t's
+and slices it.  `validate_spec` is the one-t case, with the same error
+codes, messages and order.
 """
 
 from __future__ import annotations
@@ -185,40 +185,26 @@ class Row(NamedTuple):
         return SpecValidationError(
             "t_out_of_range", f"t = {t} exceeds (q+1)/(2e) = {self.q + 1}/{2 * self.e}")
 
-    def _slots(self, t: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """The s-values, exponents and coset sizes of the slots first..t."""
-        family, p, m, h, delta, q, _, _ = self
-        s_values, exponents = _zero_set(family, p, m, h, delta, t)
-        # the class {s, delta - s} of `_conjugates` is one residue when 2s = delta
-        coset_sizes = tuple(m if (2 * s - delta) % (q + 1) == 0 else 2 * m for s in s_values)
-        return s_values, exponents, coset_sizes
-
-    def spec(self, t: int) -> ValidatedSpec:
-        """The validated spec of t, a t inside the window, as `validate_spec`
-        gives it."""
-        family, p, m, h, delta, q, e, _ = self
-        s_values, exponents, coset_sizes = self._slots(t)
-        # positional: family, p, m, h, delta, t, q, e, s_values, exponents,
-        # coset_sizes, length, dimension
-        return ValidatedSpec(family, p, m, h, delta, t, q, e, s_values, exponents, coset_sizes,
-                             q * q - 1, sum(coset_sizes))
-
     def specs(self, ts: range) -> list[ValidatedSpec]:
         """The validated specs of the t's of ts, a range inside the window,
-        in t order, equal to what `spec` gives for each.  The slots are
-        built once, for the last t: each t's s-values, exponents and coset
-        sizes are a prefix of them, and its dimension is the running sum of
-        the coset sizes."""
+        in t order, equal to what `validate_spec` gives for each.  The zero
+        set is built once, for the last t: each t's s-values, exponents and
+        coset sizes are a prefix of it, and its dimension is the running sum
+        of the coset sizes."""
         if not ts:
             return []
         family, p, m, h, delta, q, e, window = self
         first = window.start
-        s_values, exponents, coset_sizes = self._slots(ts[-1])
+        s_values, exponents = _zero_set(family, p, m, h, delta, ts[-1])
+        # the class {s, delta - s} of `_conjugates` is one residue when 2s = delta
+        coset_sizes = tuple(m if (2 * s - delta) % (q + 1) == 0 else 2 * m for s in s_values)
         length = q * q - 1
         dimension = sum(coset_sizes[:ts[0] - first])
         specs = []
         for k in range(ts[0] - first + 1, len(s_values) + 1):
             dimension += coset_sizes[k - 1]
+            # positional: family, p, m, h, delta, t, q, e, s_values, exponents,
+            # coset_sizes, length, dimension
             specs.append(ValidatedSpec(family, p, m, h, delta, first + k - 1, q, e, s_values[:k],
                                        exponents[:k], coset_sizes[:k], length, dimension))
         return specs
@@ -257,7 +243,7 @@ def admit_row(family: str, p: int, m: int, h: int, delta: int) -> Row:
 
 def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     """Check every parameter constraint and derive the validated spec: the
-    one-t case of `admit_row`, whose row gives t's refusal or its `spec`.
+    one-t case of `admit_row`, whose row gives t's refusal or its spec.
 
     Raises SpecValidationError naming the first violated constraint.
 
@@ -278,6 +264,7 @@ def validate_spec(raw: CodeSpec) -> ValidatedSpec:
     only f1's leading slot has a coset of size m.
     """
     row = admit_row(raw.family, raw.p, raw.m, raw.h, raw.delta)
-    if raw.t not in row.window:
-        raise row.refusal(raw.t)
-    return row.spec(raw.t)
+    refused = row.refusal(raw.t)
+    if refused is not None:
+        raise refused
+    return row.specs(range(raw.t, raw.t + 1))[0]

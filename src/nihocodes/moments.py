@@ -35,7 +35,7 @@ _N_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
 def moment_nodes(size: int, q: int, e: int) -> tuple[int, ...]:
     """The moment nodes x_j = eqj - (q+1), j < size."""
-    return tuple(j * e * q - q - 1 for j in range(size))
+    return tuple(range(-q - 1, size * e * q - q - 1, e * q))
 
 
 def n_r(r: int, q: int, e: int) -> int:

@@ -20,9 +20,17 @@ Dividing by (eq)^i i! leaves
 
     G_i = sum_{j>=i} C(j,i) mu_j = C(k,i) (q^(n-i) - 1),
 
-mu in the basis (1 + y)^j, and a Taylor shift by -1 gives mu back, an
-integer vector.  `closed_form_frequencies` builds G by running products
-and shifts it: O(n^2) additions, and only exact divisions.
+mu in the basis (1 + y)^j.  The Taylor shift by -1 that gives mu back,
+mu_j = sum_{i>=j} (-1)^(i-j) C(i,j) G_i, sums in closed form too: with
+C(i,j) C(k,i) = C(k,j) C(k-j,i-j), L = n-1-j and the alternating sum
+sum_{l<=L} (-1)^l C(k-j,l) = c_j = (-1)^L C(k-j-1, L),
+
+    mu_j = (q-1) C(k,j) (q T_{j+1} + c_j),  T_j = (q-1) T_{j+1} + c_j,
+
+from T_n = 0, where T_j = sum_{l<=L} (-1)^l C(k-j,l) q^(L-l) (Pascal's rule
+gives the step).  `closed_form_frequencies` runs this from j = n-1 down,
+with C(k,j) and c_j as running products: O(n) operations on integers of
+O(n log q) bits, and only exact divisions.
 
 The nodes are distinct, so M is invertible, and an exact residual check of
 M mu = b on every row, `check_residual`, certifies that mu is the unique
@@ -30,8 +38,8 @@ solution.  It builds no matrix: row i sums v_j = x_j^i mu_j, and v is
 multiplied by the nodes for the next row, O(n^2) big x small products in
 all.  `b_vector` reads N_r from the factorial-moment triangle of `moments`,
 so the check compares two computations that share one identity,
-E[P_i(X)] = e^i k!/(k-i)!: the closed form (running binomials and a Taylor
-shift) and the triangle (running powers in the Newton basis).  A fault in
+E[P_i(X)] = e^i k!/(k-i)!: the closed form (running binomials and the
+summed Taylor shift) and the triangle (running powers in the Newton basis).  A fault in
 either is caught on every row; the identity itself is checked by the tests
 against Miller's recurrence, the partition sum, the binomial form and the
 brute count.  Non-negativity of the result is checked after it.
@@ -43,6 +51,7 @@ the tests' general solves of M mu = b, the references for the closed form.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,34 +83,40 @@ def weight_for_index(p: int, q: int, e: int, j: int) -> int:
 
 def theoretical_weights(p: int, q: int, e: int, n: int) -> tuple[int, ...]:
     """Possible nonzero weights w_j, j = 0..n-1, n the moment system size,
-    ascending in j (weights descending)."""
-    return tuple(weight_for_index(p, q, e, j) for j in range(n))
+    ascending in j (weights descending): w_j = (p-1) (q/p) (q - je + 1)
+    steps down by (p-1) (q/p) e."""
+    step = (p - 1) * (q // p) * e
+    first = weight_for_index(p, q, e, 0)
+    return tuple(range(first, first - n * step, -step))
 
 
 def b_vector(q: int, e: int, n: int) -> tuple[int, ...]:
     """b_i = q^n N_i - (q^2-1)^i for i < n, n the moment system size."""
     scale = q**n
-    return tuple(scale * v - (q * q - 1) ** i for i, v in enumerate(n_row(q, e, n)))
+    powers = itertools.accumulate(itertools.repeat(q * q - 1, n - 1), operator.mul, initial=1)
+    return tuple(map(operator.sub, map(scale.__mul__, n_row(q, e, n)), powers))
 
 
 def closed_form_frequencies(q: int, e: int, n: int) -> list[int]:
-    """mu_j, j < n, from G_i = C(k,i) (q^(n-i) - 1), k = (q+1)/e, and a
-    Taylor shift by -1 (see the module docstring).
+    """mu_j, j < n, the Taylor shift of G_i = C(k,i) (q^(n-i) - 1),
+    k = (q+1)/e, summed in closed form (see the module docstring).
 
-    C(k,i) and q^(n-i) are running products, each step one exact division.
+    C(k,j) runs up in j and stays 0 past k; c_j = (-1)^(n-1-j) C(k-j-1, n-1-j)
+    runs down from c_(n-1) = 1, each step one exact division, with the
+    binomial of a negative top when j > k, where C(k,j) = 0 anyway.
     """
     k = (q + 1) // e
-    g = []
-    binom, power = 1, q**n
-    for i in range(n):
-        g.append(binom * (power - 1))
-        binom = binom * (k - i) // (i + 1)
-        power //= q
-    # Taylor shift by -1: mu_j = sum_{i>=j} (-1)^(i-j) C(i,j) G_i
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            g[j] -= g[j + 1]
-    return g
+    binoms = [1] * n  # C(k, j)
+    for j in range(1, n):
+        binoms[j] = binoms[j - 1] * (k - j + 1) // j
+    mu = [0] * n
+    tail, c = 0, 1  # T_{j+1} and c_j
+    for j in range(n - 1, -1, -1):
+        mu[j] = (q - 1) * binoms[j] * (q * tail + c)
+        tail = (q - 1) * tail + c
+        # c_{j-1} = -c_j C(k-j, n-j) / C(k-j-1, n-1-j) = -c_j (k-j) / (n-j)
+        c = -c * (k - j) // (n - j)
+    return mu
 
 
 def check_residual(nodes, rhs, mu) -> None:
@@ -241,7 +256,8 @@ def weight_distribution(vspec: ValidatedSpec) -> WeightDistribution:
     weights = theoretical_weights(vspec.p, q, e, n)
     return WeightDistribution(
         length=vspec.length, dimension=vspec.dimension,
-        entries=tuple(sorted((w, f) for w, f in zip(weights, mu) if f)),
+        # weights fall as j rises, so ascending weights is descending j
+        entries=tuple((w, f) for w, f in zip(weights[::-1], mu[::-1]) if f),
         weights_by_j=weights, freq_by_j=mu)
 
 

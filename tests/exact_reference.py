@@ -11,6 +11,8 @@ tables checks the closed form against plain elimination.
 `lagrange_numerators_direct` builds each Lagrange basis numerator from
 scratch, by n - 1 polynomial multiplications per node (O(n^3) in all), the
 reference for the library's synthetic division of one master polynomial.
+`taylor_shift_frequencies` solves the moment system in the Newton basis
+term by term, the reference for the library's summed closed form.
 
 `mds_freq_by_j` is the weight distribution from the MDS weight enumerator
 (MacWilliams & Sloane, ch. 11, Thm 6).  On the unit circle a tuple's
@@ -428,6 +430,16 @@ def cyclotomic_coset(modulus: int, p: int, exponent: int) -> frozenset[int]:
         coset.add(x)
         x = x * p % modulus
     return frozenset(coset)
+
+
+def taylor_shift_frequencies(q: int, e: int, n: int) -> list[int]:
+    """mu_j = sum_{i>=j} (-1)^(i-j) C(i,j) G_i, G_i = C(k,i) (q^(n-i) - 1),
+    k = (q+1)/e: the Newton-basis solution of the moment system by a term-
+    by-term Taylor shift, the reference for the summed closed form of
+    `nihocodes.solver.closed_form_frequencies`."""
+    k = (q + 1) // e
+    g = [comb(k, i) * (q ** (n - i) - 1) for i in range(n)]
+    return [sum((-1) ** (i - j) * comb(i, j) * g[i] for i in range(j, n)) for j in range(n)]
 
 
 def moment_rows(nodes) -> list[tuple[int, ...]]:

@@ -773,19 +773,13 @@ def test_sweep_solves_each_moment_system_once(tmp_path, capsys, monkeypatch):
     calls, real = [], cli.weight_distribution
     monkeypatch.setattr(cli, "weight_distribution",
                         lambda vspec: calls.append((vspec.e, vspec.t)) or real(vspec))
-    sweep = ["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
-             "--delta-range", "1:7", "--t-range", "0:4"]
     out = tmp_path / "catalog.jsonl"
-    assert main([*sweep, "--out", str(out)]) == 0
+    assert main(["sweep", "--family", "f1", "--p", "2", "--m", "3", "--h-range", "1:9",
+                 "--delta-range", "1:7", "--t-range", "0:4", "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     keys = {(r["report"]["e"], r["report"]["spec"]["t"]) for r in records}
     assert {e for e, _ in keys} == {1, 3} and len(records) > len(keys)
     assert sorted(calls) == sorted(keys)
-    # the same sweep again in the process: the memo answers every (e, t)
-    again = tmp_path / "again.jsonl"
-    assert main([*sweep, "--out", str(again)]) == 0
-    assert sorted(calls) == sorted(keys)
-    assert _records(again) == _records(out)
     capsys.readouterr()
     for r in records:
         family, p, m, h, delta, t = r["key"].split(":")
@@ -799,84 +793,12 @@ def test_sweep_solves_each_moment_system_once(tmp_path, capsys, monkeypatch):
     assert calls == [(1, 0), (1, 1)]
 
 
-def _counting_solves(monkeypatch) -> list[str]:
-    """The keys `cli.weight_distribution` is called with, from now on."""
-    calls, real = [], cli.weight_distribution
-    monkeypatch.setattr(cli, "weight_distribution",
-                        lambda vspec: calls.append(vspec.key) or real(vspec))
-    return calls
-
-
-def test_specs_of_one_moment_system_share_one_solve(capsys, monkeypatch):
-    """q = 8: (h, delta) = (1, 1) and (2, 3) both have e = 1, so analyze and
-    verify of both solve once, and each prints what a fresh process prints."""
-    calls = _counting_solves(monkeypatch)
-    spec = ["--family", "f1", "--p", "2", "--m", "3", "--t", "2"]
-    lines = [["analyze", *spec, "--h", "1", "--delta", "1", "--json"],
-             ["analyze", *spec, "--h", "2", "--delta", "3", "--json"],
-             ["analyze", *spec, "--h", "2", "--delta", "3"],
-             ["verify", *spec, "--h", "2", "--delta", "3", "--checks", "distribution"]]
-    for argv in lines:
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        fresh = subprocess.run([sys.executable, "-m", "nihocodes.cli", *argv], env=SRC_ENV,
-                               capture_output=True, text=True, timeout=60)
-        assert (fresh.returncode, fresh.stdout) == (0, out)
-    assert calls == ["f1:2:3:1:1:2"]
-
-
-def test_a_failed_solve_is_not_kept(capsys, monkeypatch):
-    """A model violation is raised again for every spec of its key, naming
-    that spec, and the memo keeps nothing of it."""
-    monkeypatch.setattr(cli, "weight_distribution", _violating())
-    for h in (1, 2):  # e = 1 for both at q = 4
-        argv = ["analyze", "--family", "f1", "--p", "2", "--m", "2", "--h", str(h),
-                "--delta", "1", "--t", "1"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"model violation: frequencies are not non-negative integers for f1:2:2:{h}:1:1\n")
-    assert not cli._solutions.entries and cli._solutions.chars == 0
-    monkeypatch.setattr(cli, "weight_distribution", weight_distribution)
-    assert main(argv) == 0
-    assert list(cli._solutions.entries) == [("f1", 2, 2, 1, 1)]
-
-
-def test_solution_memo_holds_at_most_its_bound(monkeypatch):
-    """With the bound patched small, the memo drops its least recently used
-    solutions to stay within it, and keeps none larger than the bound."""
-    specs = [validate_spec(CodeSpec("f1", 2, 4, 1, 1, t)) for t in range(6)]
-    sizes = [cli.solve(vspec).chars for vspec in specs]
-    assert sizes == sorted(set(sizes))
-    memo = cli._solutions
-    memo.clear()
-    calls = _counting_solves(monkeypatch)
-    bound = sizes[4] + sizes[5]
-    monkeypatch.setattr(cli, "_SOLUTION_CHARS", bound)
-    for vspec in [*specs, specs[4], specs[0]]:
-        cli.solve(vspec)
-        assert memo.chars == sum(s.chars for s in memo.entries.values()) <= bound
-    # t = 4 was a hit and moved to the end, so t = 0 pushed t = 5 out
-    assert [key[-1] for key in memo.entries] == [4, 0]
-    assert calls == [vspec.key for vspec in [*specs, specs[0]]]
-
-    memo.clear()
-    monkeypatch.setattr(cli, "_SOLUTION_CHARS", sizes[5] - 1)
-    solution = cli.solve(specs[5])
-    assert solution.chars == sizes[5] and not memo.entries and memo.chars == 0
-    monkeypatch.setattr(cli, "_SOLUTION_CHARS", bound)
-    assert cli.report_json(specs[5], solution) == cli.report_json(specs[5], cli.solve(specs[5]))
-    assert list(memo.entries) == [("f1", 2, 4, 1, 5)]
-
-
 def test_a_solve_reads_one_slice_of_the_n_r_table_per_use(monkeypatch):
-    """A miss reads the (q, e) table once for `b_vector` and once for the
-    report's N_r row, not once per moment row; a hit reads nothing."""
+    """`solve` reads the (q, e) table once for `b_vector` and once for the
+    report's N_r row, not once per moment row."""
     calls, real = [], moments.n_r
     monkeypatch.setattr(moments, "n_r", lambda r, q, e: calls.append(r) or real(r, q, e))
-    vspec = validate_spec(CodeSpec("f1", 2, 10, 1, 1, 18))  # moment size 37
-    cli.solve(vspec)
-    assert calls == [36, 36]
-    cli.solve(vspec)
+    cli.solve(validate_spec(CodeSpec("f1", 2, 10, 1, 1, 18)))  # moment size 37
     assert calls == [36, 36]
 
 

@@ -115,13 +115,11 @@ def test_bench_verify_times_stages_and_catalog_calls(tmp_path):
     # the stages run inside the op
     assert all(sum(parts) < op
                for op, *parts in zip(showcase["op_s"], showcase["field_s"], *stages))
-    # one catalog-sweep round: 11 sweeps write 254 records; they hold 40
-    # distinct (family, p, m, e, t), solved once each from a fresh memo (42
-    # (e, t) pairs counted sweep by sweep: two recur in a later sweep of
-    # the same field), and their 106 oracle-verified records fall into 24
-    # multiplier classes
+    # one catalog-sweep round: 11 sweeps write 254 records; they hold 42
+    # distinct (e, t) pairs, and their 106 oracle-verified records fall into
+    # 24 multiplier classes
     assert first["catalog_ops"] == 11 and first["records"] == 254
-    assert first["solve_calls"] == 40 and first["brute_calls"] == 24
+    assert first["solve_calls"] == 42 and first["brute_calls"] == 24
     assert len(first["catalog_ops_per_s"]) == 2 and len(second["catalog_ops_per_s"]) == 1
     assert min(first["catalog_ops_per_s"]) > 0
     assert len(first["brute_call_mean_s"]) == 2 and min(first["brute_call_mean_s"]) > 0

@@ -27,6 +27,7 @@ from exact_reference import (
     moment_rows,
     moment_size,
     parse_enumerator,
+    taylor_shift_frequencies,
 )
 
 F = Fraction
@@ -66,6 +67,29 @@ def test_theoretical_weights_golden():
     assert theoretical_weights(2, 16, 1, 5) == (136, 128, 120, 112, 104)
     assert theoretical_weights(3, 9, 1, 6) == (60, 54, 48, 42, 36, 30)
     assert theoretical_weights(2, 16, 1, 1) == (136,)
+
+
+def test_weights_and_nodes_are_the_progressions_of_their_formulas():
+    for p, m in [(2, 1), (2, 4), (3, 2), (5, 1), (2, 10), (3, 6)]:
+        q = p**m
+        for e in (d for d in range(1, q + 2) if (q + 1) % d == 0):
+            for n in range(6):
+                assert theoretical_weights(p, q, e, n) == tuple(
+                    solver.weight_for_index(p, q, e, j) for j in range(n))
+                assert moment_nodes(n, q, e) == tuple(j * e * q - q - 1 for j in range(n))
+
+
+def test_closed_form_matches_the_taylor_shift():
+    # every e of each q, n up to 11, and past k + 1 where k is small: there
+    # C(k, j) = 0 and the running binomial c_j has a negative top
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 81, 1024):
+        for e in (d for d in range(1, q + 2) if (q + 1) % d == 0):
+            k = (q + 1) // e
+            for n in range(12 if k > 40 else k + 4):
+                assert solver.closed_form_frequencies(q, e, n) == taylor_shift_frequencies(q, e, n)
+                checked += 1
+    assert checked > 300
 
 
 def showcase_nodes(family, t, q, e):
