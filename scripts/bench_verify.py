@@ -31,10 +31,12 @@ raw lines with only the value of `elapsed_s` masked, so that a change of
 spacing or key order shows.  Every run must give the warm-up's digests.
 The script exits 1 otherwise.
 
-The results go under --label in the JSON file.  A rerun with a label that
-is already there adds its timings to that label's lists after checking that
-its digests and counts match, so runs on two trees can alternate: point
-PYTHONPATH at each tree's `src` in turn.
+The summary prints each figure's median over the runs with the best run
+beside it (the highest rate, the lowest time), which a busy machine moves
+less.  The results go under --label in the JSON file.  A rerun with a
+label that is already there adds its timings to that label's lists after
+checking that its digests and counts match, so runs on two trees can
+alternate: point PYTHONPATH at each tree's `src` in turn.
 """
 
 from __future__ import annotations
@@ -201,6 +203,13 @@ def merge(previous: dict, entry: dict) -> dict:
     return entry
 
 
+def figure(runs: list[float], best, scale: float, spec: str) -> str:
+    """The median of runs and, beside it, the best run (max for a rate, min
+    for a time), scaled: on a shared machine the best run is the steadier."""
+    median, top = statistics.median(runs) * scale, best(runs) * scale
+    return f"{median:{spec}} (best {top:{spec}})"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -236,16 +245,17 @@ def main() -> None:
                                        for t in result["trees"].values()}) == 1
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for label, tree in result["trees"].items():
-        med = statistics.median
-        print(f"{label}: verify {med(tree['verify_ops_per_s']):.1f} ops/s, catalog "
-              f"{med(tree['catalog_ops_per_s']):.1f} ops/s, {len(tree['verify_ops_per_s'])} runs")
+        print(f"{label}: verify {figure(tree['verify_ops_per_s'], max, 1, '.1f')} ops/s, "
+              f"catalog {figure(tree['catalog_ops_per_s'], max, 1, '.1f')} ops/s, "
+              f"{len(tree['verify_ops_per_s'])} runs")
         print(f"  catalog: {tree['records']} records from {tree['catalog_ops']} ops, "
               f"{tree['solve_calls']} solves, {tree['brute_calls']} brute calls of "
-              f"{med(tree['brute_call_mean_s']) * 1e6:.0f} us mean "
-              f"({med(tree['brute_call_median_s']) * 1e6:.0f} us median)")
+              f"{figure(tree['brute_call_mean_s'], min, 1e6, '.0f')} us mean, "
+              f"{figure(tree['brute_call_median_s'], min, 1e6, '.0f')} us median")
         for name, s in sorted(tree["strata"].items()):
-            stages = ", ".join(f"{stage} {med(s[stage]) * 1e3:.2f}" for stage in STAGES)
-            print(f"  {name:14s} x{s['ops']:<3d} op {med(s['op_s']) * 1e3:.2f} ms: {stages}")
+            stages = ", ".join(f"{stage} {figure(s[stage], min, 1e3, '.2f')}" for stage in STAGES)
+            print(f"  {name:14s} x{s['ops']:<3d} op {figure(s['op_s'], min, 1e3, '.2f')} ms: "
+                  f"{stages}")
     print(f"outputs identical across {len(result['trees'])} trees: "
           f"{result['identical_outputs']}")
     print(f"wrote {args.out}")

@@ -80,6 +80,7 @@ from .oracle import (
     multiplier_class,
     n_r_brute,
     power_moment_check,
+    sweep_charge,
     weight_from_char_sum,
 )
 from .solver import (
@@ -539,17 +540,14 @@ def cmd_sweep(args) -> int:
                         solution = solved[vspec.e, vspec.t] = solve(vspec)
                     dist = solution.dist
                     status = "formula-only"
-                    if args.verify_small is not None:
-                        cost = vspec.codeword_count * vspec.length
-                        if cost <= args.verify_small:
-                            cls = multiplier_class(vspec)
-                            brute = swept.get(cls)
-                            if brute is None:
-                                if ctx is None:
-                                    ctx = build_field(vspec.p, 2 * vspec.m, table_limit=table_limit)
-                                brute = swept[cls] = brute_distribution(vspec, ctx=ctx,
-                                                                        budget=budget)
-                            status = "oracle-verified" if brute == dist else "mismatch"
+                    if args.verify_small is not None and sweep_charge(vspec) <= args.verify_small:
+                        cls = multiplier_class(vspec)
+                        brute = swept.get(cls)
+                        if brute is None:
+                            if ctx is None:
+                                ctx = build_field(vspec.p, 2 * vspec.m, table_limit=table_limit)
+                            brute = swept[cls] = brute_distribution(vspec, ctx=ctx, budget=budget)
+                        status = "oracle-verified" if brute == dist else "mismatch"
                     elapsed = time.perf_counter() - started
                     out_fh.write(catalog_line(key, status, elapsed, report_json(vspec, solution))
                                  + "\n")

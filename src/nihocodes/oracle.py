@@ -85,12 +85,12 @@ packed whole elements to a 64-bit lane, so one lane holds it whenever
 W * 2m * (number of exponents) <= 64, as at every spec of the benchmark's
 verify workload (at most 48 bits), and lanes add by the adder.  Equal
 sums merge by one sort of the rows, cut where the row changes, and the
-halves pair as the equal neighbours of one sort of A and -B.  The halves
-of the last spec are kept, so the calls for r = 1..4 that verify makes
-share the signatures and every level grown.  The floor(r/2) half stays
-unreduced: keyed by GF(q)*-orbits too, it measured 1.5-2 times slower at
-r <= 3 for q = 8 and 9 and won only at q = 16 with r = 4, which the
-benchmark refuses by budget.
+halves pair as the equal neighbours of one sort of A and -B.  A spec's
+halves live as long as the spec object, so one verify's calls for r = 1..4
+share the signatures and every level grown, and none outlive the command.
+The floor(r/2) half stays unreduced: keyed by GF(q)*-orbits too, it
+measured 1.5-2 times slower at r <= 3 for q = 8 and 9 and won only at
+q = 16 with r = 4, which the benchmark refuses by budget.
 
 power_moment_check aggregates a swept distribution into the one power
 moment identity of both families, sum over all tuples of
@@ -99,13 +99,12 @@ case p = 2); it sweeps nothing itself.
 
 The full-space sweep brute_distribution and the tuple counter n_r_brute
 run under an operation budget; an over-budget request is refused
-outright, never truncated.  The stated cost model charges
-p^dimension * (q^2-1) for a distribution sweep regardless of path, and
-(q^2-1)^r for counting r-tuples.  These are the costs of plain
-enumeration; the budget charges them even though the orbit reductions and
-the meet in the middle do far less work.  f1 at q = 8, t = 4 is charged
-2^27 * 63, about 8.5e9, and sweeps 491,656 tuples; showcase 1's N_3 is
-charged 255^3 and its larger half holds 765 sums.
+outright, never truncated.  The stated cost model charges sweep_charge,
+p^dimension * (q^2-1), for a distribution sweep regardless of path, and
+(q^2-1)^r for counting r-tuples: the costs of plain enumeration, though
+the orbit reductions and the meet in the middle do far less work.  f1 at
+q = 8, t = 4 is charged 2^27 * 63, about 8.5e9, and sweeps 491,656
+tuples; showcase 1's N_3 is charged 255^3, and its larger half holds 765 sums.
 
 Like galois, this module imports numpy inside the functions that use it,
 so importing it (as the CLI does) costs no numpy import.
@@ -121,9 +120,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import TYPE_CHECKING
 
 from .codespec import ValidatedSpec
@@ -448,6 +448,11 @@ def _head_orbits(vspec: ValidatedSpec, head: list[int],
     return [firsts, seconds][:len(head)], sizes
 
 
+def sweep_charge(vspec: ValidatedSpec) -> int:
+    """What brute_distribution charges against the budget: p^dimension * (q^2-1)."""
+    return vspec.codeword_count * vspec.length
+
+
 def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
                        budget: int = DEFAULT_BUDGET, path: str = "fast") -> WeightDistribution:
     """Exact weight distribution over all nonzero coefficient tuples.
@@ -455,10 +460,11 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     path "fast" counts W-roots per tuple; path "slow" evaluates every
     codeword position.  Either sweeps orbit representatives, one engine
     call per pair of full slots (see the module doc).  Both are charged
-    p^dimension * (q^2-1) against the budget and refused, not truncated,
-    when it does not fit.
+    sweep_charge and refused, not truncated, when it exceeds the budget.
     """
-    required = vspec.codeword_count * vspec.length
+    if path not in ("fast", "slow"):
+        raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
+    required = sweep_charge(vspec)
     if required > budget:
         raise BudgetExceeded(required, budget)
     ctx = _context_for(vspec, ctx)
@@ -468,14 +474,12 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
 
         def weight_of(roots):
             return weight_for_index(vspec.p, vspec.q, vspec.e, roots)
-    elif path == "slow":
+    else:
         build = _symbol_tables
         add, neg = adder(vspec.p, 1)
 
         def weight_of(zeros):
             return vspec.length - zeros
-    else:
-        raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
 
     domains = coefficient_domains(vspec, ctx)
     full = [i for i, size in enumerate(vspec.coset_sizes) if size > vspec.m]
@@ -628,14 +632,8 @@ class _HalfSums:
         return levels[size]
 
 
-@lru_cache(maxsize=1)
-def _half_sums(vspec: ValidatedSpec, ctx: FieldContext) -> _HalfSums:
-    """The last spec's half sums, so that n_r_brute's calls for r = 1, 2, ..
-    share its signatures and the levels grown so far.  The memo holds its
-    context too, so it keeps that spec's field alive until another spec or
-    field is counted: nothing more for a field galois keeps anyway, the
-    whole tables for a larger one."""
-    return _HalfSums(vspec, ctx)
+# n_r_brute's half sums per live spec object; a _HalfSums must not hold its spec or field
+_half_sums = weakref.WeakKeyDictionary()
 
 
 def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
@@ -646,16 +644,20 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     With A the histogram of the sums of ceil(r/2) signatures, the first
     reduced to one per orbit of GF(q)* scaling and Frobenius, and B that of
     floor(r/2) signatures, N_r = sum_s A[s] B[-s] (see _HalfSums).  A takes
-    O((q+1) n^(ceil(r/2)-1)) work and B O(n^floor(r/2)), n = q^2-1, and the
-    levels built for one r serve the next r of the same spec.  The final
-    sum is taken in Python ints.  Charged (q^2-1)^r against the budget.
+    O((q+1) n^(ceil(r/2)-1)) work and B O(n^floor(r/2)), n = q^2-1.  Levels
+    serve every later r of the spec object while it lives, so ctx=None builds
+    a field once.  The sum is taken in Python ints.  Charged (q^2-1)^r.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     required = vspec.length**r
     if required > budget:
         raise BudgetExceeded(required, budget)
-    sums = _half_sums(vspec, _context_for(vspec, ctx))
+    sums = _half_sums.get(vspec)
+    if sums is None or ctx is not None:  # a passed field is checked on every call
+        ctx = _context_for(vspec, ctx)
+    if sums is None:
+        sums = _half_sums[vspec] = _HalfSums(vspec, ctx)
     keys_a, counts_a = sums.half((r + 1) // 2, reduced=True)
     keys_b, counts_b = sums.half(r // 2, reduced=False)
     return _pair(keys_a, counts_a, sums.neg(keys_b), counts_b)

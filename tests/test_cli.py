@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -363,6 +365,39 @@ def test_verify_moments_sweeps_once(capsys, monkeypatch, flags, rows):
     assert [line for line in out if line.startswith("power moment")] == [
         f"power moment r={r}: ok" for r in range(1, rows + 1)]
     assert len(sweeps) == 1
+
+
+def test_nr_brute_leaves_no_field_behind(capsys, monkeypatch):
+    """Nothing outlives `nr --brute`: once it returns, its spec's half sums
+    are gone and the field it built, which galois does not keep at this
+    KEEP_ORDER, is freed."""
+    monkeypatch.setattr(oracle, "_half_sums", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(galois, "KEEP_ORDER", 16)
+    contexts, build = [], cli.build_field
+
+    def tracked(*args, **kwargs):
+        ctx = build(*args, **kwargs)
+        contexts.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(cli, "build_field", tracked)
+    assert main(["nr", "--p", "2", "--m", "3", "--e", "1", "--rmax", "3", "--brute",
+                 "--family", "f1", "--h", "1", "--delta", "1", "--t", "2"]) == 0
+    assert [line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]] == ["ok"] * 4
+    gc.collect()
+    assert len(contexts) == 1 and contexts[0]() is None
+    assert not oracle._half_sums
+
+
+def test_verify_nr_builds_one_half_sums_for_all_its_r(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_half_sums", weakref.WeakKeyDictionary())
+    built, half_sums = [], oracle._HalfSums
+    monkeypatch.setattr(oracle, "_HalfSums",
+                        lambda *args: built.append(args) or half_sums(*args))
+    assert main(["verify", *EXAMPLE2_FLAGS, "--checks", "nr"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:4]] == [
+        "N_1", "N_2", "N_3", "N_4"]
+    assert len(built) == 1
 
 
 def test_showcase1_n4_refused_at_the_benchmark_budget(capsys):

@@ -2,13 +2,14 @@ import functools
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nihocodes import oracle
+from nihocodes import galois, oracle
 from nihocodes.codespec import CodeSpec, SpecValidationError, validate_spec
 from nihocodes.galois import (
     FieldContext,
@@ -535,6 +536,7 @@ def test_charges_are_the_plain_enumeration_costs(key):
     vs = spec_of(key)
     ctx = field(vs.p, 2 * vs.m)
     sweep = vs.p ** vs.dimension * (vs.q ** 2 - 1)
+    assert oracle.sweep_charge(vs) == sweep
     for path in ("fast", "slow"):
         with pytest.raises(BudgetExceeded) as exc:
             brute_distribution(vs, ctx=ctx, budget=sweep - 1, path=path)
@@ -690,7 +692,7 @@ def test_n_r_brute_on_two_lanes_matches_unreduced(key, rmax):
     middle, for every r with (q^2-1)^r <= 10^7."""
     vs = spec_of(key)
     ctx = field(vs.p, 2 * vs.m)
-    keys, _ = oracle._half_sums(vs, ctx).one
+    keys, _ = oracle._HalfSums(vs, ctx).one
     assert keys.shape[1] == 2
     assert vs.length ** rmax <= 10**7 < vs.length ** (rmax + 1)
     for r in range(1, rmax + 1):
@@ -710,15 +712,41 @@ def test_n_r_brute_shared_halves_match_fresh_counts():
              (d, 3), (b, 3), (d, 2), (c, 3), (a, 4)]
     fresh = {}
     for vs, r in calls:
-        oracle._half_sums.cache_clear()
+        oracle._half_sums.clear()
         fresh[vs, r] = n_r_brute(vs, r)
     for r in (2, 3, 4):
         assert fresh[a, r] != fresh[b, r] and fresh[c, r] != fresh[d, r], r
-    oracle._half_sums.cache_clear()
+    oracle._half_sums.clear()
     fields = {(2, 3): field(2, 6), (3, 2): field(3, 4)}
     for i, (vs, r) in enumerate(calls):
         ctx = [fields[vs.p, vs.m], None, build_field(vs.p, 2 * vs.m)][i % 3]
         assert n_r_brute(vs, r, ctx=ctx) == fresh[vs, r], (vs.key, r)
+
+
+def test_n_r_brute_without_a_field_builds_one_per_spec_object(monkeypatch):
+    """Calls with ctx=None on one spec object share its half sums, so they
+    build its field once, even a field galois does not keep; a passed field
+    that does not match the spec is refused on a hit too."""
+    monkeypatch.setattr(oracle, "_half_sums", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(galois, "KEEP_ORDER", 16)
+    builds = []
+    monkeypatch.setattr(oracle, "build_field",
+                        lambda *args: builds.append(args) or build_field(*args))
+    vs = spec_of("f1:2:3:1:1:2")
+    assert [n_r_brute(vs, r) for r in (1, 2, 3, 1)] == [n_r(r, vs.q, vs.e) for r in (1, 2, 3, 1)]
+    assert builds == [(2, 6)]
+    with pytest.raises(ValueError, match="does not match"):
+        n_r_brute(vs, 1, ctx=field(2, 4))
+
+
+def test_brute_distribution_refuses_a_bad_path_before_building_a_field(tiny_f1_spec,
+                                                                        monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(oracle, "build_field", no_field)
+    with pytest.raises(ValueError, match="path must be 'fast' or 'slow'"):
+        brute_distribution(tiny_f1_spec, path="medium")
 
 
 def test_n_r_brute_showcase_n4_under_default_budget(example1_spec, gf256):

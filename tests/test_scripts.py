@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,13 @@ def test_bench_verify_times_stages_and_catalog_calls(tmp_path):
     assert len(first["catalog_ops_per_s"]) == 2 and len(second["catalog_ops_per_s"]) == 1
     assert min(first["catalog_ops_per_s"]) > 0
     assert len(first["brute_call_mean_s"]) == 2 and min(first["brute_call_mean_s"]) > 0
+    # every median is printed with the best run beside it
+    rates = first["verify_ops_per_s"]
+    assert (f"first: verify {statistics.median(rates):.1f} (best {max(rates):.1f}) ops/s"
+            in done.stdout)
+    strata = [line for line in done.stdout.splitlines() if " op " in line]
+    assert len(strata) == 2 * len(first["strata"])
+    assert all(line.count("(best ") == 5 for line in strata)  # the op and its four stages
 
 
 def test_bench_verify_catalog_digest_masks_only_elapsed(tmp_path, monkeypatch):
