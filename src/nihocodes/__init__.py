@@ -26,7 +26,6 @@ from .oracle import (
     codeword_weight,
     n_r_brute,
     power_moment_check,
-    weight_from_char_sum,
 )
 from .solver import (
     ModelViolationError,

@@ -75,13 +75,11 @@ from .oracle import (
     BudgetExceeded,
     brute_distribution,
     coefficient_domains,
-    column_char_sums,
     column_weights,
     multiplier_class,
     n_r_brute,
     power_moment_check,
     sweep_charge,
-    weight_from_char_sum,
 )
 from .solver import (
     ModelViolationError,
@@ -326,9 +324,9 @@ def _check_weights(vspec, ctx):
     columns = np.stack([domain[list(index)] for domain, index in zip(domains, draws)])
     columns = columns[:, columns.any(axis=0)]  # the zero tuple has no weight to check
     failures = []
-    for a, w_direct, s in zip(columns.T.tolist(), column_weights(vspec, columns, ctx),
-                              column_char_sums(vspec, columns, ctx)):
-        w_roots = weight_from_char_sum(vspec, s)
+    for a, w_direct, w_roots in zip(columns.T.tolist(),
+                                    column_weights(vspec, columns, ctx, "slow"),
+                                    column_weights(vspec, columns, ctx, "fast")):
         if w_direct != w_roots:
             failures.append(f"tuple {tuple(a)}: positionwise {w_direct} != root path {w_roots}")
         elif w_direct not in predicted:

@@ -1,17 +1,19 @@
 """Independent ground truth by direct enumeration.
 
 Two weight paths are kept separate by method, and each is implemented
-once, as a table builder over the field's array views:
+once, as a table builder over the field's array views; _path names each
+one's builder, entries, adder and weight, which column_weights and
+brute_distribution both read:
 
-  * the positionwise path, _symbol_tables, evaluates the defining trace
-    expression of a codeword symbol by symbol over all q^2-1 coordinates,
-    as GF(p) symbols read from the doubled trace view trace2;
-  * the root-counting path, _root_tables, evaluates a polynomial of
-    degree below the moment system size n over the small subgroup W of
-    the unit circle (order (q+1)/e) and converts the number of roots into
-    a character-sum value and hence a weight; its values are GF(q^2)
-    elements in the packed form of galois, read from the doubled
-    packed_exp2 view.
+  * the positionwise ("slow") path, _symbol_tables, evaluates the defining
+    trace expression of a codeword symbol by symbol over all q^2-1
+    coordinates, as GF(p) symbols read from the doubled trace view trace2;
+    a tuple's weight is its count of nonzero symbols;
+  * the root-counting ("fast") path, _root_tables, evaluates a polynomial
+    of degree below the moment system size n over the small subgroup W of
+    the unit circle (order (q+1)/e); a tuple with j roots there has weight
+    solver.weight_for_index(j).  Its values are GF(q^2) elements in the
+    packed form of galois, read from the doubled packed_exp2 view.
 
 Both builders add two exponents below n = q^2-1, each reduced on its own
 short vector (the coefficients' logs, or d i over the entries), and gather
@@ -117,6 +119,7 @@ the order in which the engine walks the tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -136,8 +139,8 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 10**10
 _BLOCK_ENTRIES = 1 << 22
-# Table entries per slot in one chunk of a batch path (column_weights,
-# column_char_sums): larger chunks save no numpy calls worth having and cost memory.
+# Table entries per slot in one chunk of column_weights: larger chunks save
+# no numpy calls worth having and cost memory.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -207,70 +210,56 @@ def _chunks(columns, rows: int):
         yield {slot: column[start:start + size] for slot, column in enumerate(columns)}
 
 
-def column_weights(vspec: ValidatedSpec, columns, ctx: FieldContext) -> list[int]:
-    """Hamming weights by direct positionwise evaluation of the defining
-    trace expression, independent of the root-counting shortcut, of the
-    tuples whose s-th coefficients are columns[s], in column order.  The
-    coefficients must lie in their slots' domains, as draws from
-    coefficient_domains do; nothing is validated.  Column i of the slot
-    tables is tuple i, so the symbols are the slot tables summed
-    elementwise."""
+def _path(vspec: ValidatedSpec, path: str):
+    """(table builder, entries per table, add, neg, weight) of a weight
+    path, weight mapping a tuple's count of zero entries to its Hamming
+    weight.  "fast" counts the roots on W of the root-counting polynomial,
+    whose j roots give weight_for_index(j) (see solver); "slow" counts the
+    zero symbols over every codeword position."""
+    if path == "fast":
+        return (_root_tables, (vspec.q + 1) // vspec.e, *adder(vspec.p, 2 * vspec.m),
+                functools.partial(weight_for_index, vspec.p, vspec.q, vspec.e))
+    if path == "slow":
+        return (_symbol_tables, vspec.length, *adder(vspec.p, 1),
+                functools.partial(operator.sub, vspec.length))
+    raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
+
+
+def column_weights(vspec: ValidatedSpec, columns, ctx: FieldContext, path: str) -> list[int]:
+    """Hamming weights on one weight path (see _path) of the tuples whose
+    s-th coefficients are columns[s], in column order.  The coefficients
+    must lie in their slots' domains, as draws from coefficient_domains do;
+    nothing is validated.  Column i of the slot tables is tuple i, so the
+    tuples' entries are the slot tables summed elementwise; the zero tuple
+    makes every entry zero, weight 0 on either path."""
     import numpy as np
-    add, _ = adder(vspec.p, 1)
+    build, entries, add, _, weight = _path(vspec, path)
     weights = []
-    for domains in _chunks(columns, vspec.length):
-        symbols = reduce(add, _symbol_tables(vspec, ctx, domains))
-        weights += np.count_nonzero(symbols, axis=0).tolist()
+    for domains in _chunks(columns, entries):
+        nonzero = np.count_nonzero(reduce(add, build(vspec, ctx, domains)), axis=0)
+        weights += map(weight, (entries - nonzero).tolist())
     return weights
 
 
-def column_char_sums(vspec: ValidatedSpec, columns, ctx: FieldContext) -> list[int]:
-    """Character sums via root counting over W of the tuples whose s-th
-    coefficients are columns[s], in column order, unvalidated as in
-    column_weights.
-
-    Evaluates each tuple's coefficient polynomial at every point of W; each
-    root accounts for e unit-circle solutions, giving N = e * roots and the
-    sum (p-1)q(N-1).  The zero tuple makes the polynomial vanish
-    identically, which yields (p-1)q^2.
-    """
-    import numpy as np
-    scale = (vspec.p - 1) * vspec.q
-    add, _ = adder(ctx.p, ctx.degree)
-    sums = []
-    for domains in _chunks(columns, (vspec.q + 1) // vspec.e):
-        values = reduce(add, _root_tables(vspec, ctx, domains))
-        sums += [scale * (vspec.e * roots - 1)
-                 for roots in np.count_nonzero(values == 0, axis=0).tolist()]
-    return sums
-
-
 def codeword_weight(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """One tuple's Hamming weight, validated first: column_weights of one column.
+    """One tuple's Hamming weight on the slow path, validated first.
 
     No command calls it: the CLI calls `column_weights` on whole batches.  It
     stays for the tests and while the benchmark traces it.
     """
     validate_tuple(vspec, a, ctx)
-    return column_weights(vspec, [(c,) for c in a], ctx)[0]
+    return column_weights(vspec, [(c,) for c in a], ctx, "slow")[0]
 
 
 def char_sum(vspec: ValidatedSpec, a: tuple[int, ...], ctx: FieldContext) -> int:
-    """One tuple's character sum, validated first: column_char_sums of one column.
+    """One tuple's character sum (p-1)q^2 - p w, w its weight on the fast
+    path, validated first; the zero tuple gives (p-1)q^2.
 
-    No command calls it: the CLI calls `column_char_sums` on whole batches.
-    It stays for the tests and while the benchmark traces it.
+    No command calls it, like codeword_weight.
     """
     validate_tuple(vspec, a, ctx)
-    return column_char_sums(vspec, [(c,) for c in a], ctx)[0]
-
-
-def weight_from_char_sum(vspec: ValidatedSpec, s: int) -> int:
-    q, p = vspec.q, vspec.p
-    num = q * q * (p - 1) - s
-    if num % p:
-        raise ValueError(f"character sum {s} is not a valid value for {vspec.key}")
-    return num // p
+    w = column_weights(vspec, [(c,) for c in a], ctx, "fast")[0]
+    return (vspec.p - 1) * vspec.q**2 - vspec.p * w
 
 
 # -- the sweep engine -----------------------------------------------------
@@ -462,25 +451,11 @@ def brute_distribution(vspec: ValidatedSpec, ctx: FieldContext | None = None,
     call per pair of full slots (see the module doc).  Both are charged
     sweep_charge and refused, not truncated, when it exceeds the budget.
     """
-    if path not in ("fast", "slow"):
-        raise ValueError(f"path must be 'fast' or 'slow', got {path!r}")
+    build, _, add, neg, weight_of = _path(vspec, path)
     required = sweep_charge(vspec)
     if required > budget:
         raise BudgetExceeded(required, budget)
     ctx = _context_for(vspec, ctx)
-    if path == "fast":
-        build = _root_tables
-        add, neg = adder(ctx.p, ctx.degree)
-
-        def weight_of(roots):
-            return weight_for_index(vspec.p, vspec.q, vspec.e, roots)
-    else:
-        build = _symbol_tables
-        add, neg = adder(vspec.p, 1)
-
-        def weight_of(zeros):
-            return vspec.length - zeros
-
     domains = coefficient_domains(vspec, ctx)
     full = [i for i, size in enumerate(vspec.coset_sizes) if size > vspec.m]
     heads = [full[i:i + 2] for i in range(0, len(full), 2)] or [[]]

@@ -38,7 +38,9 @@ scaling and Frobenius, weighted by the orbit's size.
 `char_sum_direct` sums it over all of GF(q^2).  They are the scalar
 reference for the array paths of `nihocodes.oracle`, whose positionwise
 builder reads the field's trace view and whose root counter reads its
-exp/log views.
+exp/log views.  `weight_from_char_sum` turns a character sum S into the
+weight ((p-1)q^2 - S)/p, refusing an S that gives no integer, so that
+character sums and weights of the two paths can be compared.
 
 `field_by_walk` builds GF(p^k) the way the library once did, walking the
 powers of gamma one interpreted polynomial multiply at a time, the
@@ -473,6 +475,14 @@ def char_sum_direct(vspec, a, ctx) -> int:
         if symbol_at(vspec, a, ctx, i) == 0:
             zeros += 1
     return vspec.p * zeros - vspec.q * vspec.q
+
+
+def weight_from_char_sum(vspec, s: int) -> int:
+    q, p = vspec.q, vspec.p
+    num = q * q * (p - 1) - s
+    if num % p:
+        raise ValueError(f"character sum {s} is not a valid value for {vspec.key}")
+    return num // p
 
 
 def b_count(j: int, q: int) -> int:

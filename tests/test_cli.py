@@ -458,10 +458,11 @@ def test_weight_samples_match_list_domains(monkeypatch, spec):
                      for _ in range(cli.WEIGHT_SAMPLES)]
     seen = []
     real = cli.column_weights
-    monkeypatch.setattr(cli, "column_weights",
-                        lambda vspec, columns, ctx: seen.append(columns) or real(vspec, columns, ctx))
+    monkeypatch.setattr(cli, "column_weights", lambda vspec, columns, ctx, path: (
+        seen.append((path, columns)) or real(vspec, columns, ctx, path)))
     assert cli._check_weights(vs, ctx) == []
-    [columns] = seen
+    (slow, columns), (fast, root_columns) = seen
+    assert (slow, fast) == ("slow", "fast") and root_columns is columns
     samples = [_tuple_at(columns, i) for i in range(len(columns[0]))]
     assert samples == [a for a in draws if any(a)]
     assert all(type(c) is int for a in samples for c in a)
@@ -972,13 +973,15 @@ def test_sweep_shared_class_mismatch_marks_every_member(tmp_path, capsys, monkey
     assert [r["status"] for r in _records(out)] == ["mismatch"] * 48
 
 
-def _corrupt_one(real, index, delta, seen):
-    """real, with entry index of its result moved by delta; the per-slot
-    columns it was handed are recorded in seen."""
-    def corrupted(vspec, columns, ctx):
-        seen.append(columns)
-        out = real(vspec, columns, ctx)
-        out[index] += delta
+def _corrupt_one(real, path, index, delta, seen):
+    """real, with entry index of its result on path moved by delta; the
+    per-slot columns it was handed on path are recorded in seen, and other
+    paths pass through."""
+    def corrupted(vspec, columns, ctx, called_path):
+        out = real(vspec, columns, ctx, called_path)
+        if called_path == path:
+            seen.append(columns)
+            out[index] += delta
         return out
     return corrupted
 
@@ -995,9 +998,9 @@ def _mismatch_lines(err):
 
 
 def test_verify_weights_path_disagreement_exits_2(capsys, monkeypatch):
-    # a character sum 2 higher is a binary weight 1 lower
+    # the root path reads a weight 1 lower
     seen = []
-    monkeypatch.setattr(cli, "column_char_sums", _corrupt_one(cli.column_char_sums, 5, 2, seen))
+    monkeypatch.setattr(cli, "column_weights", _corrupt_one(cli.column_weights, "fast", 5, -1, seen))
     assert main(["verify", *EXAMPLE1_FLAGS, "--checks", "weights"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "weights: path equivalence and containment FAILED\n"
@@ -1010,9 +1013,8 @@ def test_verify_weights_path_disagreement_exits_2(capsys, monkeypatch):
 def test_verify_weights_outside_predicted_set_exits_2(capsys, monkeypatch):
     # both paths agree on a weight 1 off the predicted set, spaced by 8
     seen = []
-    monkeypatch.setattr(cli, "column_char_sums", _corrupt_one(cli.column_char_sums, 0, 2, []))
-    monkeypatch.setattr(cli, "column_weights",
-                        _corrupt_one(cli.column_weights, 0, -1, seen))
+    roots_corrupted = _corrupt_one(cli.column_weights, "fast", 0, -1, [])
+    monkeypatch.setattr(cli, "column_weights", _corrupt_one(roots_corrupted, "slow", 0, -1, seen))
     assert main(["verify", *EXAMPLE1_FLAGS, "--checks", "weights"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "weights: path equivalence and containment FAILED\n"

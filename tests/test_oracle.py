@@ -27,11 +27,9 @@ from nihocodes.oracle import (
     char_sum,
     codeword_weight,
     coefficient_domains,
-    column_char_sums,
     column_weights,
     n_r_brute,
     power_moment_check,
-    weight_from_char_sum,
 )
 from nihocodes.solver import theoretical_weights, weight_distribution, weight_for_index
 
@@ -48,6 +46,7 @@ from exact_reference import (
     power,
     symbol_at,
     trace_to_prime,
+    weight_from_char_sum,
 )
 
 
@@ -135,6 +134,21 @@ def test_paths_agree_on_samples_example1(example1_spec, gf256):
             assert w in weights
 
 
+def test_root_count_weight_is_the_char_sum_weight():
+    """A tuple with j roots on W has character sum (p-1)q(ej-1), so its
+    weight read from that sum is weight_for_index(j): for every j up to
+    |W| = (q+1)/e and every e, at q <= 64 and at the benchmark's large q.
+    p divides q, so the sum's weight is always an integer."""
+    primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+    fields = [(p, p**m) for p in primes for m in range(1, 7) if p**m <= 64]
+    for p, q in fields + [(2, 256), (3, 729), (2, 1024)]:
+        vs = SimpleNamespace(p=p, q=q, key=f"p={p} q={q}")
+        for e in (e for e in range(1, q + 2) if (q + 1) % e == 0):
+            for j in range((q + 1) // e + 1):
+                s = (p - 1) * q * (e * j - 1)
+                assert weight_for_index(p, q, e, j) == weight_from_char_sum(vs, s)
+
+
 def mixed_batch(vspec, ctx, rng, size):
     """The zero tuple, random tuples, and tuples that differ from the first
     random one in one slot only."""
@@ -156,13 +170,13 @@ def test_batch_paths_match_scalar_references(key):
     ctx = field(vs.p, 2 * vs.m)
     batch = mixed_batch(vs, ctx, random.Random(key), 6)
     columns = list(zip(*batch))
-    weights = column_weights(vs, columns, ctx)
-    sums = column_char_sums(vs, columns, ctx)
-    assert len(weights) == len(sums) == len(batch)
-    for a, w, s in zip(batch, weights, sums):
+    weights = column_weights(vs, columns, ctx, "slow")
+    root_weights = column_weights(vs, columns, ctx, "fast")
+    assert len(weights) == len(root_weights) == len(batch)
+    for a, w, w_roots in zip(batch, weights, root_weights):
         assert w == sum(symbol_at(vs, a, ctx, i) != 0 for i in range(vs.length))
-        assert s == char_sum_direct(vs, a, ctx)
-        assert w == weight_from_char_sum(vs, s)
+        assert w_roots == weight_from_char_sum(vs, char_sum_direct(vs, a, ctx))
+        assert w == w_roots
 
 
 @pytest.mark.parametrize("batch_entries", [oracle._BATCH_ENTRIES, 64])
@@ -174,12 +188,12 @@ def test_batch_longer_than_a_chunk_matches_tuple_by_tuple(monkeypatch, batch_ent
     ctx = field(vs.p, 2 * vs.m)
     batch = mixed_batch(vs, ctx, random.Random(5), 150 - 2 - len(vs.exponents))
     expected_w = [codeword_weight(vs, a, ctx) for a in batch]
-    expected_s = [char_sum(vs, a, ctx) for a in batch]
+    expected_roots = [weight_from_char_sum(vs, char_sum(vs, a, ctx)) for a in batch]
     monkeypatch.setattr(oracle, "_BATCH_ENTRIES", batch_entries)
     assert len(batch) == 150
     columns = list(zip(*batch))
-    assert column_weights(vs, columns, ctx) == expected_w
-    assert column_char_sums(vs, columns, ctx) == expected_s
+    assert column_weights(vs, columns, ctx, "slow") == expected_w
+    assert column_weights(vs, columns, ctx, "fast") == expected_roots
 
 
 def test_char_sum_values_lie_in_predicted_set(tiny_f1_spec, gf16):
@@ -458,8 +472,7 @@ def test_oracle_hot_paths_are_table_driven(example1_spec, example2_spec):
         for a in batch:
             assert codeword_weight(vs, a, ctx) == weight_from_char_sum(vs, char_sum(vs, a, ctx))
         columns = list(zip(*batch))
-        assert column_weights(vs, columns, ctx) == [
-            weight_from_char_sum(vs, s) for s in column_char_sums(vs, columns, ctx)]
+        assert column_weights(vs, columns, ctx, "slow") == column_weights(vs, columns, ctx, "fast")
         solver = weight_distribution(vs)
         for path in ("fast", "slow"):
             assert brute_distribution(vs, ctx=ctx, path=path) == solver
@@ -739,14 +752,18 @@ def test_n_r_brute_without_a_field_builds_one_per_spec_object(monkeypatch):
         n_r_brute(vs, 1, ctx=field(2, 4))
 
 
-def test_brute_distribution_refuses_a_bad_path_before_building_a_field(tiny_f1_spec,
+def test_brute_distribution_refuses_a_bad_path_before_building_a_field(tiny_f1_spec, gf16,
                                                                         monkeypatch):
-    def no_field(*args, **kwargs):
-        raise AssertionError("a field was built")
+    """column_weights refuses an unknown path the same way, before any table."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a field or table was built")
 
-    monkeypatch.setattr(oracle, "build_field", no_field)
-    with pytest.raises(ValueError, match="path must be 'fast' or 'slow'"):
-        brute_distribution(tiny_f1_spec, path="medium")
+    for name in ("build_field", "_root_tables", "_symbol_tables"):
+        monkeypatch.setattr(oracle, name, no_build)
+    for refused in (lambda: brute_distribution(tiny_f1_spec, path="medium"),
+                    lambda: column_weights(tiny_f1_spec, [(0, 1), (1, 0)], gf16, "medium")):
+        with pytest.raises(ValueError, match="path must be 'fast' or 'slow', got 'medium'"):
+            refused()
 
 
 def test_n_r_brute_showcase_n4_under_default_budget(example1_spec, gf256):
