@@ -16,7 +16,10 @@ times after one untimed warm-up run:
   * verify: the verify-oracle ops of the first --rounds rounds, each op's
     time split into the stages `build_field`, `brute_distribution`,
     `n_r_brute` and `_check_weights`, summed per stratum: a showcase, or
-    (family, q, t) for the drawn specs.
+    (family, q, t) for the drawn specs.  Each run also keeps the 50th and
+    75th percentiles of its op times, the in-process counterparts of the
+    benchmark's `latency_p50_s` and of verify-oracle's `latency_tail_s`
+    (its p75), interpolated between closest ranks as the benchmark does.
 
 The catalog part runs first, as the benchmark runs it, in a process that has
 made no large sweep: after the verify part's large arrays the allocator
@@ -105,10 +108,10 @@ class Stopwatch:
         return timed
 
 
-def run_verify(ops, log) -> tuple[str, float, dict]:
-    """One pass over the verify ops: digest, total seconds, and per stratum
-    its op count and the seconds of each stage and of whole ops."""
-    digest, total = hashlib.sha256(), 0.0
+def run_verify(ops, log) -> tuple[str, list[float], dict]:
+    """One pass over the verify ops: digest, each op's seconds, and per
+    stratum its op count and the seconds of each stage and of whole ops."""
+    digest, times = hashlib.sha256(), []
     strata: dict[str, dict] = {}
     gc.collect()
     for op in ops:
@@ -118,13 +121,13 @@ def run_verify(ops, log) -> tuple[str, float, dict]:
             started = time.thread_time()
             rc, out, err = transcripts.call(list(op.argv), log)
             spent = time.thread_time() - started
-        total += spent
+        times.append(spent)
         entry["ops"] += 1
         entry["op_s"] += spent
         for stage in STAGES:
             entry[stage] += sum(watch.calls[stage])
         digest.update(json.dumps([op.argv, rc, out, err]).encode() + b"\n")
-    return digest.hexdigest(), total, strata
+    return digest.hexdigest(), times, strata
 
 
 def run_catalog(ops, catalog: Path, log) -> tuple[str, float, int, dict[str, list[float]]]:
@@ -171,15 +174,18 @@ def time_oracles(rounds: int, sweep_rounds: int, runs: int) -> dict:
             entry["brute_call_median_s"].append(statistics.median(calls["brute_s"]))
         verify_sha, _, shape = run_verify(verify_ops, log)
         entry.update({"verify_sha256": verify_sha, "verify_ops": len(verify_ops),
-                      "verify_ops_per_s": [],
+                      "verify_ops_per_s": [], "verify_p50_s": [], "verify_p75_s": [],
                       "strata": {name: {"ops": s["ops"], "op_s": [],
                                         **{stage: [] for stage in STAGES}}
                                  for name, s in shape.items()}})
         for _ in range(runs):
-            sha, total, strata = run_verify(verify_ops, log)
+            sha, times, strata = run_verify(verify_ops, log)
             if sha != verify_sha:
                 raise SystemExit("a run's verify outputs differ from the warm-up run's")
-            entry["verify_ops_per_s"].append(len(verify_ops) / total)
+            _, p50, p75 = statistics.quantiles(times, n=4, method="inclusive")
+            entry["verify_ops_per_s"].append(len(verify_ops) / sum(times))
+            entry["verify_p50_s"].append(p50)
+            entry["verify_p75_s"].append(p75)
             for name, s in strata.items():
                 for key in ("op_s", *STAGES):
                     entry["strata"][name][key].append(s[key] / s["ops"])
@@ -194,8 +200,8 @@ def merge(previous: dict, entry: dict) -> dict:
     """entry's timing lists appended to previous's, whose digests must match."""
     if any(previous.get(k) != entry[k] for k in SAME):
         raise SystemExit("outputs or counts differ from the runs already under this label")
-    for key in ("verify_ops_per_s", "catalog_ops_per_s", "brute_call_mean_s",
-                "brute_call_median_s"):
+    for key in ("verify_ops_per_s", "verify_p50_s", "verify_p75_s", "catalog_ops_per_s",
+                "brute_call_mean_s", "brute_call_median_s"):
         entry[key] = previous[key] + entry[key]
     for name, s in entry["strata"].items():
         for key in ("op_s", *STAGES):
@@ -246,6 +252,8 @@ def main() -> None:
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for label, tree in result["trees"].items():
         print(f"{label}: verify {figure(tree['verify_ops_per_s'], max, 1, '.1f')} ops/s, "
+              f"p50 {figure(tree['verify_p50_s'], min, 1e3, '.3f')} ms, "
+              f"p75 {figure(tree['verify_p75_s'], min, 1e3, '.3f')} ms, "
               f"catalog {figure(tree['catalog_ops_per_s'], max, 1, '.1f')} ops/s, "
               f"{len(tree['verify_ops_per_s'])} runs")
         print(f"  catalog: {tree['records']} records from {tree['catalog_ops']} ops, "

@@ -81,15 +81,21 @@ solutions too.  The ceil(r/2) half therefore starts from the signatures (an
 element's exponent powers) of x_1 = gamma^i, one i per p-orbit of
 Z_(q+1), each counted (q-1) times its orbit's size, since the cosets of
 GF(q)* are the gamma^i GF(q)*.  It and the floor(r/2) half, grown from the
-zero signature, are histograms convolved with the q^2-1 signatures one
-coordinate at a time, and N_r pairs the half-sums s and -s.  A signature is
-packed whole elements to a 64-bit lane, so one lane holds it whenever
-W * 2m * (number of exponents) <= 64, as at every spec of the benchmark's
-verify workload (at most 48 bits), and lanes add by the adder.  Equal
-sums merge by one sort of the rows, cut where the row changes, and the
-halves pair as the equal neighbours of one sort of A and -B.  A spec's
-halves live as long as the spec object, so one verify's calls for r = 1..4
-share the signatures and every level grown, and none outlive the command.
+zero signature, take one more signature a level: every sum of the level
+below plus each of the q^2-1 signatures, and N_r pairs the half-sums s and
+-s.  A signature is packed whole elements to a 64-bit lane, so one lane
+holds it whenever W * 2m * (number of exponents) <= 64, as at every spec of
+the benchmark's verify workload (at most 48 bits), and lanes add by the
+adder.  A level keeps one row per sum taken until it holds more rows than
+there are distinct sums, q^(2 * number of exponents); only then do equal
+rows merge, by one sort cut where the row changes, which no level of the
+benchmark's verify specs reaches.  N_r sorts the larger half once per level
+(a value sort when its counts are all 1, else an argsort and cumulative
+counts) and finds each negated row of the smaller half in it by two binary
+searches; a row of several lanes sorts and searches as one np.void of its
+bytes.  A spec's halves and sorted tables live as long as the spec object,
+so one verify's calls for r = 1..4 share the signatures, every level grown
+and every table sorted, and none outlive the command.
 The floor(r/2) half stays unreduced: keyed by GF(q)*-orbits too, it
 measured 1.5-2 times slower at r <= 3 for q = 8 and 9 and won only at
 q = 16 with r = 4, which the benchmark refuses by budget.
@@ -524,53 +530,83 @@ def multiplier_class(vspec: ValidatedSpec) -> tuple[int, int, tuple[int, ...]]:
 
 # -- tuple counting and power moments --------------------------------------
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts the rows of keys, an (R, L) array of packed
-    lanes, and for each pair of neighbours in that order whether their rows
-    differ.  One lane sorts by argsort: lexsort, which more lanes need, took
-    4-5 times as long on one uint64 key of 4,000 to 65,000 rows."""
+def _flat(keys: np.ndarray) -> np.ndarray:
+    """One value per row of keys, an (R, L) array of packed lanes, that
+    compares as the row does: the lane itself for one lane, else the row's
+    bytes as one np.void, the lanes made big-endian so that the bytes order
+    like the rows.  numpy sorts and searches either kind."""
     import numpy as np
-    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    return order, (ranked[1:] != ranked[:-1]).any(axis=1)
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    wide = np.ascontiguousarray(keys, dtype=keys.dtype.newbyteorder(">"))
+    return wide.view(np.dtype((np.void, wide.itemsize * wide.shape[1]))).ravel()
 
 
 def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of keys, ascending, each with the sum of its rows'
     counts (int64 or Python ints): one sort, cut where the row changes."""
     import numpy as np
-    order, differs = _runs(keys)
-    starts = np.flatnonzero(np.concatenate(([True], differs)))
-    return keys[order[starts]], np.add.reduceat(counts[order], starts)
+    order = np.argsort(_flat(keys))
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    return ranked[starts], np.add.reduceat(counts[order], starts)
 
 
-def _pair(keys_a: np.ndarray, counts_a: np.ndarray,
-          keys_b: np.ndarray, counts_b: np.ndarray) -> int:
-    """sum over rows s of A[s] B[s], the rows of keys_a distinct and those
-    of keys_b too, in Python ints: sorted together, an equal row of A and
-    one of B are neighbours."""
+def _table(keys: np.ndarray, counts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows of keys as sorted _flat values, and the cumulative counts in
+    that order with a leading 0, or None when counts is None (every row
+    counts 1): then one value sort does, with no argsort."""
     import numpy as np
-    order, differs = _runs(np.concatenate([keys_a, keys_b]))
-    same = np.flatnonzero(~differs)
-    left, right = order[same], order[same + 1]
-    a, b = np.minimum(left, right), np.maximum(left, right) - len(keys_a)
-    return sum(map(operator.mul, counts_a[a].tolist(), counts_b[b].tolist()))
+    flat = _flat(keys)
+    if counts is None:
+        return np.sort(flat), None
+    order = np.argsort(flat)
+    cumulative = np.cumsum(counts[order])
+    return flat[order], np.concatenate((np.zeros(1, dtype=counts.dtype), cumulative))
+
+
+def _lookup(table: tuple[np.ndarray, np.ndarray | None],
+            keys: np.ndarray, counts: np.ndarray | None) -> int:
+    """sum over rows s of keys of counts[s] times table's count of s (the
+    count of a row missing from the table is 0), in Python ints: two binary
+    searches per row bound its run of equal values in the table.  When
+    counts is None every row counts 1, so the rows are sorted first, which
+    makes the searches walk the table in order."""
+    import numpy as np
+    values, cumulative = table
+    needles = _flat(keys)
+    if counts is None:
+        needles = np.sort(needles)
+    left = np.searchsorted(values, needles, "left")
+    right = np.searchsorted(values, needles, "right")
+    hit = np.flatnonzero(right > left)
+    found = (right - left if cumulative is None else cumulative[right] - cumulative[left])[hit]
+    if counts is None:
+        return sum(found.tolist())
+    return sum(map(operator.mul, counts[hit].tolist(), found.tolist()))
 
 
 class _HalfSums:
-    """The histograms of packed signature sums of one spec, grown on demand.
+    """The half sums of packed signatures of one spec, grown on demand.
 
     An element's signature, the vector of its exponent powers, is packed
     whole elements to a lane: as many W*degree-bit packed elements as 64
     bits hold, the first in the low bits, in the smallest unsigned dtype
     that holds them.  Every spec of the benchmark fits one lane.  The adder
     of galois on degree*(elements per lane) digits adds lanes digit by
-    digit, and is XOR for p = 2.  half(k, reduced) is the histogram of
-    the sums of k signatures; reduced, the first of them is one gamma^i
-    per p-orbit of i in Z_(q+1), standing for its orbit's cosets of GF(q)*
-    (see the module doc).  Each level is grown from the one below by one
-    add of every signature, then merged.  The counts of k signatures add
-    up to n^k, so they are int64 while n^k fits and Python ints beyond."""
+    digit, and is XOR for p = 2.  signatures holds the n signature rows.
+
+    half(k, reduced) is the level of the sums of k signatures, as rows and
+    their counts; reduced, the first of them is one gamma^i per p-orbit of
+    i in Z_(q+1), standing for its orbit's cosets of GF(q)* (see the module
+    doc).  Each level is grown from the one below by one add of every
+    signature, and stays raw, one row per sum taken: counts None (every
+    row 1) on the unreduced half, the orbit weights on the reduced one.  A
+    level merges equal rows (_merge) only once it holds more rows than there
+    are distinct sums, space = order^(number of exponents), so no level
+    outgrows n times the key space.  The counts of k signatures add up to
+    n^k, so they are int64 while n^k fits and Python ints beyond.
+    table(k, reduced) is the level's sorted _table, built once."""
 
     def __init__(self, vspec: ValidatedSpec, ctx: FieldContext):
         import numpy as np
@@ -579,32 +615,42 @@ class _HalfSums:
         per_lane = min(64 // bits, width)
         dtype = packed_dtype(ctx.p, ctx.degree * per_lane)
         self.add, self.neg = adder(ctx.p, ctx.degree * per_lane)
-        self.n = n
+        self.n, self.space = n, ctx.order ** width
         powers = np.arange(n, dtype=np.int64)
         lanes = np.zeros((n, -(-width // per_lane)), dtype=dtype)
         for slot, d in enumerate(vspec.exponents):
             lane, place = divmod(slot, per_lane)
             lanes[:, lane] |= ctx.packed_exp[d * powers % n].astype(dtype) << bits * place
-        self.one = _merge(lanes, np.ones(n, dtype=np.int64))
+        self.signatures = lanes
         reps = _cycles(ctx.p, 0, vspec.q + 1)
-        first = _merge(lanes[[i for i, _ in reps]],
-                       np.array([(vspec.q - 1) * size for _, size in reps], dtype=np.int64))
+        first = (lanes[[i for i, _ in reps]],
+                 np.array([(vspec.q - 1) * size for _, size in reps], dtype=np.int64))
         # levels[k] sums k signatures; the reduced half has no level 0
         self.levels = {True: [None, first],
-                       False: [(np.zeros((1, lanes.shape[1]), dtype=dtype),
-                                np.ones(1, dtype=np.int64))]}
+                       False: [(np.zeros((1, lanes.shape[1]), dtype=dtype), None)]}
+        self.tables = {}
 
-    def half(self, size: int, reduced: bool) -> tuple[np.ndarray, np.ndarray]:
+    def half(self, size: int, reduced: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        import numpy as np
         levels = self.levels[reduced]
-        one_keys, one_counts = self.one
         while len(levels) <= size:
             keys, counts = levels[-1]
-            if self.n ** len(levels) >= 1 << 63:
-                counts = counts.astype(object)
-            sums = self.add(keys[:, None, :], one_keys[None, :, :])
-            levels.append(_merge(sums.reshape(-1, keys.shape[1]),
-                                 (counts[:, None] * one_counts).reshape(-1)))
+            if counts is not None:
+                if self.n ** len(levels) >= 1 << 63:
+                    counts = counts.astype(object)
+                counts = np.repeat(counts, self.n)
+            keys = self.add(keys[:, None, :], self.signatures[None, :, :]).reshape(
+                -1, keys.shape[1])
+            if len(keys) > self.space:
+                keys, counts = _merge(keys, np.ones(len(keys), dtype=np.int64)
+                                      if counts is None else counts)
+            levels.append((keys, counts))
         return levels[size]
+
+    def table(self, size: int, reduced: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        if (size, reduced) not in self.tables:
+            self.tables[size, reduced] = _table(*self.half(size, reduced))
+        return self.tables[size, reduced]
 
 
 # n_r_brute's half sums per live spec object; a _HalfSums must not hold its spec or field
@@ -616,12 +662,17 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     """Number of r-tuples of nonzero GF(q^2) elements that satisfy every
     defining power-sum equation, by meet in the middle.
 
-    With A the histogram of the sums of ceil(r/2) signatures, the first
-    reduced to one per orbit of GF(q)* scaling and Frobenius, and B that of
+    With A the counts of the sums of ceil(r/2) signatures, the first
+    reduced to one per orbit of GF(q)* scaling and Frobenius, and B those of
     floor(r/2) signatures, N_r = sum_s A[s] B[-s] (see _HalfSums).  A takes
-    O((q+1) n^(ceil(r/2)-1)) work and B O(n^floor(r/2)), n = q^2-1.  Levels
-    serve every later r of the spec object while it lives, so ctx=None builds
-    a field once.  The sum is taken in Python ints.  Charged (q^2-1)^r.
+    O((q+1) n^(ceil(r/2)-1)) rows and B O(n^floor(r/2)), n = q^2-1, each
+    level merged only past its key space.  Of the two halves the one with
+    more rows is sorted into a table, once per level, and every negated row
+    of the other is found in it by two binary searches, so the sort costs
+    O(L log L) for the larger half's L rows and the searches O(S log L) for
+    the smaller half's S.  Levels and tables serve every later r of the spec
+    object while it lives, so ctx=None builds a field once.  The sum is
+    taken in Python ints.  Charged (q^2-1)^r.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -633,9 +684,11 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
         ctx = _context_for(vspec, ctx)
     if sums is None:
         sums = _half_sums[vspec] = _HalfSums(vspec, ctx)
-    keys_a, counts_a = sums.half((r + 1) // 2, reduced=True)
-    keys_b, counts_b = sums.half(r // 2, reduced=False)
-    return _pair(keys_a, counts_a, sums.neg(keys_b), counts_b)
+    # look the smaller half's negated rows up in the larger half's table
+    small, large = sorted([((r + 1) // 2, True), (r // 2, False)],
+                          key=lambda level: len(sums.half(*level)[0]))
+    keys, counts = sums.half(*small)
+    return _lookup(sums.table(*large), sums.neg(keys), counts)
 
 
 @dataclass(frozen=True)

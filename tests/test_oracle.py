@@ -668,10 +668,11 @@ def test_n_r_brute_matches_unreduced_meet_in_the_middle(key, rmax):
 @pytest.mark.parametrize("lanes", [1, 12])
 def test_merge_and_pair_match_row_equality(order, lanes):
     """_merge keeps one row per distinct row with the sum of its counts, and
-    _pair multiplies the counts of equal rows only.  Rows that differ only
-    in their first lane, or only in the last bit of their last lane, must
-    stay apart; at 2^64 the lanes use the top bit, and the object counts
-    pass int64."""
+    the lookup of rows in a _table multiplies the counts of equal rows only,
+    whether either side's counts are given or all 1 (None).  Rows that
+    differ only in their first lane, or only in the last bit of their last
+    lane, must stay apart; at 2^64 the lanes use the top bit, and the object
+    counts pass int64."""
     rng = np.random.default_rng(order + lanes)
     base = rng.integers(0, order, size=(40, lanes), dtype=np.uint64)
     changed, nearby = base.copy(), base.copy()
@@ -688,11 +689,15 @@ def test_merge_and_pair_match_row_equality(order, lanes):
         assert as_tuples == sorted(expected)
         assert dict(zip(as_tuples, merged.tolist())) == expected
         half = len(keys) // 2
+        other_rows = np.concatenate([keys[half:], nearby])
         other_keys, other_counts = oracle._merge(
-            np.concatenate([keys[half:], nearby]), np.ones(len(keys) - half + 40, dtype=np.int64))
+            other_rows, np.ones(len(other_rows), dtype=np.int64))
         other = dict(zip(map(tuple, other_keys.tolist()), other_counts.tolist()))
-        assert oracle._pair(keys, merged, other_keys, other_counts) == sum(
-            c * other.get(k, 0) for k, c in expected.items())
+        want = sum(c * other.get(k, 0) for k, c in expected.items())
+        assert oracle._lookup(oracle._table(other_keys, other_counts), keys, merged) == want
+        assert oracle._lookup(oracle._table(other_rows, None), rows, counts) == want
+        assert oracle._lookup(oracle._table(keys, merged), other_rows, None) == want
+        assert oracle._lookup(oracle._table(rows, counts), other_keys, other_counts) == want
 
 
 @pytest.mark.parametrize("key, rmax", [
@@ -705,8 +710,7 @@ def test_n_r_brute_on_two_lanes_matches_unreduced(key, rmax):
     middle, for every r with (q^2-1)^r <= 10^7."""
     vs = spec_of(key)
     ctx = field(vs.p, 2 * vs.m)
-    keys, _ = oracle._HalfSums(vs, ctx).one
-    assert keys.shape[1] == 2
+    assert oracle._HalfSums(vs, ctx).signatures.shape[1] == 2
     assert vs.length ** rmax <= 10**7 < vs.length ** (rmax + 1)
     for r in range(1, rmax + 1):
         assert n_r_brute(vs, r, ctx=ctx, budget=vs.length**r) == n_r_unreduced(vs, r, ctx), r
@@ -750,6 +754,28 @@ def test_n_r_brute_without_a_field_builds_one_per_spec_object(monkeypatch):
     assert builds == [(2, 6)]
     with pytest.raises(ValueError, match="does not match"):
         n_r_brute(vs, 1, ctx=field(2, 4))
+
+
+def test_n_r_brute_on_the_benchmark_specs_sorts_each_level_once(monkeypatch):
+    """At the benchmark's verify sizes no level outgrows its key space, so
+    no level is merged, and the calls r = 1..4 on one spec object (showcase
+    1 stops at N_3, as its benchmark budget of 10^9 refuses N_4), made
+    twice, sort each level's table once: every table sorts a distinct
+    level, and the second pass sorts none."""
+    def no_merge(*args):
+        raise AssertionError("a level was merged")
+
+    tabled, table = [], oracle._table
+    monkeypatch.setattr(oracle, "_merge", no_merge)
+    monkeypatch.setattr(oracle, "_table",
+                        lambda keys, counts: tabled.append(keys) or table(keys, counts))
+    for key, rmax in (("f1:2:4:2:1:2", 3), ("f2:3:2:3:1:3", 4), ("f2:2:3:1:1:4", 4)):
+        vs = spec_of(key)  # a fresh spec object, so no level is grown yet
+        tabled.clear()
+        for _ in range(2):
+            assert [n_r_brute(vs, r, budget=10**9) for r in range(1, rmax + 1)] == [
+                n_r(r, vs.q, vs.e) for r in range(1, rmax + 1)], key
+        assert tabled and len({id(keys) for keys in tabled}) == len(tabled) <= rmax, key
 
 
 def test_brute_distribution_refuses_a_bad_path_before_building_a_field(tiny_f1_spec, gf16,

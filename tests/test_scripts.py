@@ -128,6 +128,13 @@ def test_bench_verify_times_stages_and_catalog_calls(tmp_path):
     rates = first["verify_ops_per_s"]
     assert (f"first: verify {statistics.median(rates):.1f} (best {max(rates):.1f}) ops/s"
             in done.stdout)
+    # each run's p50 and p75 of its op times, printed beside the rate
+    p50s, p75s = first["verify_p50_s"], first["verify_p75_s"]
+    assert len(p50s) == len(p75s) == 2 and len(second["verify_p75_s"]) == 1
+    assert all(0 < p50 <= p75 for p50, p75 in zip(p50s, p75s))
+    assert (f"ops/s, p50 {statistics.median(p50s) * 1e3:.3f} (best {min(p50s) * 1e3:.3f}) ms, "
+            f"p75 {statistics.median(p75s) * 1e3:.3f} (best {min(p75s) * 1e3:.3f}) ms"
+            in done.stdout)
     strata = [line for line in done.stdout.splitlines() if " op " in line]
     assert len(strata) == 2 * len(first["strata"])
     assert all(line.count("(best ") == 5 for line in strata)  # the op and its four stages
