@@ -89,13 +89,14 @@ the benchmark's verify workload (at most 48 bits), and lanes add by the
 adder.  A level keeps one row per sum taken until it holds more rows than
 there are distinct sums, q^(2 * number of exponents); only then do equal
 rows merge, by one sort cut where the row changes, which no level of the
-benchmark's verify specs reaches.  N_r sorts the larger half once per level
+benchmark's verify specs reaches.  N_r sorts the larger half into a table
 (a value sort when its counts are all 1, else an argsort and cumulative
 counts) and finds each negated row of the smaller half in it by two binary
 searches; a row of several lanes sorts and searches as one np.void of its
-bytes.  A spec's halves and sorted tables live as long as the spec object,
-so one verify's calls for r = 1..4 share the signatures, every level grown
-and every table sorted, and none outlive the command.
+bytes.  A spec's halves live as long as the spec object, so one verify's
+calls for r = 1..4 share the signatures and every level grown, and none
+outlive the command.  A table is sorted per call and dropped: each of those
+calls sorts a different level.
 The floor(r/2) half stays unreduced: keyed by GF(q)*-orbits too, it
 measured 1.5-2 times slower at r <= 3 for q = 8 and 9 and won only at
 q = 16 with r = 4, which the benchmark refuses by budget.
@@ -571,7 +572,8 @@ def _lookup(table: tuple[np.ndarray, np.ndarray | None],
     count of a row missing from the table is 0), in Python ints: two binary
     searches per row bound its run of equal values in the table.  When
     counts is None every row counts 1, so the rows are sorted first, which
-    makes the searches walk the table in order."""
+    makes the searches walk the table in order: unsorted, showcase 2's N_5
+    (6,400 rows searched in a table of 25,600) took 1.6-1.8 times as long."""
     import numpy as np
     values, cumulative = table
     needles = _flat(keys)
@@ -605,8 +607,7 @@ class _HalfSums:
     level merges equal rows (_merge) only once it holds more rows than there
     are distinct sums, space = order^(number of exponents), so no level
     outgrows n times the key space.  The counts of k signatures add up to
-    n^k, so they are int64 while n^k fits and Python ints beyond.
-    table(k, reduced) is the level's sorted _table, built once."""
+    n^k, so they are int64 while n^k fits and Python ints beyond."""
 
     def __init__(self, vspec: ValidatedSpec, ctx: FieldContext):
         import numpy as np
@@ -628,7 +629,6 @@ class _HalfSums:
         # levels[k] sums k signatures; the reduced half has no level 0
         self.levels = {True: [None, first],
                        False: [(np.zeros((1, lanes.shape[1]), dtype=dtype), None)]}
-        self.tables = {}
 
     def half(self, size: int, reduced: bool) -> tuple[np.ndarray, np.ndarray | None]:
         import numpy as np
@@ -647,11 +647,6 @@ class _HalfSums:
             levels.append((keys, counts))
         return levels[size]
 
-    def table(self, size: int, reduced: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        if (size, reduced) not in self.tables:
-            self.tables[size, reduced] = _table(*self.half(size, reduced))
-        return self.tables[size, reduced]
-
 
 # n_r_brute's half sums per live spec object; a _HalfSums must not hold its spec or field
 _half_sums = weakref.WeakKeyDictionary()
@@ -667,12 +662,12 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     floor(r/2) signatures, N_r = sum_s A[s] B[-s] (see _HalfSums).  A takes
     O((q+1) n^(ceil(r/2)-1)) rows and B O(n^floor(r/2)), n = q^2-1, each
     level merged only past its key space.  Of the two halves the one with
-    more rows is sorted into a table, once per level, and every negated row
-    of the other is found in it by two binary searches, so the sort costs
-    O(L log L) for the larger half's L rows and the searches O(S log L) for
-    the smaller half's S.  Levels and tables serve every later r of the spec
-    object while it lives, so ctx=None builds a field once.  The sum is
-    taken in Python ints.  Charged (q^2-1)^r.
+    more rows is sorted into a table, and every negated row of the other is
+    found in it by two binary searches, so the sort costs O(L log L) for the
+    larger half's L rows and the searches O(S log L) for the smaller half's
+    S.  Levels serve every later r of the spec object while it lives, so
+    ctx=None builds a field once.  The sum is taken in Python ints.  Charged
+    (q^2-1)^r.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -688,7 +683,7 @@ def n_r_brute(vspec: ValidatedSpec, r: int, ctx: FieldContext | None = None,
     small, large = sorted([((r + 1) // 2, True), (r // 2, False)],
                           key=lambda level: len(sums.half(*level)[0]))
     keys, counts = sums.half(*small)
-    return _lookup(sums.table(*large), sums.neg(keys), counts)
+    return _lookup(_table(*sums.half(*large)), sums.neg(keys), counts)
 
 
 @dataclass(frozen=True)

@@ -758,10 +758,10 @@ def test_n_r_brute_without_a_field_builds_one_per_spec_object(monkeypatch):
 
 def test_n_r_brute_on_the_benchmark_specs_sorts_each_level_once(monkeypatch):
     """At the benchmark's verify sizes no level outgrows its key space, so
-    no level is merged, and the calls r = 1..4 on one spec object (showcase
-    1 stops at N_3, as its benchmark budget of 10^9 refuses N_4), made
-    twice, sort each level's table once: every table sorts a distinct
-    level, and the second pass sorts none."""
+    no level is merged, and one verify's calls r = 1..rmax on a spec object
+    (showcase 1 stops at N_3, as its benchmark budget of 10^9 refuses N_4)
+    sort rmax distinct levels: each call sorts its larger half, and that
+    half is another level at every r."""
     def no_merge(*args):
         raise AssertionError("a level was merged")
 
@@ -772,10 +772,9 @@ def test_n_r_brute_on_the_benchmark_specs_sorts_each_level_once(monkeypatch):
     for key, rmax in (("f1:2:4:2:1:2", 3), ("f2:3:2:3:1:3", 4), ("f2:2:3:1:1:4", 4)):
         vs = spec_of(key)  # a fresh spec object, so no level is grown yet
         tabled.clear()
-        for _ in range(2):
-            assert [n_r_brute(vs, r, budget=10**9) for r in range(1, rmax + 1)] == [
-                n_r(r, vs.q, vs.e) for r in range(1, rmax + 1)], key
-        assert tabled and len({id(keys) for keys in tabled}) == len(tabled) <= rmax, key
+        assert [n_r_brute(vs, r, budget=10**9) for r in range(1, rmax + 1)] == [
+            n_r(r, vs.q, vs.e) for r in range(1, rmax + 1)], key
+        assert len({id(keys) for keys in tabled}) == len(tabled) == rmax, key
 
 
 def test_brute_distribution_refuses_a_bad_path_before_building_a_field(tiny_f1_spec, gf16,
